@@ -57,14 +57,9 @@ from .pset import (
 )
 from .rationals import (
     RatInterval,
-    Rational,
     UNIT,
     interval,
-    interval_intersect,
     parse_rational,
-    rat,
-    rat_floor,
-    rat_pow,
     rat_str,
 )
 from .skipverify import (

@@ -71,17 +71,24 @@ class Certificate:
         }
 
     @classmethod
-    def from_json_dict(cls, payload: dict) -> "Certificate":
+    def from_json_dict(cls, payload) -> "Certificate":
+        """Parse untrusted JSON; a malformed payload raises ValueError."""
+        if not isinstance(payload, dict):
+            raise ValueError("certificate must be a JSON object")
         witness = payload.get("witness") or {}
+        if not isinstance(witness, dict):
+            raise ValueError("certificate witness must be a JSON object")
+        for key in ("r", "ell", "k"):
+            if type(payload.get(key)) is not int:
+                raise ValueError(f"certificate field {key!r} must be an integer")
+        if not isinstance(payload.get("case"), str):
+            raise ValueError("certificate field 'case' must be a string")
+        fields = {key: witness.get(key) for key in ("p", "q", "s", "q_star")}
+        for key, value in fields.items():
+            if value is not None and type(value) is not int:
+                raise ValueError(f"certificate witness {key!r} must be an integer or null")
         return cls(
-            r=int(payload["r"]),
-            ell=int(payload["ell"]),
-            case=str(payload["case"]),
-            k=int(payload["k"]),
-            p=witness.get("p"),
-            q=witness.get("q"),
-            s=witness.get("s"),
-            q_star=witness.get("q_star"),
+            r=payload["r"], ell=payload["ell"], case=payload["case"], k=payload["k"], **fields
         )
 
 
@@ -104,15 +111,6 @@ class WitnessLine:
     square_free_at_witness: bool   # w^2 does not divide ell^m + k
     cross_checked: bool            # full factorization also confirmed not r-full
 
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "witness": self.witness,
-            "divides": self.divides,
-            "square_free_at_witness": self.square_free_at_witness,
-            "cross_checked": self.cross_checked,
-        }
-
 
 @dataclass(frozen=True)
 class NonRFullReport:
@@ -120,14 +118,6 @@ class NonRFullReport:
     max_m: int
     lines: tuple[WitnessLine, ...]
     all_passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "certificate": self.certificate.to_json_dict(),
-            "max_m": self.max_m,
-            "lines": [line.to_json_dict() for line in self.lines],
-            "all_passed": self.all_passed,
-        }
 
 
 def dirichlet_search(ell: int, s_max: int = DEFAULT_S_MAX) -> tuple[int, int]:

@@ -24,17 +24,16 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .rationals import rat_floor
-
 TRIAL_DIVISION_BOUND = 1_000_000
 SIEVE_CAP_DEFAULT = 100_000_000
 DEFAULT_RHO_SEED = 0
 
-# Deterministic Miller-Rabin witness set for n < 3.317e24 (> 2^64); for
-# larger n the same fixed 12 bases give a probable-prime verdict with
-# error probability < 4^-12, and identical answers on every run.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_DETERMINISTIC_BELOW = 3_317_044_064_679_887_385_961_981
+# The first 13 primes are a deterministic Miller-Rabin witness set for
+# n < 3.317e24 (> 2^64; OEIS A014233(13)); 2..37 alone are not, since
+# 318665857834031151167461 is a strong pseudoprime to all twelve.  For
+# larger n the same fixed bases give a probable-prime verdict with error
+# probability < 4^-13, and identical answers on every run.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _prime_sieve(limit: int) -> bytearray:
@@ -122,9 +121,6 @@ class Factorization:
     @property
     def min_exponent(self) -> int:
         return min((e for _, e in self.factors), default=0)
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "factors": [[p, e] for p, e in self.factors]}
 
 
 def _brent_rho(n: int, rng: random.Random) -> int:
@@ -341,11 +337,11 @@ def series_digits(
     numerator = sum(a * base ** (top - a) for a in taken)
     partial_sum = Fraction(numerator, base ** top)
 
-    frac = partial_sum - rat_floor(partial_sum)
+    frac = partial_sum - math.floor(partial_sum)
     digits = []
     for _ in range(n_digits):
         frac *= base
-        d = rat_floor(frac)
+        d = math.floor(frac)
         digits.append(d)
         frac -= d
     sep = "" if base <= 10 else ","

@@ -18,7 +18,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import classify as _classify
@@ -56,20 +56,6 @@ class RunConfig:
     s_max: int
     j_max: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "format": self.format,
-            "seed": self.seed,
-            "sieve_cap": self.sieve_cap,
-            "bitmap_cap": self.bitmap_cap,
-            "seq_cap": self.seq_cap,
-            "K": self.K,
-            "M": self.M,
-            "s_max": self.s_max,
-            "j_max": self.j_max,
-        }
-
 
 def _env_cap(name: str, fallback: int) -> int:
     raw = os.environ.get(name)
@@ -99,17 +85,43 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 # rendering
 
-def _emit_json(config: RunConfig, result, out) -> None:
-    payload = {"config": config.to_json_dict(), "result": result}
+_JSON_SCALARS = (str, int, type(None))  # bool is an int
+
+
+def to_json(value):
+    """The JSON form of a result; the only place that decides it.
+
+    Scalars pass through, tuples become lists, dicts and lists are
+    converted item by item, and a Fraction becomes "num/den".  A
+    `to_json_dict` method wins; otherwise a dataclass becomes a dict of its
+    fields in declaration order (the table and CSV formats print keys in
+    that order); anything else is a TypeError.  Scalar list items skip the
+    recursive call, because bitmap runs and sieve values can number in the
+    hundreds of thousands.
+    """
+    if isinstance(value, _JSON_SCALARS):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [item if isinstance(item, _JSON_SCALARS) else to_json(item) for item in value]
+    if isinstance(value, dict):
+        return {key: to_json(inner) for key, inner in value.items()}
+    if isinstance(value, Fraction):
+        return rat_str(value)
+    if hasattr(value, "to_json_dict"):
+        return value.to_json_dict()
+    return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+
+
+def _emit_json(config: dict, result, out) -> None:
+    payload = {"config": config, "result": result}
     out.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _config_header(config: RunConfig) -> str:
-    c = config.to_json_dict()
-    return "# " + " ".join(f"{key}={c[key]}" for key in sorted(c))
+def _config_header(config: dict) -> str:
+    return "# " + " ".join(f"{key}={config[key]}" for key in sorted(config))
 
 
-def _emit_table(config: RunConfig, result, out) -> None:
+def _emit_table(config: dict, result, out) -> None:
     out.write(_config_header(config) + "\n")
     _render_table(result, out, indent="")
 
@@ -149,7 +161,7 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit_csv(config: RunConfig, result, out) -> None:
+def _emit_csv(config: dict, result, out) -> None:
     out.write(_config_header(config) + "\n")
     writer = csv.writer(out, lineterminator="\n")
     if isinstance(result, dict) and "values" in result and isinstance(result["values"], list):
@@ -183,12 +195,26 @@ def _flat_csv(value, writer, prefix: str) -> None:
 
 
 def _emit(config: RunConfig, result, out) -> None:
-    if config.format == "json":
-        _emit_json(config, result, out)
-    elif config.format == "csv":
-        _emit_csv(config, result, out)
-    else:
-        _emit_table(config, result, out)
+    """Render `result` in the configured format.
+
+    Exact results may have more than the default 4300 decimal digits, so
+    the int-to-str limit is lifted while rendering only; input parsing
+    keeps it.  Interpreters older than 3.10.7 have no limit to lift.
+    """
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digit_limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        config_json, result_json = to_json(config), to_json(result)
+        if config.format == "json":
+            _emit_json(config_json, result_json, out)
+        elif config.format == "csv":
+            _emit_csv(config_json, result_json, out)
+        else:
+            _emit_table(config_json, result_json, out)
+    finally:
+        if digit_limit:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +259,14 @@ def _series_terms(args: argparse.Namespace):
 
 
 # ---------------------------------------------------------------------------
-# handlers (each returns a JSON-ready result object or raises)
+# handlers (each returns a result for `to_json` or raises)
 
 def _run_classify(args, config: RunConfig):
     fact = _classify.factorize(args.n, rho_seed=config.seed)
     return {
         "n": args.n,
         "r": args.r,
-        "factorization": fact.to_json_dict()["factors"],
+        "factorization": fact.factors,
         "is_r_free": _classify.is_r_free(args.n, args.r),
         "is_r_full": _classify.is_r_full(args.n, args.r),
     }
@@ -259,12 +285,11 @@ def _run_sieve(args, config: RunConfig):
 def _run_series(args, config: RunConfig):
     terms = _series_terms(args)
     digits, partial = _classify.series_digits(terms, args.ell, args.terms, args.digits)
-    return {"base": args.ell, "digits": digits, "partial_sum": rat_str(partial)}
+    return {"base": args.ell, "digits": digits, "partial_sum": partial}
 
 
 def _run_theorem1_construct(args, config: RunConfig):
-    cert = _cert.construct_certificate(args.r, args.ell, s_max=config.s_max)
-    return cert.to_json_dict()
+    return _cert.construct_certificate(args.r, args.ell, s_max=config.s_max)
 
 
 def _load_certificate(path: str) -> _cert.Certificate:
@@ -276,13 +301,11 @@ def _run_theorem1_validate(args, config: RunConfig):
     result = _cert.validate_certificate(_load_certificate(args.cert))
     if not result.ok:
         raise VerificationFailure(f"certificate invalid: {result.reason}", m=0)
-    return {"ok": True, "reason": None}
+    return result
 
 
 def _run_theorem1_verify(args, config: RunConfig):
-    cert = _load_certificate(args.cert)
-    report = _cert.verify_non_rfull(cert, max_m=config.M)
-    return report.to_json_dict()
+    return _cert.verify_non_rfull(_load_certificate(args.cert), max_m=config.M)
 
 
 def _grid_cell(cell: tuple[int, int, int, int]) -> dict:
@@ -323,31 +346,30 @@ def _run_seq_gen(args, config: RunConfig):
 def _run_seq_salpha(args, config: RunConfig):
     spec = _spec_from_args(args)
     values = _seq.s_alpha(spec, args.alpha, args.n, cap=config.seq_cap)
-    return {"alpha": rat_str(args.alpha), "n": args.n, "values": values}
+    return {"alpha": args.alpha, "n": args.n, "values": values}
 
 
 def _run_seq_preimage(args, config: RunConfig):
-    return _seq.preimage_interval(args.t, args.s).to_json_dict()
+    return _seq.preimage_interval(args.t, args.s)
 
 
 def _run_seq_ratio(args, config: RunConfig):
     spec = _spec_from_args(args)
-    return _seq.ratio_condition_check(spec, args.n, cap=config.seq_cap).to_json_dict()
+    return _seq.ratio_condition_check(spec, args.n, cap=config.seq_cap)
 
 
 def _run_thm2_verify(args, config: RunConfig):
-    report = _skip.verify_skip_all_alpha(args.gamma, args.j, config.K, cap=config.seq_cap)
-    return report.to_json_dict()
+    return _skip.verify_skip_all_alpha(args.gamma, args.j, config.K, cap=config.seq_cap)
 
 
 def _run_thm2_symbolic(args, config: RunConfig):
-    return _skip.symbolic_condition_check(args.gamma, args.j).to_json_dict()
+    return _skip.symbolic_condition_check(args.gamma, args.j)
 
 
 def _run_thm2_gamma_search(args, config: RunConfig):
     j = _skip.gamma_exception_search(args.gamma, config.j_max)
     return {
-        "gamma": rat_str(args.gamma),
+        "gamma": args.gamma,
         "j": j,
         "rule": "smallest j passing derived sufficient conditions",
     }
@@ -360,7 +382,7 @@ def _run_thm2_scan(args, config: RunConfig):
         "t1": args.t1,
         "t2": args.t2,
         "n_max": args.n,
-        "intervals": [h.to_json_dict() for h in hits],
+        "intervals": hits,
         "empty": not hits,
     }
 
@@ -386,7 +408,7 @@ def _run_pset_brown(args, config: RunConfig):
 
 
 def _run_pset_witness(args, config: RunConfig):
-    return _pset.verify_squares_witness(args.m).to_json_dict()
+    return _pset.verify_squares_witness(args.m)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +584,7 @@ def dispatch(args: argparse.Namespace, out) -> int:
         result = args.handler(args, config)
     except (SkipViolation,) as exc:
         if exc.report is not None:
-            _emit(config, exc.report.to_json_dict(), out)
+            _emit(config, exc.report, out)
         out.write(f"verification failed: {exc}\n")
         return EXIT_VERIFICATION_FAILED
     except (VerificationFailure, WitnessFailure) as exc:

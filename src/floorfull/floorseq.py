@@ -13,11 +13,12 @@ exact endpoint arithmetic on those preimage intervals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .rationals import RatInterval, rat_floor
+from .rationals import RatInterval
 
 DEFAULT_SEQ_CAP = 10_000
 
@@ -72,7 +73,7 @@ def generate_terms(spec: SeqSpec, n_max: int, *, cap: int = DEFAULT_SEQ_CAP) -> 
         terms = []
         for _ in range(n_max):
             power *= spec.gamma
-            terms.append(rat_floor(power))
+            terms.append(math.floor(power))
     elif isinstance(spec, Squares):
         terms = [n * n for n in range(1, n_max + 1)]
     elif isinstance(spec, Explicit):
@@ -99,7 +100,7 @@ def s_alpha(spec: SeqSpec, alpha: Fraction, n_max: int, *, cap: int = DEFAULT_SE
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    return [rat_floor(alpha * s) for s in generate_terms(spec, n_max, cap=cap)]
+    return [math.floor(alpha * s) for s in generate_terms(spec, n_max, cap=cap)]
 
 
 def preimage_interval(t: int, s: int) -> RatInterval:
@@ -148,13 +149,6 @@ class RatioReport:
     n_checked: int
     violations: tuple[int, ...]   # indices n (1-based) where the condition fails
     holds_from: int               # all checked n >= holds_from satisfy it
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_checked": self.n_checked,
-            "violations": list(self.violations),
-            "holds_from": self.holds_from,
-        }
 
 
 def ratio_condition_check(spec: SeqSpec, n_max: int, *, cap: int = DEFAULT_SEQ_CAP) -> RatioReport:

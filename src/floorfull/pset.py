@@ -94,7 +94,9 @@ def compute_pset(
     """Exact membership bitmap of the representation set on [0, bound].
 
     Multiset semantics: each occurrence in `terms` is usable at most once,
-    and repeated values are distinct occurrences.
+    and repeated values are distinct occurrences.  Terms above `bound`
+    cannot take part in a sum <= bound, so they are skipped, which also
+    keeps one huge term from allocating a huge shifted bitmap.
 
     >>> compute_pset([2, 3], 10).members()
     [0, 2, 3, 5]
@@ -108,7 +110,8 @@ def compute_pset(
     for a in terms:
         if a < 0:
             raise ValueError(f"terms must be nonnegative, got {a}")
-        bits = (bits | (bits << a)) & mask
+        if a <= bound:
+            bits = (bits | (bits << a)) & mask
     return PSetBitmap(bound=bound, bits=bits)
 
 
@@ -180,17 +183,6 @@ class SquaresWitnessLine:
     gap_rhs: int           # 2^(i+1) + 2 + isqrt(4 * 2^i * (2^i + 1))
     gap_ok: bool           # inv_alpha >= gap_rhs (window wider than 1)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "target": self.target,
-            "n_i": self.n_i,
-            "lower": self.lower,
-            "upper": self.upper,
-            "gap_rhs": self.gap_rhs,
-            "gap_ok": self.gap_ok,
-        }
-
 
 @dataclass(frozen=True)
 class SquaresWitnessReport:
@@ -199,15 +191,6 @@ class SquaresWitnessReport:
     inv_alpha: int
     lines: tuple[SquaresWitnessLine, ...]
     all_passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "alpha": f"{self.alpha.numerator}/{self.alpha.denominator}",
-            "inv_alpha": self.inv_alpha,
-            "lines": [line.to_json_dict() for line in self.lines],
-            "all_passed": self.all_passed,
-        }
 
 
 def verify_squares_witness(m: int) -> SquaresWitnessReport:

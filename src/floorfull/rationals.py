@@ -10,16 +10,8 @@ approximate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-Rational = Fraction
-
-
-def rat(num: int, den: int = 1) -> Fraction:
-    """Exact rational num/den."""
-    return Fraction(num, den)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -42,26 +34,6 @@ def parse_rational(text: str) -> Fraction:
 def rat_str(q: Fraction) -> str:
     """Canonical "num/den" rendering, denominator always present."""
     return f"{q.numerator}/{q.denominator}"
-
-
-def rat_pow(base: Fraction, n: int) -> Fraction:
-    """Exact base**n for n >= 0 and base > 0."""
-    if n < 0:
-        raise ValueError(f"exponent must be nonnegative, got {n}")
-    if base <= 0:
-        raise ValueError(f"base must be positive, got {base}")
-    return base ** n
-
-
-def rat_floor(q: Fraction) -> int:
-    """Greatest integer <= q (floors toward -infinity for negatives).
-
-    >>> rat_floor(Fraction(9, 4))
-    2
-    >>> rat_floor(Fraction(-1, 2))
-    -1
-    """
-    return math.floor(q)
 
 
 @dataclass(frozen=True)
@@ -103,13 +75,6 @@ class RatInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def midpoint(self) -> Fraction:
-        """A representative interior point; requires a nonempty interval."""
-        if self.is_empty:
-            raise ValueError("empty interval has no midpoint")
-        return (self.lo + self.hi) / 2
-
     def intersect(self, other: RatInterval) -> RatInterval:
         """[max(lo), min(hi)), clamped to the empty interval when disjoint."""
         lo = max(self.lo, other.lo)
@@ -128,10 +93,6 @@ class RatInterval:
 def interval(lo, hi) -> RatInterval:
     """RatInterval from anything Fraction accepts (ints, "a/b" strings)."""
     return RatInterval(Fraction(lo), Fraction(hi))
-
-
-def interval_intersect(a: RatInterval, b: RatInterval) -> RatInterval:
-    return a.intersect(b)
 
 
 UNIT = RatInterval(Fraction(0), Fraction(1))

@@ -26,6 +26,7 @@ intersects the preimage intervals of the two targets directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,7 +39,7 @@ from .floorseq import (
     member_alpha_set,
     preimage_interval,
 )
-from .rationals import UNIT, RatInterval, rat_floor
+from .rationals import UNIT, RatInterval, rat_str
 
 DEFAULT_K_MAX = 300
 DEFAULT_J_MAX = 20
@@ -64,11 +65,11 @@ def interval_extrema_of_floor(window: RatInterval, s: int) -> tuple[int, int]:
         raise ValueError(f"s must be >= 1, got {s}")
     lo_scaled = window.lo * s
     hi_scaled = window.hi * s
-    minimum = rat_floor(lo_scaled)
+    minimum = math.floor(lo_scaled)
     if hi_scaled.denominator == 1:
         maximum = int(hi_scaled) - 1
     else:
-        maximum = rat_floor(hi_scaled)
+        maximum = math.floor(hi_scaled)
     return minimum, maximum
 
 
@@ -82,15 +83,6 @@ class SkipRow:
     min_floor_next2: int   # min of floor(alpha * s_{k+2}) over the interval
     passed: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "interval": self.interval.to_json_dict(),
-            "max_floor_next": self.max_floor_next,
-            "min_floor_next2": self.min_floor_next2,
-            "passed": self.passed,
-        }
-
 
 @dataclass(frozen=True)
 class SkipReport:
@@ -100,16 +92,6 @@ class SkipReport:
     rows: tuple[SkipRow, ...]
     skipped: tuple[int, ...]   # k whose clipped alpha-interval was empty
     overall: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "gamma": f"{self.gamma.numerator}/{self.gamma.denominator}",
-            "j": self.j,
-            "k_max": self.k_max,
-            "rows": [row.to_json_dict() for row in self.rows],
-            "skipped": list(self.skipped),
-            "overall": self.overall,
-        }
 
 
 def verify_skip_all_alpha(
@@ -198,15 +180,15 @@ class SymbolicCheck:
 
     def to_json_dict(self) -> dict:
         return {
-            "gamma": f"{self.gamma.numerator}/{self.gamma.denominator}",
+            "gamma": rat_str(self.gamma),
             "j": self.j,
             "growth": {
-                "lhs": f"{self.growth_lhs.numerator}/{self.growth_lhs.denominator}",
+                "lhs": rat_str(self.growth_lhs),
                 "rhs": str(self.growth_rhs),
                 "ok": self.growth_ok,
             },
             "gap": {
-                "lhs": f"{self.gap_lhs.numerator}/{self.gap_lhs.denominator}",
+                "lhs": rat_str(self.gap_lhs),
                 "rhs": str(self.gap_rhs),
                 "ok": self.gap_ok,
             },

@@ -5,6 +5,7 @@ numerical tolerances anywhere.  Run with `pytest tests/test_acceptance.py -v -s`
 to see the per-criterion lines and timings.
 """
 
+import math
 import random
 import time
 from contextlib import contextmanager
@@ -18,7 +19,7 @@ from floorfull.certificates import (
 from floorfull.classify import is_r_full, r_full_up_to, squarefull_via_a2b3
 from floorfull.floorseq import FloorPower, generate_terms, preimage_interval
 from floorfull.pset import compute_pset, squares_witness_alpha, verify_squares_witness
-from floorfull.rationals import RatInterval, rat_floor
+from floorfull.rationals import RatInterval
 from floorfull.skipverify import (
     counterexample_scan,
     gamma_exception_search,
@@ -97,7 +98,7 @@ def test_criterion_4_squares_witness():
             assert report.all_passed
             assert report.alpha == alpha
             for line in report.lines:
-                assert rat_floor(alpha * line.n_i ** 2) == line.target
+                assert math.floor(alpha * line.n_i ** 2) == line.target
 
 
 def _enumerate_subset_sums(terms):
@@ -135,7 +136,7 @@ def test_criterion_6_interval_machinery():
         for _ in range(10 ** 4):
             alpha = Fraction(rng.randint(1, 2000), rng.randint(1, 2000))
             s = terms[rng.randrange(len(terms))]
-            t = rat_floor(alpha * s)
+            t = math.floor(alpha * s)
             window = preimage_interval(t, s)
             assert alpha in window
 
@@ -144,7 +145,7 @@ def test_criterion_6_interval_machinery():
             probe = RatInterval(lo, lo + width)
             s2 = rng.randint(1, 10 ** 4)
             minimum, maximum = interval_extrema_of_floor(probe, s2)
-            assert rat_floor(probe.lo * s2) == minimum
+            assert math.floor(probe.lo * s2) == minimum
             attaining = max(probe.lo, Fraction(maximum, s2))
             assert attaining in probe
-            assert rat_floor(attaining * s2) == maximum
+            assert math.floor(attaining * s2) == maximum

@@ -15,6 +15,7 @@ from floorfull.certificates import (
     verify_non_rfull,
 )
 from floorfull.classify import is_r_full
+from floorfull.cli import to_json
 from floorfull.errors import NotFoundWithinBound
 
 
@@ -132,7 +133,7 @@ def test_validate_reports_reason_codes():
 def test_certificate_json_round_trip():
     for ell in (2, 4, 15):
         cert = construct_certificate(3, ell)
-        blob = json.dumps(cert.to_json_dict())
+        blob = json.dumps(to_json(cert))
         assert Certificate.from_json_dict(json.loads(blob)) == cert
 
 
@@ -201,7 +202,7 @@ def test_small_grid_constructs_validates_verifies():
 
 
 def test_report_json_shape():
-    payload = verify_non_rfull(construct_certificate(2, 2), max_m=3).to_json_dict()
+    payload = to_json(verify_non_rfull(construct_certificate(2, 2), max_m=3))
     assert payload["certificate"]["case"] == "I"
     assert payload["max_m"] == 3
     assert [line["m"] for line in payload["lines"]] == [1, 2, 3]

@@ -52,6 +52,15 @@ def test_is_prime_medium_values_cross_checked():
         assert is_prime(n) == oracle_is_prime(n), n
 
 
+def test_is_prime_rejects_a014233_12():
+    # A014233(12) is a strong pseudoprime to every prime base 2..37;
+    # base 41 exposes it (Sorenson & Webster, Math. Comp. 86, 2017)
+    n = 318665857834031151167461
+    assert 399165290221 * 798330580441 == n
+    assert not is_prime(n)
+    assert factorize(n).factors == ((399165290221, 1), (798330580441, 1))
+
+
 def test_primes_up_to():
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert primes_up_to(1) == []

@@ -1,7 +1,15 @@
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
+from fractions import Fraction
+
+import pytest
+
+from floorfull.cli import build_parser, dispatch, main
 
 CLI = [sys.executable, "-m", "floorfull"]
 
@@ -226,3 +234,77 @@ def test_closed_pipe_does_not_traceback():
     assert proc.returncode == 0  # head's status
     assert b"Traceback" not in proc.stderr
     assert len(proc.stdout.splitlines()) == 3
+
+
+# --- in-process: results past 4300 digits, malformed certificates ------------
+
+@contextmanager
+def unlimited_int_digits():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def is_squarefull(n: int) -> bool:
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p:
+                return False
+            while n % p == 0:
+                n //= p
+        p += 1
+    return n == 1  # a leftover factor > 1 is a prime dividing n once
+
+
+@pytest.mark.parametrize("fmt", ["json", "table", "csv"])
+def test_series_partial_sum_past_4300_digits(fmt):
+    squarefull = []
+    n = 0
+    while len(squarefull) < 300:
+        n += 1
+        if is_squarefull(n):
+            squarefull.append(n)
+    partial = sum(Fraction(a, 2**a) for a in squarefull)
+    digits = format(math.floor(partial * 2**500) % 2**500, "0500b")
+    args = build_parser().parse_args(
+        ["series", "--kind", "squarefull", "--terms", "300", "--digits", "500", "--format", fmt]
+    )
+    limit = sys.get_int_max_str_digits()
+    out = io.StringIO()
+    assert dispatch(args, out) == 0
+    assert sys.get_int_max_str_digits() == limit  # lifted while rendering only
+    with unlimited_int_digits():
+        assert len(str(partial.denominator)) > 5000
+        partial_sum = f"{partial.numerator}/{partial.denominator}"
+    lines = out.getvalue().splitlines()
+    if fmt == "json":
+        assert json.loads(lines[0])["result"] == {
+            "base": 2, "digits": digits, "partial_sum": partial_sum,
+        }
+    else:
+        sep = ": " if fmt == "table" else ","
+        assert lines[1:] == [f"base{sep}2", f"digits{sep}{digits}", f"partial_sum{sep}{partial_sum}"]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"r": 2, "ell": 6, "case": "III", "witness": {}}',
+        "[1, 2]",
+        '{"r": 2, "ell": 4, "case": "II", "k": 2, "witness": {"p": "2"}}',
+    ],
+    ids=["missing_k", "not_an_object", "string_witness"],
+)
+def test_malformed_certificate_exits_2_with_one_line(tmp_path, capsys, payload):
+    cert = tmp_path / "cert.json"
+    cert.write_text(payload)
+    assert main(["theorem1", "validate", "--cert", str(cert)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: certificate")
+    assert captured.err.count("\n") == 1

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from floorfull.floorseq import (
     ratio_condition_check,
     s_alpha,
 )
-from floorfull.rationals import UNIT, RatInterval, interval, rat_floor
+from floorfull.rationals import UNIT, RatInterval, interval
 
 POW32 = FloorPower(Fraction(3, 2))
 
@@ -93,7 +94,7 @@ def test_preimage_interval_examples():
     s=st.integers(1, 10**6),
 )
 def test_preimage_contains_its_alpha(alpha, s):
-    t = rat_floor(alpha * s)
+    t = math.floor(alpha * s)
     assert alpha in preimage_interval(t, s)
 
 

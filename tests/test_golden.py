@@ -1,0 +1,120 @@
+"""Golden outputs: the CLI's stdout bytes and exit code for every subcommand.
+
+Each case runs in-process through `build_parser().parse_args` and
+`dispatch(args, out)` in all three formats, and must reproduce the bytes
+and exit code recorded under tests/golden/ exactly.  Refactors of the
+rendering or of the library must leave these files unchanged.
+
+To record the goldens afresh (only for a deliberate output change):
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import io
+import json
+import pathlib
+
+import pytest
+
+from floorfull.cli import build_parser, dispatch
+
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+INPUTS = GOLDEN_DIR / "inputs"
+EXIT_CODES = GOLDEN_DIR / "exit_codes.json"
+FORMATS = ("json", "table", "csv")
+
+CASES = {
+    "classify": ["classify", "--n", "72"],
+    "classify_r3": ["classify", "--n", "1000", "--r", "3"],
+    "sieve": ["sieve", "--limit", "200"],
+    "sieve_a2b3": ["sieve", "--limit", "200", "--method", "a2b3"],
+    "series": ["series", "--kind", "squarefree", "--terms", "8", "--digits", "20"],
+    "series_base12": ["series", "--kind", "squares", "--ell", "12", "--terms", "4", "--digits", "8"],
+    "theorem1_construct": ["theorem1", "construct", "--r", "2", "--ell", "15"],
+    "theorem1_construct_case_i": ["theorem1", "construct", "--r", "3", "--ell", "2"],
+    "theorem1_validate": ["theorem1", "validate", "--cert", str(INPUTS / "cert_ell15.json")],
+    "theorem1_validate_broken": [
+        "theorem1", "validate", "--cert", str(INPUTS / "cert_broken_k.json"),
+    ],
+    "theorem1_verify": [
+        "theorem1", "verify", "--cert", str(INPUTS / "cert_ell15.json"), "--max-m", "8",
+    ],
+    "theorem1_verify_case_ii": [
+        "theorem1", "verify", "--cert", str(INPUTS / "cert_ell12.json"), "--max-m", "4",
+    ],
+    "theorem1_grid": [
+        "theorem1", "grid", "--r-min", "2", "--r-max", "3",
+        "--ell-min", "2", "--ell-max", "6", "--max-m", "5",
+    ],
+    "seq_gen": ["seq", "gen", "--n", "12"],
+    "seq_salpha": ["seq", "salpha", "--alpha", "3/10", "--n", "10"],
+    "seq_preimage": ["seq", "preimage", "--t", "8", "--s", "17"],
+    "seq_ratio": ["seq", "ratio", "--kind", "squares", "--n", "20"],
+    "thm2_verify": ["thm2", "verify", "--gamma", "3/2", "--j", "3", "--K", "12"],
+    "thm2_verify_fails": ["thm2", "verify", "--gamma", "3/2", "--j", "1", "--K", "12"],
+    "thm2_symbolic": ["thm2", "symbolic", "--gamma", "3/2", "--j", "3"],
+    "thm2_symbolic_gamma_out_of_range": ["thm2", "symbolic", "--gamma", "7/5", "--j", "3"],
+    "thm2_gamma_search": ["thm2", "gamma-search", "--gamma", "8/5"],
+    "thm2_scan": ["thm2", "scan", "--t1", "8", "--t2", "16", "--n", "30"],
+    "thm2_scan_hits": ["thm2", "scan", "--t1", "3", "--t2", "5", "--n", "12"],
+    "pset_compute": ["pset", "compute", "--terms", str(INPUTS / "terms.txt"), "--bound", "20"],
+    "pset_complete": ["pset", "complete", "--terms", str(INPUTS / "terms_brown.txt"), "--bound", "16"],
+    "pset_brown": ["pset", "brown", "--terms", str(INPUTS / "terms_brown.txt")],
+    "pset_witness": ["pset", "witness", "--m", "3"],
+}
+
+
+def run_case(argv: list[str], fmt: str) -> tuple[int, bytes]:
+    args = build_parser().parse_args([*argv, "--format", fmt])
+    out = io.StringIO()
+    code = dispatch(args, out)
+    return code, out.getvalue().encode("utf-8")
+
+
+def golden_path(name: str, fmt: str) -> pathlib.Path:
+    return GOLDEN_DIR / f"{name}.{fmt}"
+
+
+@pytest.fixture(autouse=True)
+def _default_caps(monkeypatch):
+    for var in ("FLOORFULL_SIEVE_CAP", "FLOORFULL_BITMAP_CAP", "FLOORFULL_SEQ_CAP"):
+        monkeypatch.delenv(var, raising=False)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, fmt):
+    expected_code = json.loads(EXIT_CODES.read_text())[f"{name}.{fmt}"]
+    code, stdout = run_case(CASES[name], fmt)
+    assert code == expected_code
+    assert stdout == golden_path(name, fmt).read_bytes()
+
+
+def test_every_subcommand_has_a_golden():
+    parser = build_parser()
+    covered = {parser.parse_args(argv).subcommand_path for argv in CASES.values()}
+    assert covered == {
+        "classify", "sieve", "series",
+        "theorem1 construct", "theorem1 validate", "theorem1 verify", "theorem1 grid",
+        "seq gen", "seq salpha", "seq preimage", "seq ratio",
+        "thm2 verify", "thm2 symbolic", "thm2 gamma-search", "thm2 scan",
+        "pset compute", "pset complete", "pset brown", "pset witness",
+    }
+
+
+def test_goldens_cover_every_exit_code():
+    assert set(json.loads(EXIT_CODES.read_text()).values()) == {0, 1, 2}
+
+
+def _record() -> None:
+    codes = {}
+    for name in sorted(CASES):
+        for fmt in FORMATS:
+            code, stdout = run_case(CASES[name], fmt)
+            codes[f"{name}.{fmt}"] = code
+            golden_path(name, fmt).write_bytes(stdout)
+    EXIT_CODES.write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    _record()

@@ -1,4 +1,6 @@
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,6 @@ from floorfull.pset import (
     squares_witness_alpha,
     verify_squares_witness,
 )
-from floorfull.rationals import rat_floor
 
 
 def enumerate_subset_sums(terms: list[int]) -> set[int]:
@@ -46,6 +47,19 @@ def test_compute_pset_guards():
         compute_pset([-1], 10)
     with pytest.raises(ValueError, match="cap"):
         compute_pset([1], 10**9, cap=1000)
+    with pytest.raises(ValueError):
+        compute_pset([10**8, -1], 10)  # a negative term is rejected even after skipped ones
+
+
+def test_compute_pset_skips_terms_above_bound_without_allocating():
+    tracemalloc.start()
+    try:
+        bitmap = compute_pset([2, 10**8, 3], 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bitmap == compute_pset([2, 3], 100)
+    assert peak < 1 << 20  # shifting by 10^8 first would take 12.5 MB
 
 
 @given(
@@ -128,15 +142,15 @@ def test_squares_witness_m2():
     report = verify_squares_witness(2)
     assert [(line.i, line.n_i) for line in report.lines] == [(0, 5), (1, 7), (2, 9)]
     alpha = report.alpha
-    assert rat_floor(alpha * 25) == 1
-    assert rat_floor(alpha * 49) == 2
-    assert rat_floor(alpha * 81) == 4
+    assert math.floor(alpha * 25) == 1
+    assert math.floor(alpha * 49) == 2
+    assert math.floor(alpha * 81) == 4
 
 
 def test_squares_witness_m0():
     report = verify_squares_witness(0)
     assert report.lines[0].n_i == 3
-    assert rat_floor(Fraction(9, 8)) == 1
+    assert math.floor(Fraction(9, 8)) == 1
 
 
 def test_squares_witness_through_m12():
@@ -146,7 +160,7 @@ def test_squares_witness_through_m12():
         assert len(report.lines) == m + 1
         for line in report.lines:
             # independent exact check of the floor identity
-            assert rat_floor(report.alpha * line.n_i**2) == line.target
+            assert math.floor(report.alpha * line.n_i**2) == line.target
             # window inequalities as recorded
             assert line.lower <= line.n_i**2 < line.upper
             assert report.inv_alpha >= line.gap_rhs

@@ -1,11 +1,13 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from floorfull.cli import to_json
 from floorfull.errors import NotFoundWithinBound, SkipViolation
 from floorfull.floorseq import FloorPower, Squares, s_alpha
-from floorfull.rationals import RatInterval, interval, rat_floor
+from floorfull.rationals import RatInterval, interval
 from floorfull.skipverify import (
     counterexample_scan,
     gamma_exception_search,
@@ -45,11 +47,11 @@ def test_extrema_attained_by_explicit_rationals(lo, width, s):
     minimum, maximum = interval_extrema_of_floor(window, s)
     assert minimum <= maximum
     # the minimum happens at the left endpoint
-    assert rat_floor(window.lo * s) == minimum
+    assert math.floor(window.lo * s) == minimum
     # the maximum happens at max(lo, t/s) for the top floor value t
     attaining = max(window.lo, Fraction(maximum, s))
     assert attaining in window
-    assert rat_floor(attaining * s) == maximum
+    assert math.floor(attaining * s) == maximum
 
 
 @given(
@@ -62,7 +64,7 @@ def test_extrema_bound_every_sample(lo, width, s):
     minimum, maximum = interval_extrema_of_floor(window, s)
     for i in range(8):
         sample = window.lo + window.width * Fraction(i, 8)
-        assert minimum <= rat_floor(sample * s) <= maximum
+        assert minimum <= math.floor(sample * s) <= maximum
 
 
 # --- the skip verifier ------------------------------------------------------
@@ -110,7 +112,7 @@ def test_skip_verify_validates_args():
 
 
 def test_skip_report_json_rows():
-    payload = verify_skip_all_alpha(Fraction(3, 2), 3, 20).to_json_dict()
+    payload = to_json(verify_skip_all_alpha(Fraction(3, 2), 3, 20))
     assert payload["gamma"] == "3/2"
     assert payload["overall"] is True
     assert payload["rows"][0]["k"] == 6
@@ -211,13 +213,13 @@ def test_scan_squares_positive_control():
     assert hits
     target = Fraction(1, 20)
     assert any(target in window for window in hits)
-    assert rat_floor(Fraction(25, 20)) == 1 and rat_floor(Fraction(49, 20)) == 2
+    assert math.floor(Fraction(25, 20)) == 1 and math.floor(Fraction(49, 20)) == 2
 
 
 def test_scan_hits_confirmed_by_direct_evaluation():
     hits = counterexample_scan(POW32, 8, 11, 100)
     for window in hits:
-        for alpha in (window.lo, window.midpoint):
+        for alpha in (window.lo, (window.lo + window.hi) / 2):
             image = set(s_alpha(POW32, alpha, 100))
             assert {8, 11} <= image, (window, alpha)
 
