@@ -17,6 +17,7 @@ comparisons, keeping the check float-free.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -45,25 +46,19 @@ class PSetBitmap:
         return 0 <= value <= self.bound and (self.bits >> value) & 1 == 1
 
     def members(self) -> list[int]:
-        return [i for i in range(self.bound + 1) if (self.bits >> i) & 1]
+        return [i for start, length in self.runs() for i in range(start, start + length)]
 
     def count(self) -> int:
         return self.bits.bit_count()
 
     def runs(self) -> list[tuple[int, int]]:
-        """Maximal runs of consecutive members as (start, length) pairs."""
-        out = []
-        i = 0
-        bits = self.bits
-        while i <= self.bound:
-            if (bits >> i) & 1:
-                start = i
-                while i <= self.bound and (bits >> i) & 1:
-                    i += 1
-                out.append((start, i - start))
-            else:
-                i += 1
-        return out
+        """Maximal runs of consecutive members as (start, length) pairs.
+
+        One pass over bin(bits), whose "1" block ending at string index e
+        starts at bit len(text) - e; blocks come highest first.
+        """
+        text = bin(self.bits)
+        return [(len(text) - m.end(), m.end() - m.start()) for m in re.finditer("1+", text)][::-1]
 
     def to_rle_json_dict(self) -> dict:
         return {"bound": self.bound, "runs": [[s, n] for s, n in self.runs()]}

@@ -20,8 +20,8 @@ no single alpha in (0, 1) puts both 2^j and 2^(j+1) into the image
   which are slightly conservative but independent of k: when they hold,
   the skip happens at every witness index simultaneously.
 
-counterexample_scan is the brute-force oracle for the same statement: it
-intersects the preimage intervals of the two targets directly.
+counterexample_scan is an oracle independent of both: a sorted sweep that
+intersects the two targets' preimage intervals directly, in O(n + hits).
 """
 
 from __future__ import annotations
@@ -66,10 +66,7 @@ def interval_extrema_of_floor(window: RatInterval, s: int) -> tuple[int, int]:
     lo_scaled = window.lo * s
     hi_scaled = window.hi * s
     minimum = math.floor(lo_scaled)
-    if hi_scaled.denominator == 1:
-        maximum = int(hi_scaled) - 1
-    else:
-        maximum = math.floor(hi_scaled)
+    maximum = math.ceil(hi_scaled) - 1
     return minimum, maximum
 
 
@@ -254,20 +251,27 @@ def counterexample_scan(
     *,
     cap: int = DEFAULT_SEQ_CAP,
 ) -> list[RatInterval]:
-    """Brute-force oracle: alpha-intervals in (0,1) hitting both t1 and t2.
+    """Alpha-intervals in (0, 1) hitting both t1 and t2, by a sorted sweep.
 
-    Every nonempty pairwise intersection of the two targets' preimage
-    intervals (witness indices <= n_max) is returned; an empty list means
-    no alpha in (0, 1) puts both targets into the image within the bound.
+    Returns every nonempty intersection of a preimage interval of t1 with
+    one of t2 (witness indices <= n_max), a-major as a nested loop would;
+    an empty list means no alpha in (0, 1) puts both targets into the
+    image within the bound.  member_alpha_set keeps n order and s_n
+    strictly increases, so down each list lo and hi never increase.  The
+    b meeting a (b.lo < a.hi and b.hi > a.lo) are then a suffix cut by a
+    prefix, one contiguous block, and both its ends only move forward as
+    a does: `start` passes each b once and every inner step is a hit.
     """
     if t1 == t2:
         raise ValueError("targets must differ")
     first = member_alpha_set(spec, t1, n_max, UNIT, cap=cap)
     second = member_alpha_set(spec, t2, n_max, UNIT, cap=cap)
-    hits = []
+    hits, start = [], 0
     for a in first:
-        for b in second:
-            both = a.intersect(b)
-            if not both.is_empty:
-                hits.append(both)
+        while start < len(second) and second[start].lo >= a.hi:
+            start += 1
+        i = start
+        while i < len(second) and second[i].hi > a.lo:
+            hits.append(a.intersect(second[i]))
+            i += 1
     return hits

@@ -57,6 +57,7 @@ CASES = {
     "thm2_gamma_search": ["thm2", "gamma-search", "--gamma", "8/5"],
     "thm2_scan": ["thm2", "scan", "--t1", "8", "--t2", "16", "--n", "30"],
     "thm2_scan_hits": ["thm2", "scan", "--t1", "3", "--t2", "5", "--n", "12"],
+    "thm2_scan_squares": ["thm2", "scan", "--kind", "squares", "--t1", "1", "--t2", "2", "--n", "20"],
     "pset_compute": ["pset", "compute", "--terms", str(INPUTS / "terms.txt"), "--bound", "20"],
     "pset_complete": ["pset", "complete", "--terms", str(INPUTS / "terms_brown.txt"), "--bound", "16"],
     "pset_brown": ["pset", "brown", "--terms", str(INPUTS / "terms_brown.txt")],

@@ -193,3 +193,59 @@ def test_bitmap_bit_file_round_trip():
 
 def test_bitmap_count():
     assert compute_pset([2, 3], 10).count() == 4
+
+
+def _bitwise_runs(bitmap):
+    """Reference: test every bit of [0, bound] in turn, O(bound^2)."""
+    out = []
+    i = 0
+    while i <= bitmap.bound:
+        if (bitmap.bits >> i) & 1:
+            start = i
+            while i <= bitmap.bound and (bitmap.bits >> i) & 1:
+                i += 1
+            out.append((start, i - start))
+        else:
+            i += 1
+    return out
+
+
+def _bitwise_members(bitmap):
+    return [i for i in range(bitmap.bound + 1) if (bitmap.bits >> i) & 1]
+
+
+@given(data=st.data(), bound=st.integers(1, 300))
+def test_runs_and_members_match_bitwise_reference(data, bound):
+    bits = data.draw(st.integers(0, (1 << (bound + 1)) - 1)) | 1
+    bitmap = PSetBitmap(bound=bound, bits=bits)
+    assert bitmap.runs() == _bitwise_runs(bitmap)
+    assert bitmap.members() == _bitwise_members(bitmap)
+
+
+@pytest.mark.parametrize(
+    "bound, bits",
+    [
+        (1, 0b01),                           # only 0
+        (1, 0b11),                           # all ones
+        (40, (1 << 41) - 1),                 # all ones, longer
+        (12, 1 | (0b111 << 10)),             # run ending exactly at bound
+        (12, 1 | (1 << 12)),                 # single member at bound
+        (64, 1 | (1 << 63) | (1 << 64)),     # two-bit run ending at bound 64
+    ],
+)
+def test_runs_and_members_edge_cases(bound, bits):
+    bitmap = PSetBitmap(bound=bound, bits=bits)
+    assert bitmap.runs() == _bitwise_runs(bitmap)
+    assert bitmap.members() == _bitwise_members(bitmap)
+
+
+def test_runs_on_a_sparse_million_bit_set():
+    bound = 10**6
+    terms = [999_983, 7, 250_001, 500_000, 123_457]
+    bitmap = compute_pset(terms, bound)
+    runs = bitmap.runs()
+    assert sum(length for _, length in runs) == bitmap.count()
+    assert runs[0] == (0, 1) and runs[-1][0] + runs[-1][1] - 1 <= bound
+    for start, length in random.Random(5).sample(runs, 8):
+        assert start in bitmap and start + length - 1 in bitmap
+        assert start - 1 not in bitmap and start + length not in bitmap

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -6,15 +5,6 @@ from hypothesis import given, strategies as st
 
 from floorfull.cli import to_json
 from floorfull.rationals import UNIT, RatInterval, interval, parse_rational, rat_str
-
-rationals = st.fractions(min_value=-1000, max_value=1000)
-
-
-@given(a=rationals, b=rationals)
-def test_fraction_arithmetic_stays_reduced(a, b):
-    for value in (a + b, a - b, a * b):
-        assert value.denominator > 0
-        assert math.gcd(value.numerator, value.denominator) == 1
 
 
 def test_parse_rational():
@@ -86,6 +76,26 @@ def test_intersect_commutative(a, b):
 @given(a=interval_strategy, b=interval_strategy, c=interval_strategy)
 def test_intersect_associative(a, b, c):
     assert a.intersect(b).intersect(c) == a.intersect(b.intersect(c))
+
+
+nonempty_interval_strategy = st.builds(
+    _random_interval,
+    st.fractions(min_value=0, max_value=10, max_denominator=20),
+    st.fractions(min_value=0, max_value=5, max_denominator=20).filter(lambda w: w > 0),
+)
+
+
+@given(
+    a=nonempty_interval_strategy,
+    b=nonempty_interval_strategy,
+    q=st.fractions(min_value=0, max_value=15, max_denominator=40),
+)
+def test_intersect_nonempty_exactly_when_endpoints_overlap(a, b, q):
+    both = a.intersect(b)
+    # the overlap condition counterexample_scan's sweep relies on
+    assert (not both.is_empty) == (b.lo < a.hi and a.lo < b.hi)
+    assert both == b.intersect(a)
+    assert (q in both) == (q in a and q in b)
 
 
 @given(a=interval_strategy)

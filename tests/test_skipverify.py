@@ -2,12 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from floorfull.cli import to_json
 from floorfull.errors import NotFoundWithinBound, SkipViolation
-from floorfull.floorseq import FloorPower, Squares, s_alpha
-from floorfull.rationals import RatInterval, interval
+from floorfull.floorseq import Explicit, FloorPower, Squares, generate_terms, member_alpha_set, s_alpha
+from floorfull.rationals import UNIT, RatInterval, interval
 from floorfull.skipverify import (
     counterexample_scan,
     gamma_exception_search,
@@ -238,3 +238,72 @@ def test_scan_agrees_with_dense_alpha_grid():
 def test_scan_rejects_equal_targets():
     with pytest.raises(ValueError):
         counterexample_scan(POW32, 8, 8, 50)
+
+
+def _all_pairs_scan(spec, t1, t2, n_max):
+    """Reference: intersect every pair of preimage intervals, O(n^2)."""
+    first = member_alpha_set(spec, t1, n_max, UNIT)
+    second = member_alpha_set(spec, t2, n_max, UNIT)
+    hits = []
+    for a in first:
+        for b in second:
+            both = a.intersect(b)
+            if not both.is_empty:
+                hits.append(both)
+    return hits
+
+
+def _strictly_increasing_power(gamma, n_max):
+    spec = FloorPower(gamma)
+    try:
+        generate_terms(spec, n_max)
+    except ValueError:  # floor(gamma^n) repeats a value for gamma close to 1
+        assume(False)
+    return spec
+
+
+scan_specs = st.one_of(
+    st.fractions(min_value=Fraction(11, 10), max_value=4, max_denominator=12)
+    .map(lambda g: ("power", g)),
+    st.just(("squares", None)),
+    st.lists(st.integers(1, 400), min_size=1, max_size=80, unique=True)
+    .map(lambda xs: ("explicit", tuple(sorted(xs)))),
+)
+
+
+@given(kind=scan_specs, t1=st.integers(1, 40), t2=st.integers(1, 40), n_max=st.integers(1, 90))
+@settings(max_examples=200, deadline=None)
+def test_scan_matches_all_pairs_in_order(kind, t1, t2, n_max):
+    assume(t1 != t2)
+    name, value = kind
+    if name == "power":
+        spec = _strictly_increasing_power(value, n_max)
+    elif name == "squares":
+        spec = Squares()
+    else:
+        spec = Explicit(value)
+        n_max = min(n_max, len(value))
+    assert counterexample_scan(spec, t1, t2, n_max) == _all_pairs_scan(spec, t1, t2, n_max)
+    assert counterexample_scan(spec, t2, t1, n_max) == _all_pairs_scan(spec, t2, t1, n_max)
+
+
+def test_scan_matches_all_pairs_with_several_hits_per_interval():
+    hits = counterexample_scan(Squares(), 1, 2, 20)
+    assert len(hits) == 79
+    assert hits == _all_pairs_scan(Squares(), 1, 2, 20)
+
+
+def test_scan_intersect_calls_are_linear(monkeypatch):
+    calls = 0
+    intersect = RatInterval.intersect
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return intersect(self, other)
+
+    monkeypatch.setattr(RatInterval, "intersect", counted)
+    hits = counterexample_scan(POW32, 8, 16, 2000)
+    # 2000 clips per target in member_alpha_set, then one call per hit;
+    # comparing every pair would make 2000 * 2000 more
+    assert calls <= 2 * 2000 + len(hits)
