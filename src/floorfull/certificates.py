@@ -257,6 +257,7 @@ def verify_non_rfull(cert: Certificate, max_m: int = DEFAULT_MAX_M) -> NonRFullR
         raise ValueError(f"max_m must be >= 1, got {max_m}")
 
     lines = []
+    power = cert.ell  # ell^m until ell^m + k passes the bound; ell >= 2 keeps it past
     for m in range(1, max_m + 1):
         w = _witness_prime(cert, m)
         w2 = w * w
@@ -267,14 +268,14 @@ def verify_non_rfull(cert: Certificate, max_m: int = DEFAULT_MAX_M) -> NonRFullR
             raise VerificationFailure(
                 f"witness {w} does not divide ell^{m} + k exactly once", m=m
             )
-        value = cert.ell ** m + cert.k
-        cross_checked = False
-        if value <= FACTOR_CROSSCHECK_BOUND:
+        value = power + cert.k
+        cross_checked = value <= FACTOR_CROSSCHECK_BOUND
+        if cross_checked:
             if is_r_full(value, cert.r) or is_r_full(value, 2):
                 raise VerificationFailure(
                     f"factorization says {value} is r-full, contradicting witness", m=m
                 )
-            cross_checked = True
+            power *= cert.ell
         lines.append(
             WitnessLine(
                 m=m,

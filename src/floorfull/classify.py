@@ -6,11 +6,11 @@ prime dividing n divides it with exponent >= r (2-free = square-free,
 definitions hold vacuously, and fixing the convention keeps enumeration
 counts unambiguous.
 
-Factorization strategy: trial division by sieve primes (default bound
-10^6), a Miller-Rabin primality test that is deterministic for all inputs
-below 3,317,044,064,679,887,385,961,981 (comfortably above 2^64), then a
-Brent-rho splitter driven by a fixed-seed RNG for anything larger, so runs
-are reproducible.
+Factorization strategy: trial division by the primes below 1000; a larger
+cofactor goes to a Miller-Rabin primality test that is deterministic for
+all inputs below 3,317,044,064,679,887,385,961,981 (comfortably above 2^64)
+and, if composite, to Brent rho on a fixed-seed RNG, so runs are
+reproducible, within a budget of RHO_BUDGET squarings per split.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-TRIAL_DIVISION_BOUND = 1_000_000
+from .errors import NotFoundWithinBound
+
 SIEVE_CAP_DEFAULT = 100_000_000
 DEFAULT_RHO_SEED = 0
 
@@ -36,29 +37,20 @@ DEFAULT_RHO_SEED = 0
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-def _prime_sieve(limit: int) -> bytearray:
-    """Byte flags, sieve[i] == 1 iff i is prime, for 0 <= i <= limit."""
+def primes_up_to(limit: int) -> list[int]:
+    """All primes <= limit, ascending."""
+    if limit < 2:
+        return []
     sieve = bytearray([1]) * (limit + 1)
     sieve[0:2] = b"\x00\x00"
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             start = p * p
             sieve[start :: p] = bytearray(len(range(start, limit + 1, p)))
-    return sieve
-
-
-@lru_cache(maxsize=1)
-def _small_primes() -> tuple[int, ...]:
-    sieve = _prime_sieve(TRIAL_DIVISION_BOUND)
-    return tuple(i for i, flag in enumerate(sieve) if flag)
-
-
-def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit, ascending."""
-    if limit < 2:
-        return []
-    sieve = _prime_sieve(limit)
     return [i for i, flag in enumerate(sieve) if flag]
+
+
+_TRIAL_PRIMES = tuple(primes_up_to(1000))
 
 
 def is_prime(n: int) -> bool:
@@ -123,16 +115,29 @@ class Factorization:
         return min((e for _, e in self.factors), default=0)
 
 
+RHO_BUDGET = 2 ** 22  # squarings per _brent_rho call, sized in its docstring
+
+
 def _brent_rho(n: int, rng: random.Random) -> int:
-    """A nontrivial factor of composite n with no small prime factors."""
-    if n % 2 == 0:
-        return 2
+    """A nontrivial factor of odd composite n with no prime factor below 1000.
+
+    Rho needs about sqrt(p) squarings for the smallest prime factor p of n
+    (Brent, BIT 20, 1980), so a call spends at most RHO_BUDGET = 2^22 of
+    them, counted across retries, and raises NotFoundWithinBound before a
+    round that could pass it.  A014233(12) = 399165290221 * 798330580441
+    takes 409,854 squarings at the default seed (524,286 in whole rounds):
+    8-10x headroom.  A product of two primes near 10^15 gives up in seconds.
+    """
+    spent = 0
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
         m = 128
         g = r = q = 1
         while g == 1:
+            if spent + 2 * r > RHO_BUDGET:
+                message = f"no factor of {n} within {RHO_BUDGET} Brent rho squarings"
+                raise NotFoundWithinBound(message, bound=RHO_BUDGET)
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -144,6 +149,7 @@ def _brent_rho(n: int, rng: random.Random) -> int:
                     q = q * abs(x - y) % n
                 g = math.gcd(q, n)
                 k += m
+            spent += r + min(k, r)
             r *= 2
         if g == n:
             g = 1
@@ -152,10 +158,6 @@ def _brent_rho(n: int, rng: random.Random) -> int:
                 g = math.gcd(abs(x - ys), n)
         if g != n:
             return g
-
-
-# below this, finishing trial division is cheaper than a Miller-Rabin call
-_PRIMALITY_SHORTCUT_MIN = 10 ** 8
 
 
 @lru_cache(maxsize=8192)
@@ -171,13 +173,10 @@ def factorize(n: int, *, rho_seed: int = DEFAULT_RHO_SEED) -> Factorization:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     counts: dict[int, int] = {}
     m = n
-    if m >= _PRIMALITY_SHORTCUT_MIN and is_prime(m):
-        counts[m] = 1
-        m = 1
-    exhausted_sieve = m > 1
-    for p in _small_primes():
-        if m == 1 or p * p > m:
-            exhausted_sieve = False
+    for p in _TRIAL_PRIMES:
+        if p * p > m:
+            if m > 1:
+                counts[m] = 1  # no prime factor below p and m < p^2, so m is prime
             break
         if m % p == 0:
             e = 0
@@ -185,17 +184,9 @@ def factorize(n: int, *, rho_seed: int = DEFAULT_RHO_SEED) -> Factorization:
                 m //= p
                 e += 1
             counts[p] = e
-            if m >= _PRIMALITY_SHORTCUT_MIN and is_prime(m):
-                counts[m] = 1
-                m = 1
-                exhausted_sieve = False
-                break
-    if m > 1:
-        if not exhausted_sieve or is_prime(m):
-            # no divisor below sqrt(m), or a direct primality verdict
-            counts[m] = counts.get(m, 0) + 1
-        else:
-            # composite with no prime factor <= 10^6: split with Brent rho
+    else:
+        if m > 1:
+            # m has no prime factor below 1000: Miller-Rabin and Brent rho finish it
             rng = random.Random(rho_seed)
             stack = [m]
             while stack:

@@ -17,7 +17,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -330,6 +329,7 @@ def _run_theorem1_grid(args, config: RunConfig):
         for ell in range(args.ell_min, args.ell_max + 1)
     ]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only --jobs > 1 pays for it
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_grid_cell, cells, chunksize=8))
     else:

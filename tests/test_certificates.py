@@ -8,7 +8,11 @@ from floorfull.certificates import (
     CASE_I,
     CASE_II,
     CASE_III,
+    FACTOR_CROSSCHECK_BOUND,
     Certificate,
+    NonRFullReport,
+    WitnessLine,
+    _witness_prime,
     construct_certificate,
     dirichlet_search,
     validate_certificate,
@@ -178,6 +182,29 @@ def test_verify_crosschecks_small_values():
     report = verify_non_rfull(construct_certificate(2, 3), max_m=40)
     assert any(line.cross_checked for line in report.lines)
     assert not all(line.cross_checked for line in report.lines)  # 3^40 is huge
+
+
+def _per_m_report(cert: Certificate, max_m: int) -> NonRFullReport:
+    """The verifier as it was: ell**m + k built in full at every m."""
+    lines = []
+    for m in range(1, max_m + 1):
+        w = _witness_prime(cert, m)
+        value = cert.ell ** m + cert.k
+        assert value % w == 0 and value % (w * w) != 0
+        cross_checked = value <= FACTOR_CROSSCHECK_BOUND
+        if cross_checked:
+            assert not is_r_full(value, cert.r) and not is_r_full(value, 2)
+        lines.append(WitnessLine(m, w, True, True, cross_checked))
+    return NonRFullReport(cert, max_m, tuple(lines), True)
+
+
+@pytest.mark.parametrize("ell", [2, 6, 12, 30])
+# the cross-checks stop after m = 39, 15, 11 and 8 for ell = 2, 6, 12 and 30
+@pytest.mark.parametrize("max_m", [1, 2, 8, 9, 12, 16, 39, 40, 41, 120])
+def test_verify_matches_per_m_oracle(ell, max_m):
+    for r in (2, 3):
+        cert = construct_certificate(r, ell)
+        assert verify_non_rfull(cert, max_m) == _per_m_report(cert, max_m)
 
 
 def test_case_iii_shift_never_squarefull_by_factorization():

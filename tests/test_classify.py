@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from floorfull import classify
 from floorfull.classify import (
     Factorization,
     factorize,
@@ -17,6 +18,8 @@ from floorfull.classify import (
     series_digits,
     squarefull_via_a2b3,
 )
+from floorfull.cli import main
+from floorfull.errors import NotFoundWithinBound
 
 
 def oracle_is_prime(n: int) -> bool:
@@ -95,10 +98,79 @@ def test_factorize_reconstructs_and_is_sorted(n):
 
 
 def test_factorize_large_semiprime_uses_rho_path():
-    # both factors exceed the trial-division bound, forcing the splitter
+    # both factors lie above the trial primes (below 1000), forcing the splitter
     p = next(n for n in range(10**6 + 1, 10**6 + 100) if oracle_is_prime(n))
     q = next(n for n in range(p + 1, p + 100) if oracle_is_prime(n))
     assert factorize(p * q).factors == ((p, 1), (q, 1))
+
+
+def _prime_at_or_after(n: int) -> int:
+    while not oracle_is_prime(n):
+        n += 1
+    return n
+
+
+@given(
+    powers=st.lists(
+        st.tuples(st.integers(997, 999_983).map(_prime_at_or_after), st.integers(1, 3)),
+        min_size=1,
+        max_size=3,
+    ),
+    small=st.sampled_from([(), ((2, 1),), ((2, 2), (3, 1)), ((991, 1),), ((2, 5), (997, 1))]),
+)
+@settings(max_examples=200, deadline=None)
+def test_factorize_products_of_primes_past_trial_division(powers, small):
+    # primes in [997, 10^6] are split by Miller-Rabin and Brent rho, not by
+    # trial division; the oracle is the construction, its primes checked by
+    # full trial division
+    expected: dict[int, int] = {}
+    n = 1
+    for p, e in [*small, *powers]:
+        assert oracle_is_prime(p)
+        expected[p] = expected.get(p, 0) + e
+        n *= p**e
+    assert factorize(n).factors == tuple(sorted(expected.items()))
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        ((991, 1), (997, 1)),
+        ((997, 2),),
+        ((997, 1), (1009, 1)),
+        ((1009, 2),),
+        ((1009, 3),),
+        ((1013, 3),),
+        ((1009, 1), (1013, 1)),
+        ((1009, 2), (1013, 1)),
+        ((2, 3), (1019, 1), (1021, 1)),
+        ((999_979, 1), (999_983, 1)),
+    ],
+)
+def test_factorize_at_the_trial_division_boundary(factors):
+    assert all(oracle_is_prime(p) for p, _ in factors)
+    assert factorize(math.prod(p**e for p, e in factors)).factors == factors
+
+
+def test_brent_rho_budget_raises_not_found(monkeypatch):
+    p, q = 1_000_000_007, 1_000_000_009
+    assert oracle_is_prime(p) and oracle_is_prime(q)
+    monkeypatch.setattr(classify, "RHO_BUDGET", 1000)
+    with pytest.raises(NotFoundWithinBound, match=f"{p * q} within 1000 ") as info:
+        factorize(p * q)
+    assert info.value.bound == 1000
+    monkeypatch.undo()
+    assert factorize(p * q).factors == ((p, 1), (q, 1))
+
+
+def test_classify_exits_2_when_rho_budget_runs_out(monkeypatch, capsys):
+    # a product of primes near 10^15 and 10^16: rho needs ~10^7.5 squarings
+    monkeypatch.setattr(classify, "RHO_BUDGET", 1000)
+    assert main(["classify", "--n", "10000000000000431000000000002257"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "10000000000000431000000000002257 within 1000 " in captured.err
 
 
 def test_factorization_type_validates():
