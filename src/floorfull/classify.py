@@ -11,6 +11,9 @@ cofactor goes to a Miller-Rabin primality test that is deterministic for
 all inputs below 3,317,044,064,679,887,385,961,981 (comfortably above 2^64)
 and, if composite, to Brent rho on a fixed-seed RNG, so runs are
 reproducible, within a budget of RHO_BUDGET squarings per split.
+
+Enumeration factorizes nothing: r_full_up_to searches products of prime
+powers, in time proportional to its output, on which r_full_integers runs.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -51,6 +53,7 @@ def primes_up_to(limit: int) -> list[int]:
 
 
 _TRIAL_PRIMES = tuple(primes_up_to(1000))
+_TRIAL_PRIME_SET = frozenset(_TRIAL_PRIMES)  # sieved: membership proves primality
 
 
 def is_prime(n: int) -> bool:
@@ -99,7 +102,7 @@ class Factorization:
                 raise ValueError(f"primes not strictly increasing in {self.factors}")
             if e < 1:
                 raise ValueError(f"exponent {e} < 1 for prime {p}")
-            if not is_prime(p):
+            if not (p in _TRIAL_PRIME_SET if p < 1000 else is_prime(p)):
                 raise ValueError(f"{p} is not prime")
             last_prime = p
             product *= p ** e
@@ -227,42 +230,50 @@ def _require_classify_args(n: int, r: int) -> None:
         raise ValueError(f"r must be >= 2, got {r}")
 
 
-def _spf_table(limit: int) -> array:
-    """Smallest-prime-factor table for 0..limit (0 and 1 map to 0)."""
-    spf = array("i", [0]) * (limit + 1)
-    for p in range(2, limit + 1):
-        if spf[p] == 0:
-            for j in range(p, limit + 1, p):
-                if spf[j] == 0:
-                    spf[j] = p
-    return spf
+def _integer_root(n: int, r: int) -> int:
+    """The largest x with x**r <= n, for n >= 0 and r >= 2, in exact integers."""
+    if r == 2 or n < 2:
+        return math.isqrt(n)
+    # Newton steps on ints from above the root fall strictly to its floor
+    x = 1 << -(-n.bit_length() // r)  # 2^ceil(bits/r) > n^(1/r)
+    while True:
+        y = ((r - 1) * x + n // x ** (r - 1)) // r
+        if y >= x:
+            return x
+        x = y
 
 
 def r_full_up_to(limit: int, r: int, *, cap: int = SIEVE_CAP_DEFAULT) -> list[int]:
     """All r-full integers in [1, limit], ascending.
 
-    Classification walks a smallest-prime-factor sieve table instead of
-    factorizing each element, so the whole range costs one sieve pass.
+    Depth-first search: from a product m it multiplies in p^e, e >= r, for
+    each prime p <= limit^(1/r) above the primes of m, while the product
+    stays <= limit.  By unique factorization each r-full n > 1 is
+    p1^e1 * ... * pk^ek with p1 < ... < pk and all ei >= r, and the search,
+    taking primes in increasing order, reaches it along exactly one path:
+    each r-full n <= limit appears once, nothing else appears, and the work
+    grows with the ~c*limit^(1/r) values (Ivic-Shiu, Illinois J. Math. 26).
+
+    >>> r_full_up_to(100, 3)
+    [1, 8, 16, 27, 32, 64, 81]
     """
     _require_classify_args(limit, r)
     if limit > cap:
         raise ValueError(f"limit {limit} exceeds sieve cap {cap}")
-    spf = _spf_table(limit)
+    primes = primes_up_to(_integer_root(limit, r))
     out = [1]
-    for n in range(2, limit + 1):
-        m = n
-        full = True
-        while m > 1:
-            p = spf[m]
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            if e < r:
-                full = False
-                break
-        if full:
-            out.append(n)
+    stack = [(1, 0)]  # (product, index of the next prime it may take)
+    while stack:
+        m, i = stack.pop()
+        for j in range(i, len(primes)):
+            q = m * primes[j] ** r
+            if q > limit:
+                break  # so is every product with a later prime
+            while q <= limit:
+                out.append(q)
+                stack.append((q, j + 1))
+                q *= primes[j]
+    out.sort()
     return out
 
 
@@ -295,8 +306,15 @@ def r_free_integers(r: int) -> Iterator[int]:
 
 
 def r_full_integers(r: int) -> Iterator[int]:
-    """The r-full integers 1, 4, 8, ... (for r = 2) in increasing order."""
-    return (n for n in itertools.count(1) if is_r_full(n, r))
+    """The r-full integers 1, 4, 8, ... (for r = 2) in increasing order.
+
+    r_full_up_to on the limits 1024, 2048, ..., uncapped (the consumer
+    bounds the sequence), yielding the values above the previous limit.
+    """
+    previous, limit = 0, 1024
+    while True:
+        yield from (n for n in r_full_up_to(limit, r, cap=limit) if n > previous)
+        previous, limit = limit, 2 * limit
 
 
 def series_digits(

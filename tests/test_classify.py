@@ -1,8 +1,12 @@
+import functools
+import itertools
+import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from floorfull import classify
 from floorfull.classify import (
@@ -180,6 +184,12 @@ def test_factorization_type_validates():
         Factorization(12, ((2, 2),))  # wrong product
     with pytest.raises(ValueError):
         Factorization(12, ((4, 1), (3, 1)))  # 4 not prime
+    # composites on both sides of 1000, where the check moves from the
+    # sieved trial primes to Miller-Rabin
+    for composite in (961, 989, 1003, 1007, 997 * 1009):
+        with pytest.raises(ValueError, match="not prime"):
+            Factorization(composite, ((composite, 1),))
+    assert Factorization(997 * 1009, ((997, 1), (1009, 1))).n == 997 * 1009
 
 
 def test_r_free_examples():
@@ -239,6 +249,116 @@ def test_r_full_up_to_matches_per_element_classification():
 def test_r_full_up_to_memory_guard():
     with pytest.raises(ValueError, match="cap"):
         r_full_up_to(1000, 2, cap=100)
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_integer_root_at_and_beside_exact_powers(r):
+    float_wrong = 0
+    for k in (1, 2, 3, 10, 2**26 + 1, 10**9 + 7, 3**40, 10**20 - 1, 10**20):
+        for n, want in ((k**r - 1, k - 1), (k**r, k), (k**r + 1, k)):
+            assert classify._integer_root(n, r) == want, (n, r)
+            float_wrong += int(n ** (1 / r)) != want
+    assert float_wrong  # these inputs reach where a float root goes wrong
+    assert classify._integer_root(1, r) == 1
+    assert classify._integer_root(0, r) == 0
+
+
+@given(k=st.integers(1, 10**20), r=st.integers(2, 8))
+def test_integer_root_brackets(k, r):
+    assert classify._integer_root(k**r - 1, r) == k - 1
+    assert classify._integer_root(k**r, r) == k
+    assert classify._integer_root(k**r + 1, r) == k
+
+
+def test_r_full_up_to_prime_bound_just_below_and_at_prime_powers():
+    # the search takes primes up to the integer r-th root of the limit:
+    # one short would lose p^r at limit = p^r
+    for r in range(2, 9):
+        for p in primes_up_to(30 if r <= 4 else 13):
+            limit = p**r
+            assert classify._integer_root(limit - 1, r) == p - 1
+            assert classify._integer_root(limit, r) == p
+            at = r_full_up_to(limit, r, cap=limit)
+            assert at[-1] == limit
+            assert r_full_up_to(limit - 1, r, cap=limit) == at[:-1]
+
+
+_PER_ELEMENT_TOP = 70_000  # above the 500th square-full number, 66248
+
+
+@functools.cache
+def _per_element_r_full() -> dict[int, list[int]]:
+    """The r-full n <= _PER_ELEMENT_TOP for r in 2..8, by is_r_full one n at a time."""
+    found = {r: [] for r in range(2, 9)}
+    for n in range(1, _PER_ELEMENT_TOP + 1):
+        for r in found:
+            if is_r_full(n, r):
+                found[r].append(n)
+    return found
+
+
+@given(limit=st.integers(1, 5 * 10**4), r=st.integers(2, 8))
+@settings(max_examples=150, deadline=None)
+def test_r_full_up_to_matches_per_element_filter(limit, r):
+    # r = 7 and 8 leave at most the primes {2, 3} below the root; r = 8
+    # below 3^8 = 6561 only {2}, and below 2^8 = 256 none at all
+    expected = [n for n in _per_element_r_full()[r] if n <= limit]
+    assert r_full_up_to(limit, r) == expected
+
+
+@given(limit=st.integers(1, 10**8))
+@example(limit=10**8)
+@settings(max_examples=25, deadline=None)
+def test_r_full_up_to_matches_a2b3_route(limit):
+    assert r_full_up_to(limit, 2) == squarefull_via_a2b3(limit)
+
+
+def _r_full_as_golomb_products(limit: int, r: int) -> list[int]:
+    """r-full n <= limit as a_0^r * a_1^(r+1) * ... * a_(r-1)^(2r-1).
+
+    Every exponent e >= r is a sum of terms from r..2r-1 (e = qr, or
+    e = (q-1)r + (r+s) for 0 < s < r), and no such sum lies in 1..r-1, so
+    these products are exactly the r-full integers (Golomb, Amer. Math.
+    Monthly 77, 1970, for r = 2).
+    """
+    products = {1}
+    for e in range(r, 2 * r):
+        grown = set()
+        for m in products:
+            a = 1
+            while m * a**e <= limit:
+                grown.add(m * a**e)
+                a += 1
+        products = grown
+    return sorted(products)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_r_full_integers_first_500_terms(r):
+    # 500 terms cross the doubling limits 1024, 2048, ... up to 2^17 for
+    # r = 2 and 2^32 for r = 5
+    terms = list(itertools.islice(r_full_integers(r), 500))
+    assert all(is_r_full(n, r) for n in terms)
+    assert terms == _r_full_as_golomb_products(terms[-1], r)
+    below = [n for n in terms if n <= _PER_ELEMENT_TOP]
+    assert below == [n for n in _per_element_r_full()[r] if n <= terms[-1]]
+    if r == 2:
+        assert below == terms
+
+
+def test_sieve_at_the_advertised_cap(capsys, monkeypatch):
+    monkeypatch.delenv("FLOORFULL_SIEVE_CAP", raising=False)
+    assert main(["sieve", "--limit", "100000000"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["config"]["sieve_cap"] == 10**8
+    assert len(payload["result"]["values"]) == 21_044
+    tracemalloc.start()
+    try:
+        r_full_up_to(10**8, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # memory grows with the output, not the limit
 
 
 def test_squarefull_via_a2b3():
