@@ -30,10 +30,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .classify import factorize, is_prime, is_r_full
+from .defaults import DEFAULT_MAX_M, DEFAULT_S_MAX
 from .errors import NotFoundWithinBound, VerificationFailure
 
-DEFAULT_S_MAX = 10_000
-DEFAULT_MAX_M = 60
 FACTOR_CROSSCHECK_BOUND = 10 ** 12
 
 CASE_I = "I"

@@ -26,10 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
+from .defaults import DEFAULT_RHO_SEED, SIEVE_CAP_DEFAULT
 from .errors import NotFoundWithinBound
-
-SIEVE_CAP_DEFAULT = 100_000_000
-DEFAULT_RHO_SEED = 0
 
 # The first 13 primes are a deterministic Miller-Rabin witness set for
 # n < 3.317e24 (> 2^64; OEIS A014233(13)); 2..37 alone are not, since
@@ -317,6 +315,9 @@ def r_full_integers(r: int) -> Iterator[int]:
         previous, limit = limit, 2 * limit
 
 
+SERIES_BITS_CAP = 2 ** 20  # 300 square-full terms in base 2 need ~25,000 bits
+
+
 def series_digits(
     terms: Iterable[int], base: int, n_terms: int, n_digits: int
 ) -> tuple[str, Fraction]:
@@ -328,13 +329,19 @@ def series_digits(
     so there are no rounding decisions; bases above 10 render as
     comma-separated decimal digit values.
 
-    The consumed prefix must be strictly increasing positive integers.
+    The consumed prefix must be strictly increasing positive integers, and
+    base**a must fit in SERIES_BITS_CAP bits for every term a: the exact
+    bound a * base.bit_length() is checked before any power is built.
     """
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
     if n_terms < 1 or n_digits < 1:
         raise ValueError("n_terms and n_digits must be positive")
-    taken = list(itertools.islice(terms, n_terms))
+    taken = []
+    for a in itertools.islice(terms, n_terms):
+        if a * base.bit_length() > SERIES_BITS_CAP:
+            raise ValueError(f"{base} ** {a} may exceed the series bound of {SERIES_BITS_CAP} bits")
+        taken.append(a)
     if len(taken) < n_terms:
         raise ValueError(f"sequence yielded only {len(taken)} of {n_terms} terms")
     previous = 0

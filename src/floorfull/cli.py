@@ -8,23 +8,35 @@ Exit codes: 0 success / verification passed; 1 verification failure
 (a skip violation, certificate verification failure, witness failure, or
 failed validation); 2 usage or configuration error (bad flags, resource
 cap exceeded, bounded search exhausted).
+
+A cold run imports only what its subcommand runs.  The parser is built
+from the COMMANDS table; each row names the library module its handler
+uses, and `dispatch` imports that module and hands it to the handler.  At
+module scope this file imports no library module but the light
+`defaults` (the header's caps), `errors` and `rationals`.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import json
 import os
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from . import classify as _classify
-from . import certificates as _cert
-from . import floorseq as _seq
-from . import pset as _pset
-from . import skipverify as _skip
+from .defaults import (
+    BITMAP_CAP_DEFAULT,
+    DEFAULT_J_MAX,
+    DEFAULT_K_MAX,
+    DEFAULT_MAX_M,
+    DEFAULT_RHO_SEED,
+    DEFAULT_S_MAX,
+    DEFAULT_SEQ_CAP,
+    SIEVE_CAP_DEFAULT,
+)
 from .errors import (
     NotFoundWithinBound,
     SkipViolation,
@@ -71,13 +83,13 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         subcommand=args.subcommand_path,
         format=args.format,
         seed=args.seed,
-        sieve_cap=_env_cap(ENV_SIEVE_CAP, _classify.SIEVE_CAP_DEFAULT),
-        bitmap_cap=_env_cap(ENV_BITMAP_CAP, _pset.BITMAP_CAP_DEFAULT),
-        seq_cap=_env_cap(ENV_SEQ_CAP, _seq.DEFAULT_SEQ_CAP),
-        K=getattr(args, "K", _skip.DEFAULT_K_MAX),
-        M=getattr(args, "max_m", _cert.DEFAULT_MAX_M),
-        s_max=getattr(args, "s_max", _cert.DEFAULT_S_MAX),
-        j_max=getattr(args, "j_max", _skip.DEFAULT_J_MAX),
+        sieve_cap=_env_cap(ENV_SIEVE_CAP, SIEVE_CAP_DEFAULT),
+        bitmap_cap=_env_cap(ENV_BITMAP_CAP, BITMAP_CAP_DEFAULT),
+        seq_cap=_env_cap(ENV_SEQ_CAP, DEFAULT_SEQ_CAP),
+        K=getattr(args, "K", DEFAULT_K_MAX),
+        M=getattr(args, "max_m", DEFAULT_MAX_M),
+        s_max=getattr(args, "s_max", DEFAULT_S_MAX),
+        j_max=getattr(args, "j_max", DEFAULT_J_MAX),
     )
 
 
@@ -219,16 +231,18 @@ def _emit(config: RunConfig, result, out) -> None:
 # ---------------------------------------------------------------------------
 # helpers
 
-def _spec_from_args(args: argparse.Namespace) -> _seq.SeqSpec:
+def _spec_from_args(args: argparse.Namespace):
+    from . import floorseq
+
     kind = args.kind
     if kind == "pow32":
-        return _seq.FloorPower(getattr(args, "gamma", None) or Fraction(3, 2))
+        return floorseq.FloorPower(getattr(args, "gamma", None) or Fraction(3, 2))
     if kind == "squares":
-        return _seq.Squares()
+        return floorseq.Squares()
     if kind == "file":
         if not getattr(args, "file", None):
             raise ValueError("--file is required with --kind file")
-        return _seq.Explicit(tuple(_read_int_file(args.file)))
+        return floorseq.Explicit(tuple(_read_int_file(args.file)))
     raise ValueError(f"unknown sequence kind {kind!r}")
 
 
@@ -242,76 +256,79 @@ def _read_int_file(path: str) -> list[int]:
     return values
 
 
-def _series_terms(args: argparse.Namespace):
+def _series_terms(classify, args: argparse.Namespace):
     kind = args.kind
     if kind == "squarefree":
-        return _classify.r_free_integers(2)
+        return classify.r_free_integers(2)
     if kind == "squarefull":
-        return _classify.r_full_integers(2)
+        return classify.r_full_integers(2)
     if kind == "rfree":
-        return _classify.r_free_integers(args.r)
+        return classify.r_free_integers(args.r)
     if kind == "rfull":
-        return _classify.r_full_integers(args.r)
+        return classify.r_full_integers(args.r)
     if kind == "squares":
         return (n * n for n in range(1, args.terms + 1))
     raise ValueError(f"unknown series kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
-# handlers (each returns a result for `to_json` or raises)
+# handlers: each takes its table row's module, imported at dispatch, and
+# returns a result for `to_json` or raises
 
-def _run_classify(args, config: RunConfig):
-    fact = _classify.factorize(args.n, rho_seed=config.seed)
+def _run_classify(classify, args, config: RunConfig):
+    fact = classify.factorize(args.n, rho_seed=config.seed)
     return {
         "n": args.n,
         "r": args.r,
         "factorization": fact.factors,
-        "is_r_free": _classify.is_r_free(args.n, args.r),
-        "is_r_full": _classify.is_r_full(args.n, args.r),
+        "is_r_free": classify.is_r_free(args.n, args.r),
+        "is_r_full": classify.is_r_full(args.n, args.r),
     }
 
 
-def _run_sieve(args, config: RunConfig):
+def _run_sieve(classify, args, config: RunConfig):
     if args.method == "a2b3":
         if args.r != 2:
             raise ValueError("--method a2b3 only enumerates 2-full integers")
-        values = _classify.squarefull_via_a2b3(args.limit, cap=config.sieve_cap)
+        values = classify.squarefull_via_a2b3(args.limit, cap=config.sieve_cap)
     else:
-        values = _classify.r_full_up_to(args.limit, args.r, cap=config.sieve_cap)
+        values = classify.r_full_up_to(args.limit, args.r, cap=config.sieve_cap)
     return {"limit": args.limit, "r": args.r, "method": args.method, "values": values}
 
 
-def _run_series(args, config: RunConfig):
-    terms = _series_terms(args)
-    digits, partial = _classify.series_digits(terms, args.ell, args.terms, args.digits)
+def _run_series(classify, args, config: RunConfig):
+    terms = _series_terms(classify, args)
+    digits, partial = classify.series_digits(terms, args.ell, args.terms, args.digits)
     return {"base": args.ell, "digits": digits, "partial_sum": partial}
 
 
-def _run_theorem1_construct(args, config: RunConfig):
-    return _cert.construct_certificate(args.r, args.ell, s_max=config.s_max)
+def _run_theorem1_construct(cert, args, config: RunConfig):
+    return cert.construct_certificate(args.r, args.ell, s_max=config.s_max)
 
 
-def _load_certificate(path: str) -> _cert.Certificate:
+def _load_certificate(cert, path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return _cert.Certificate.from_json_dict(json.load(handle))
+        return cert.Certificate.from_json_dict(json.load(handle))
 
 
-def _run_theorem1_validate(args, config: RunConfig):
-    result = _cert.validate_certificate(_load_certificate(args.cert))
+def _run_theorem1_validate(cert, args, config: RunConfig):
+    result = cert.validate_certificate(_load_certificate(cert, args.cert))
     if not result.ok:
         raise VerificationFailure(f"certificate invalid: {result.reason}", m=0)
     return result
 
 
-def _run_theorem1_verify(args, config: RunConfig):
-    return _cert.verify_non_rfull(_load_certificate(args.cert), max_m=config.M)
+def _run_theorem1_verify(cert, args, config: RunConfig):
+    return cert.verify_non_rfull(_load_certificate(cert, args.cert), max_m=config.M)
 
 
 def _grid_cell(cell: tuple[int, int, int, int]) -> dict:
+    from . import certificates  # a --jobs worker may start with a bare cli
+
     r, ell, s_max, max_m = cell
-    cert = _cert.construct_certificate(r, ell, s_max=s_max)
-    ok = bool(_cert.validate_certificate(cert))
-    report = _cert.verify_non_rfull(cert, max_m=max_m)
+    cert = certificates.construct_certificate(r, ell, s_max=s_max)
+    ok = bool(certificates.validate_certificate(cert))
+    report = certificates.verify_non_rfull(cert, max_m=max_m)
     return {
         "r": r,
         "ell": ell,
@@ -322,7 +339,7 @@ def _grid_cell(cell: tuple[int, int, int, int]) -> dict:
     }
 
 
-def _run_theorem1_grid(args, config: RunConfig):
+def _run_theorem1_grid(cert, args, config: RunConfig):
     cells = [
         (r, ell, config.s_max, config.M)
         for r in range(args.r_min, args.r_max + 1)
@@ -337,37 +354,34 @@ def _run_theorem1_grid(args, config: RunConfig):
     return {"rows": rows, "all_passed": all(row["valid"] for row in rows)}
 
 
-def _run_seq_gen(args, config: RunConfig):
-    spec = _spec_from_args(args)
-    values = _seq.generate_terms(spec, args.n, cap=config.seq_cap)
+def _run_seq_gen(seq, args, config: RunConfig):
+    values = seq.generate_terms(_spec_from_args(args), args.n, cap=config.seq_cap)
     return {"n": args.n, "values": values}
 
 
-def _run_seq_salpha(args, config: RunConfig):
-    spec = _spec_from_args(args)
-    values = _seq.s_alpha(spec, args.alpha, args.n, cap=config.seq_cap)
+def _run_seq_salpha(seq, args, config: RunConfig):
+    values = seq.s_alpha(_spec_from_args(args), args.alpha, args.n, cap=config.seq_cap)
     return {"alpha": args.alpha, "n": args.n, "values": values}
 
 
-def _run_seq_preimage(args, config: RunConfig):
-    return _seq.preimage_interval(args.t, args.s)
+def _run_seq_preimage(seq, args, config: RunConfig):
+    return seq.preimage_interval(args.t, args.s)
 
 
-def _run_seq_ratio(args, config: RunConfig):
-    spec = _spec_from_args(args)
-    return _seq.ratio_condition_check(spec, args.n, cap=config.seq_cap)
+def _run_seq_ratio(seq, args, config: RunConfig):
+    return seq.ratio_condition_check(_spec_from_args(args), args.n, cap=config.seq_cap)
 
 
-def _run_thm2_verify(args, config: RunConfig):
-    return _skip.verify_skip_all_alpha(args.gamma, args.j, config.K, cap=config.seq_cap)
+def _run_thm2_verify(skip, args, config: RunConfig):
+    return skip.verify_skip_all_alpha(args.gamma, args.j, config.K, cap=config.seq_cap)
 
 
-def _run_thm2_symbolic(args, config: RunConfig):
-    return _skip.symbolic_condition_check(args.gamma, args.j)
+def _run_thm2_symbolic(skip, args, config: RunConfig):
+    return skip.symbolic_condition_check(args.gamma, args.j)
 
 
-def _run_thm2_gamma_search(args, config: RunConfig):
-    j = _skip.gamma_exception_search(args.gamma, config.j_max)
+def _run_thm2_gamma_search(skip, args, config: RunConfig):
+    j = skip.gamma_exception_search(args.gamma, config.j_max)
     return {
         "gamma": args.gamma,
         "j": j,
@@ -375,9 +389,9 @@ def _run_thm2_gamma_search(args, config: RunConfig):
     }
 
 
-def _run_thm2_scan(args, config: RunConfig):
+def _run_thm2_scan(skip, args, config: RunConfig):
     spec = _spec_from_args(args)
-    hits = _skip.counterexample_scan(spec, args.t1, args.t2, args.n, cap=config.seq_cap)
+    hits = skip.counterexample_scan(spec, args.t1, args.t2, args.n, cap=config.seq_cap)
     return {
         "t1": args.t1,
         "t2": args.t2,
@@ -387,42 +401,98 @@ def _run_thm2_scan(args, config: RunConfig):
     }
 
 
-def _run_pset_compute(args, config: RunConfig):
+def _run_pset_compute(pset, args, config: RunConfig):
     terms = _read_int_file(args.terms)
-    bitmap = _pset.compute_pset(terms, args.bound, cap=config.bitmap_cap)
+    bitmap = pset.compute_pset(terms, args.bound, cap=config.bitmap_cap)
     if args.bit_out:
         with open(args.bit_out, "wb") as handle:
             handle.write(bitmap.to_bit_bytes())
     return bitmap.to_rle_json_dict()
 
 
-def _run_pset_complete(args, config: RunConfig):
+def _run_pset_complete(pset, args, config: RunConfig):
     terms = _read_int_file(args.terms)
-    threshold = _pset.complete_up_to(terms, args.bound, cap=config.bitmap_cap)
+    threshold = pset.complete_up_to(terms, args.bound, cap=config.bitmap_cap)
     return {"bound": args.bound, "threshold": threshold, "covered": threshold is not None}
 
 
-def _run_pset_brown(args, config: RunConfig):
+def _run_pset_brown(pset, args, config: RunConfig):
     terms = _read_int_file(args.terms)
-    return {"terms": len(terms), "brown": _pset.brown_criterion(terms)}
+    return {"terms": len(terms), "brown": pset.brown_criterion(terms)}
 
 
-def _run_pset_witness(args, config: RunConfig):
-    return _pset.verify_squares_witness(args.m)
+def _run_pset_witness(pset, args, config: RunConfig):
+    return pset.verify_squares_witness(args.m)
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: one row per subcommand, (path, module, handler, flags).  A flag is
+# (name, type or tuple of choices, default[, help]); type None keeps the
+# string, and a default of ... marks the flag required.  Every subcommand
+# also takes the _COMMON flags.
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("table", "json", "csv"), default="json")
-    parser.add_argument("--seed", type=int, default=_classify.DEFAULT_RHO_SEED)
-
-
-def _add_seq_spec_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kind", choices=("pow32", "squares", "file"), default="pow32")
-    parser.add_argument("--gamma", type=parse_rational, default=None)
-    parser.add_argument("--file", default=None)
+_COMMON = (("--format", ("table", "json", "csv"), "json"), ("--seed", int, DEFAULT_RHO_SEED))
+_SEQ_SPEC = (
+    ("--kind", ("pow32", "squares", "file"), "pow32"),
+    ("--gamma", parse_rational, None),
+    ("--file", None, None),
+)
+_HELP = {
+    "classify": "factor n and classify r-free / r-full",
+    "sieve": "enumerate r-full integers up to a limit",
+    "series": "base-ell digits of sum(a * ell^-a)",
+    "theorem1": "shifted-power non-r-full certificates",
+    "seq": "sequence generation and floor scaling",
+    "thm2": "skip-argument verification and scans",
+    "pset": "subset-sum representation sets",
+}
+COMMANDS = (
+    ("classify", "classify", _run_classify, (("--n", int, ...), ("--r", int, 2))),
+    ("sieve", "classify", _run_sieve, (
+        ("--limit", int, ...), ("--r", int, 2), ("--method", ("spf", "a2b3"), "spf"),
+    )),
+    ("series", "classify", _run_series, (
+        ("--kind", ("squarefree", "squarefull", "rfree", "rfull", "squares"), "squarefree"),
+        ("--r", int, 2), ("--ell", int, 2), ("--terms", int, 10), ("--digits", int, 40),
+    )),
+    ("theorem1 construct", "certificates", _run_theorem1_construct, (
+        ("--r", int, ...), ("--ell", int, ...), ("--s-max", int, DEFAULT_S_MAX),
+    )),
+    ("theorem1 validate", "certificates", _run_theorem1_validate, (("--cert", None, ...),)),
+    ("theorem1 verify", "certificates", _run_theorem1_verify, (
+        ("--cert", None, ...), ("--max-m", int, DEFAULT_MAX_M),
+    )),
+    ("theorem1 grid", "certificates", _run_theorem1_grid, (
+        ("--r-min", int, 2), ("--r-max", int, 5), ("--ell-min", int, 2), ("--ell-max", int, 50),
+        ("--max-m", int, DEFAULT_MAX_M), ("--s-max", int, DEFAULT_S_MAX), ("--jobs", int, 1),
+    )),
+    ("seq gen", "floorseq", _run_seq_gen, (*_SEQ_SPEC, ("--n", int, ...))),
+    ("seq salpha", "floorseq", _run_seq_salpha, (
+        *_SEQ_SPEC, ("--alpha", parse_rational, ...), ("--n", int, ...),
+    )),
+    ("seq preimage", "floorseq", _run_seq_preimage, (("--t", int, ...), ("--s", int, ...))),
+    ("seq ratio", "floorseq", _run_seq_ratio, (*_SEQ_SPEC, ("--n", int, ...))),
+    ("thm2 verify", "skipverify", _run_thm2_verify, (
+        ("--gamma", parse_rational, ...), ("--j", int, ...), ("--K", int, DEFAULT_K_MAX),
+    )),
+    ("thm2 symbolic", "skipverify", _run_thm2_symbolic, (
+        ("--gamma", parse_rational, ...), ("--j", int, ...),
+    )),
+    ("thm2 gamma-search", "skipverify", _run_thm2_gamma_search, (
+        ("--gamma", parse_rational, ...), ("--j-max", int, DEFAULT_J_MAX),
+    )),
+    ("thm2 scan", "skipverify", _run_thm2_scan, (
+        *_SEQ_SPEC, ("--t1", int, ...), ("--t2", int, ...), ("--n", int, DEFAULT_K_MAX),
+    )),
+    ("pset compute", "pset", _run_pset_compute, (
+        ("--terms", None, ..., "file with one integer per line"),
+        ("--bound", int, ...),
+        ("--bit-out", None, None, "also write the raw bitmap here"),
+    )),
+    ("pset complete", "pset", _run_pset_complete, (("--terms", None, ...), ("--bound", int, ...))),
+    ("pset brown", "pset", _run_pset_brown, (("--terms", None, ...),)),
+    ("pset witness", "pset", _run_pset_witness, (("--m", int, ...),)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -432,156 +502,33 @@ def build_parser() -> argparse.ArgumentParser:
         "floor-scaled sequences, subset-sum representation sets.",
     )
     top = parser.add_subparsers(dest="command", required=True)
-
-    p = top.add_parser("classify", help="factor n and classify r-free / r-full")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, default=2)
-    _add_common(p)
-    p.set_defaults(handler=_run_classify, subcommand_path="classify")
-
-    p = top.add_parser("sieve", help="enumerate r-full integers up to a limit")
-    p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--method", choices=("spf", "a2b3"), default="spf")
-    _add_common(p)
-    p.set_defaults(handler=_run_sieve, subcommand_path="sieve")
-
-    p = top.add_parser("series", help="base-ell digits of sum(a * ell^-a)")
-    p.add_argument(
-        "--kind",
-        choices=("squarefree", "squarefull", "rfree", "rfull", "squares"),
-        default="squarefree",
-    )
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--ell", type=int, default=2)
-    p.add_argument("--terms", type=int, default=10)
-    p.add_argument("--digits", type=int, default=40)
-    _add_common(p)
-    p.set_defaults(handler=_run_series, subcommand_path="series")
-
-    t1 = top.add_parser("theorem1", help="shifted-power non-r-full certificates")
-    t1sub = t1.add_subparsers(dest="action", required=True)
-
-    p = t1sub.add_parser("construct")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--s-max", dest="s_max", type=int, default=_cert.DEFAULT_S_MAX)
-    _add_common(p)
-    p.set_defaults(handler=_run_theorem1_construct, subcommand_path="theorem1 construct")
-
-    p = t1sub.add_parser("validate")
-    p.add_argument("--cert", required=True)
-    _add_common(p)
-    p.set_defaults(handler=_run_theorem1_validate, subcommand_path="theorem1 validate")
-
-    p = t1sub.add_parser("verify")
-    p.add_argument("--cert", required=True)
-    p.add_argument("--max-m", dest="max_m", type=int, default=_cert.DEFAULT_MAX_M)
-    _add_common(p)
-    p.set_defaults(handler=_run_theorem1_verify, subcommand_path="theorem1 verify")
-
-    p = t1sub.add_parser("grid")
-    p.add_argument("--r-min", type=int, default=2)
-    p.add_argument("--r-max", type=int, default=5)
-    p.add_argument("--ell-min", type=int, default=2)
-    p.add_argument("--ell-max", type=int, default=50)
-    p.add_argument("--max-m", dest="max_m", type=int, default=_cert.DEFAULT_MAX_M)
-    p.add_argument("--s-max", dest="s_max", type=int, default=_cert.DEFAULT_S_MAX)
-    p.add_argument("--jobs", type=int, default=1)
-    _add_common(p)
-    p.set_defaults(handler=_run_theorem1_grid, subcommand_path="theorem1 grid")
-
-    sq = top.add_parser("seq", help="sequence generation and floor scaling")
-    sqsub = sq.add_subparsers(dest="action", required=True)
-
-    p = sqsub.add_parser("gen")
-    _add_seq_spec_flags(p)
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_run_seq_gen, subcommand_path="seq gen")
-
-    p = sqsub.add_parser("salpha")
-    _add_seq_spec_flags(p)
-    p.add_argument("--alpha", type=parse_rational, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_run_seq_salpha, subcommand_path="seq salpha")
-
-    p = sqsub.add_parser("preimage")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_run_seq_preimage, subcommand_path="seq preimage")
-
-    p = sqsub.add_parser("ratio")
-    _add_seq_spec_flags(p)
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_run_seq_ratio, subcommand_path="seq ratio")
-
-    t2 = top.add_parser("thm2", help="skip-argument verification and scans")
-    t2sub = t2.add_subparsers(dest="action", required=True)
-
-    p = t2sub.add_parser("verify")
-    p.add_argument("--gamma", type=parse_rational, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--K", dest="K", type=int, default=_skip.DEFAULT_K_MAX)
-    _add_common(p)
-    p.set_defaults(handler=_run_thm2_verify, subcommand_path="thm2 verify")
-
-    p = t2sub.add_parser("symbolic")
-    p.add_argument("--gamma", type=parse_rational, required=True)
-    p.add_argument("--j", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_run_thm2_symbolic, subcommand_path="thm2 symbolic")
-
-    p = t2sub.add_parser("gamma-search")
-    p.add_argument("--gamma", type=parse_rational, required=True)
-    p.add_argument("--j-max", dest="j_max", type=int, default=_skip.DEFAULT_J_MAX)
-    _add_common(p)
-    p.set_defaults(handler=_run_thm2_gamma_search, subcommand_path="thm2 gamma-search")
-
-    p = t2sub.add_parser("scan")
-    _add_seq_spec_flags(p)
-    p.add_argument("--t1", type=int, required=True)
-    p.add_argument("--t2", type=int, required=True)
-    p.add_argument("--n", type=int, default=_skip.DEFAULT_K_MAX)
-    _add_common(p)
-    p.set_defaults(handler=_run_thm2_scan, subcommand_path="thm2 scan")
-
-    ps = top.add_parser("pset", help="subset-sum representation sets")
-    pssub = ps.add_subparsers(dest="action", required=True)
-
-    p = pssub.add_parser("compute")
-    p.add_argument("--terms", required=True, help="file with one integer per line")
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--bit-out", default=None, help="also write the raw bitmap here")
-    _add_common(p)
-    p.set_defaults(handler=_run_pset_compute, subcommand_path="pset compute")
-
-    p = pssub.add_parser("complete")
-    p.add_argument("--terms", required=True)
-    p.add_argument("--bound", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_run_pset_complete, subcommand_path="pset complete")
-
-    p = pssub.add_parser("brown")
-    p.add_argument("--terms", required=True)
-    _add_common(p)
-    p.set_defaults(handler=_run_pset_brown, subcommand_path="pset brown")
-
-    p = pssub.add_parser("witness")
-    p.add_argument("--m", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_run_pset_witness, subcommand_path="pset witness")
-
+    groups = {}
+    for path, module, handler, flags in COMMANDS:
+        group, _, action = path.partition(" ")
+        if not action:
+            sub = top.add_parser(path, help=_HELP[path])
+        else:
+            if group not in groups:
+                groups[group] = top.add_parser(group, help=_HELP[group]).add_subparsers(
+                    dest="action", required=True
+                )
+            sub = groups[group].add_parser(action)
+        for name, kind, default, *help_ in (*flags, *_COMMON):
+            options = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            if default is ...:
+                options["required"] = True
+            else:
+                options["default"] = default
+            sub.add_argument(name, help=help_[0] if help_ else None, **options)
+        sub.set_defaults(handler=handler, module=module, subcommand_path=path)
     return parser
 
 
 def dispatch(args: argparse.Namespace, out) -> int:
     config = _build_config(args)
+    module = importlib.import_module(f"{__package__}.{args.module}")
     try:
-        result = args.handler(args, config)
+        result = args.handler(module, args, config)
     except (SkipViolation,) as exc:
         if exc.report is not None:
             _emit(config, exc.report, out)

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .defaults import DEFAULT_SEQ_CAP
 from .rationals import RatInterval
-
-DEFAULT_SEQ_CAP = 10_000
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from .defaults import BITMAP_CAP_DEFAULT
 from .errors import WitnessFailure
-
-BITMAP_CAP_DEFAULT = 100_000_000  # bits
 
 
 @dataclass(frozen=True)

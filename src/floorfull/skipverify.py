@@ -30,9 +30,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .defaults import DEFAULT_J_MAX, DEFAULT_K_MAX, DEFAULT_SEQ_CAP
 from .errors import NotFoundWithinBound, SkipViolation
 from .floorseq import (
-    DEFAULT_SEQ_CAP,
     FloorPower,
     SeqSpec,
     generate_terms,
@@ -40,9 +40,6 @@ from .floorseq import (
     preimage_interval,
 )
 from .rationals import UNIT, RatInterval, rat_str
-
-DEFAULT_K_MAX = 300
-DEFAULT_J_MAX = 20
 
 GAMMA_LOW = Fraction(3, 2)
 GAMMA_HIGH = Fraction(2)

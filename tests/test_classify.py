@@ -427,3 +427,36 @@ def test_series_digits_validation():
         series_digits([1, 2], 1, 2, 4)  # bad base
     with pytest.raises(ValueError):
         series_digits([0, 1], 2, 2, 4)  # nonpositive term
+
+
+def test_series_digits_bit_bound_is_exact_at_the_edge():
+    for base in (2, 3, 10, 16):
+        edge = classify.SERIES_BITS_CAP // base.bit_length()
+        series_digits([edge], base, 1, 2)  # base**edge fits the bound
+        with pytest.raises(ValueError, match=str(classify.SERIES_BITS_CAP)):
+            series_digits([edge + 1], base, 1, 2)
+    with pytest.raises(ValueError, match="bits"):
+        series_digits(itertools.count(1), 2, 10**12, 2)  # stops at the bound, not at 10^12 terms
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--kind", "rfull", "--r", "5", "--terms", "500"],  # top term 3,125,000,000
+        ["series", "--kind", "squares", "--terms", "100000"],  # top term 10^10
+    ],
+    ids=["rfull_r5", "squares"],
+)
+def test_series_past_the_bit_bound_exits_2(argv, capsys):
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(classify.SERIES_BITS_CAP) in captured.err
+    assert peak < 8 * 2**20  # ~390 MB and ~1.25 GB integers without the bound

@@ -1,11 +1,18 @@
+"""The CLI, run in-process through `main(argv)`.
+
+Only the entry-point smoke test and the broken-pipe test start a
+`python -m floorfull` process; `_env_cap` reads the environment when it
+is called, so the env caps are set with `monkeypatch.setenv`.
+"""
+
 import io
 import json
 import math
-import os
 import subprocess
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -14,13 +21,20 @@ from floorfull.cli import build_parser, dispatch, main
 CLI = [sys.executable, "-m", "floorfull"]
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        CLI + list(args), capture_output=True, env=env, timeout=120
-    )
+class Run(NamedTuple):
+    returncode: int
+    stdout: bytes
+    stderr: bytes
+
+
+def run_cli(*args):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:  # argparse rejects bad flags this way
+            code = exc.code
+    return Run(code, out.getvalue().encode(), err.getvalue().encode())
 
 
 def run_json(*args, **kwargs):
@@ -68,11 +82,9 @@ def test_usage_error_exits_2():
     assert proc.returncode == 2
 
 
-def test_config_error_names_cap():
-    proc = run_cli(
-        "sieve", "--limit", "10000", "--r", "2",
-        env_extra={"FLOORFULL_SIEVE_CAP": "1000"},
-    )
+def test_config_error_names_cap(monkeypatch):
+    monkeypatch.setenv("FLOORFULL_SIEVE_CAP", "1000")
+    proc = run_cli("sieve", "--limit", "10000", "--r", "2")
     assert proc.returncode == 2
     assert b"cap" in proc.stderr
 
@@ -224,6 +236,12 @@ def test_table_format_has_header_and_rows():
 def test_missing_terms_file_is_config_error():
     proc = run_cli("pset", "compute", "--terms", "/nonexistent", "--bound", "10")
     assert proc.returncode == 2
+
+
+def test_entry_point_smoke():
+    proc = subprocess.run(CLI + ["classify", "--n", "72"], capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == run_cli("classify", "--n", "72").stdout
 
 
 def test_closed_pipe_does_not_traceback():
