@@ -20,8 +20,8 @@ _EXPORTS = {
         "series_digits", "squarefull_via_a2b3",
     ),
     "certificates": (
-        "Certificate", "NonRFullReport", "ValidationResult", "construct_certificate",
-        "dirichlet_search", "validate_certificate", "verify_non_rfull",
+        "Certificate", "NonRFullReport", "ValidationResult", "check_non_rfull",
+        "construct_certificate", "dirichlet_search", "validate_certificate", "verify_non_rfull",
     ),
     "errors": (
         "FloorfullError", "NotFoundWithinBound", "SkipViolation",

@@ -22,6 +22,10 @@ modular arithmetic with the case-prescribed witness prime, never a
 factorization of ell^m + k itself.  Failure of 2-fullness is what the
 witness exhibits (a prime of exponent exactly 1), and that implies failure
 of r-fullness for every r >= 2.
+
+Checking is split from reporting: check_non_rfull runs the per-m checks,
+all that `theorem1 grid` needs; verify_non_rfull calls it, then builds the
+per-m WitnessLine report that `theorem1 verify` prints.
 """
 
 from __future__ import annotations
@@ -240,14 +244,18 @@ def _witness_prime(cert: Certificate, m: int) -> int:
     return cert.q_star if m == 1 else cert.q
 
 
-def verify_non_rfull(cert: Certificate, max_m: int = DEFAULT_MAX_M) -> NonRFullReport:
+def check_non_rfull(cert: Certificate, max_m: int = DEFAULT_MAX_M) -> int:
     """Confirm ell^m + k is not r-full for every m in [1, max_m].
 
-    Each m is settled by the cheap witness argument alone: the
-    case-prescribed prime w divides ell^m + k exactly once, checked via
-    pow(ell, m, w^2).  Values up to 10^12 get an additional full
-    factorization cross-check.  Raises VerificationFailure on the first
-    failing m (which a valid certificate never produces).
+    Validates the certificate, then settles each m by the witness argument
+    alone: the case-prescribed prime w divides ell^m + k exactly once.
+    ell^m mod w^2 is carried from one m to the next and rebuilt with pow
+    only where w changes (only between m = 1 and m = 2).  Values up to
+    10^12 are also cross-checked by is_r_full(value, 2): for r >= 2 an
+    r-full value is 2-full, so this one test equals "r-full or 2-full".
+    ell^m + k increases with m, so the cross-checked m are a prefix [1, c];
+    returns c (0 if none).  Raises VerificationFailure on the first failing
+    m, which a valid certificate never produces.
     """
     validation = validate_certificate(cert)
     if not validation:
@@ -255,35 +263,41 @@ def verify_non_rfull(cert: Certificate, max_m: int = DEFAULT_MAX_M) -> NonRFullR
     if max_m < 1:
         raise ValueError(f"max_m must be >= 1, got {max_m}")
 
-    lines = []
-    power = cert.ell  # ell^m until ell^m + k passes the bound; ell >= 2 keeps it past
+    ell, k = cert.ell, cert.k
+    w = ell_m = None  # ell_m = ell^m mod w^2
+    power = ell  # ell^m while ell^m + k is cross-checked, then 0
+    cross_checked_to = 0
     for m in range(1, max_m + 1):
-        w = _witness_prime(cert, m)
-        w2 = w * w
-        residue = (pow(cert.ell, m, w2) + cert.k) % w2
-        divides = residue % w == 0
-        square_free_at_witness = residue != 0
-        if not (divides and square_free_at_witness):
+        witness = _witness_prime(cert, m)
+        if witness == w:
+            ell_m = ell_m * ell % w2
+        else:
+            w, w2 = witness, witness * witness
+            ell_m = pow(ell, m, w2)
+        residue = (ell_m + k) % w2
+        if residue % w or not residue:
             raise VerificationFailure(
                 f"witness {w} does not divide ell^{m} + k exactly once", m=m
             )
-        value = power + cert.k
-        cross_checked = value <= FACTOR_CROSSCHECK_BOUND
-        if cross_checked:
-            if is_r_full(value, cert.r) or is_r_full(value, 2):
+        if power:
+            value = power + k
+            if value > FACTOR_CROSSCHECK_BOUND:
+                power = 0
+            elif is_r_full(value, 2):
                 raise VerificationFailure(
                     f"factorization says {value} is r-full, contradicting witness", m=m
                 )
-            power *= cert.ell
-        lines.append(
-            WitnessLine(
-                m=m,
-                witness=w,
-                divides=divides,
-                square_free_at_witness=square_free_at_witness,
-                cross_checked=cross_checked,
-            )
-        )
-    return NonRFullReport(
-        certificate=cert, max_m=max_m, lines=tuple(lines), all_passed=True
+            else:
+                cross_checked_to = m
+                power *= ell
+    return cross_checked_to
+
+
+def verify_non_rfull(cert: Certificate, max_m: int = DEFAULT_MAX_M) -> NonRFullReport:
+    """check_non_rfull, then one WitnessLine per m for `theorem1 verify` to print."""
+    cross_checked_to = check_non_rfull(cert, max_m)
+    lines = tuple(
+        WitnessLine(m, _witness_prime(cert, m), True, True, m <= cross_checked_to)
+        for m in range(1, max_m + 1)
     )
+    return NonRFullReport(certificate=cert, max_m=max_m, lines=lines, all_passed=True)

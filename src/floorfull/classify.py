@@ -344,14 +344,14 @@ def series_digits(
         taken.append(a)
     if len(taken) < n_terms:
         raise ValueError(f"sequence yielded only {len(taken)} of {n_terms} terms")
-    previous = 0
+    numerator = previous = 0
     for a in taken:
         if a <= previous:
             raise ValueError(f"terms must be strictly increasing positive, got {taken}")
+        # Horner: ends as sum(a * base**(top - a)) over the terms, top the last
+        numerator = numerator * base ** (a - previous) + a
         previous = a
-    top = taken[-1]
-    numerator = sum(a * base ** (top - a) for a in taken)
-    partial_sum = Fraction(numerator, base ** top)
+    partial_sum = Fraction(numerator, base ** previous)
 
     frac = partial_sum - math.floor(partial_sum)
     digits = []

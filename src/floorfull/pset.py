@@ -62,24 +62,11 @@ class PSetBitmap:
     def to_rle_json_dict(self) -> dict:
         return {"bound": self.bound, "runs": [[s, n] for s, n in self.runs()]}
 
-    @classmethod
-    def from_rle_json_dict(cls, payload: dict) -> "PSetBitmap":
-        bits = 0
-        for start, length in payload["runs"]:
-            bits |= ((1 << length) - 1) << start
-        return cls(bound=int(payload["bound"]), bits=bits)
-
     def to_bit_bytes(self) -> bytes:
         """Raw export: 8-byte little-endian bit count, then the bitmap bits."""
         n_bits = self.bound + 1
         body = self.bits.to_bytes((n_bits + 7) // 8, "little")
         return n_bits.to_bytes(8, "little") + body
-
-    @classmethod
-    def from_bit_bytes(cls, blob: bytes) -> "PSetBitmap":
-        n_bits = int.from_bytes(blob[:8], "little")
-        bits = int.from_bytes(blob[8:], "little")
-        return cls(bound=n_bits - 1, bits=bits)
 
 
 def compute_pset(

@@ -3,7 +3,9 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from floorfull import certificates
 from floorfull.certificates import (
     CASE_I,
     CASE_II,
@@ -13,14 +15,15 @@ from floorfull.certificates import (
     NonRFullReport,
     WitnessLine,
     _witness_prime,
+    check_non_rfull,
     construct_certificate,
     dirichlet_search,
     validate_certificate,
     verify_non_rfull,
 )
 from floorfull.classify import is_r_full
-from floorfull.cli import to_json
-from floorfull.errors import NotFoundWithinBound
+from floorfull.cli import main, to_json
+from floorfull.errors import NotFoundWithinBound, VerificationFailure
 
 
 def oracle_is_prime(n: int) -> bool:
@@ -205,6 +208,127 @@ def test_verify_matches_per_m_oracle(ell, max_m):
     for r in (2, 3):
         cert = construct_certificate(r, ell)
         assert verify_non_rfull(cert, max_m) == _per_m_report(cert, max_m)
+
+
+def _squarefree(n: int) -> bool:
+    return all(n % (d * d) for d in range(2, math.isqrt(n) + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    r=st.integers(2, 5),
+    max_m=st.integers(1, 250),
+    ell=st.one_of(
+        st.just(2),  # Case I
+        st.builds(lambda p, c: p * p * c, st.sampled_from([2, 3, 5, 7, 11, 31]),
+                  st.integers(1, 1000)),  # Case II
+        st.integers(3, 10**6).filter(_squarefree),  # Case III
+    ),
+)
+def test_check_and_verify_match_per_m_oracle(r, max_m, ell):
+    cert = construct_certificate(r, ell)
+    oracle = _per_m_report(cert, max_m)
+    assert verify_non_rfull(cert, max_m) == oracle
+    flags = [line.cross_checked for line in oracle.lines]
+    assert check_non_rfull(cert, max_m) == sum(flags)
+    assert flags == sorted(flags, reverse=True)  # the cross-checked m are a prefix
+
+
+def _old_grid_cell(r, ell, s_max, max_m):
+    """`theorem1 grid`'s cell as it was: construct, validate, full report."""
+    cert = construct_certificate(r, ell, s_max=s_max)
+    ok = bool(validate_certificate(cert))
+    report = verify_non_rfull(cert, max_m=max_m)
+    return {"r": r, "ell": ell, "case": cert.case, "k": cert.k, "valid": ok, "verified_to": report.max_m}
+
+
+def test_grid_rows_match_per_cell_reports(capsys):
+    argv = ["theorem1", "grid", "--r-min", "2", "--r-max", "4", "--ell-min", "2",
+            "--ell-max", "40", "--max-m", "45", "--s-max", "500"]
+    assert main(argv) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    expected = [_old_grid_cell(r, ell, 500, 45) for r in (2, 3, 4) for ell in range(2, 41)]
+    assert {row["case"] for row in expected} == {CASE_I, CASE_II, CASE_III}
+    assert result == {"rows": expected, "all_passed": True}
+
+
+@pytest.fixture
+def built_lines(monkeypatch):
+    built = []
+
+    def counting_line(*args, **kwargs):
+        built.append(WitnessLine(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(certificates, "WitnessLine", counting_line)
+    return built
+
+
+def test_grid_builds_no_witness_lines(built_lines, capsys):
+    argv = ["theorem1", "grid", "--r-min", "2", "--r-max", "3", "--ell-min", "2",
+            "--ell-max", "13", "--max-m", "30"]  # 24 cells
+    assert main(argv) == 0
+    assert len(json.loads(capsys.readouterr().out)["result"]["rows"]) == 24
+    assert built_lines == []
+
+
+@pytest.mark.parametrize("ell", [2, 12, 15])
+def test_verify_builds_one_line_per_exponent(built_lines, ell):
+    report = verify_non_rfull(construct_certificate(3, ell), max_m=57)
+    assert len(built_lines) == 57 and list(report.lines) == built_lines
+
+
+def _patch_witness(monkeypatch, wrong_from: int, wrong: int):
+    def witness(cert, m):
+        return wrong if m >= wrong_from else _witness_prime(cert, m)
+
+    monkeypatch.setattr(certificates, "_witness_prime", witness)
+
+
+def test_wrong_witness_at_first_exponent_fails_there(monkeypatch):
+    _patch_witness(monkeypatch, wrong_from=1, wrong=7)  # 3 + 12 = 15 = 3 * 5
+    with pytest.raises(VerificationFailure, match="witness 7") as exc:
+        check_non_rfull(construct_certificate(2, 3), 10)
+    assert exc.value.m == 1
+
+
+@pytest.mark.parametrize("ell,wrong", [(2, 5), (4, 5), (15, 7)])
+def test_wrong_witness_from_third_exponent_fails_there(monkeypatch, ell, wrong):
+    _patch_witness(monkeypatch, wrong_from=3, wrong=wrong)
+    with pytest.raises(VerificationFailure, match=f"witness {wrong}") as exc:
+        verify_non_rfull(construct_certificate(2, ell), 10)
+    assert exc.value.m == 3
+
+
+def test_carried_residue_catches_a_witness_that_stops_dividing(monkeypatch):
+    # 7 divides 2^2 + 10 = 14 exactly once but not 2^3 + 10 = 18; the witness
+    # stays 7 from m = 2 on, so only the residue carried from m = 2 sees it
+    _patch_witness(monkeypatch, wrong_from=2, wrong=7)
+    with pytest.raises(VerificationFailure, match="witness 7") as exc:
+        check_non_rfull(construct_certificate(2, 2), 10)
+    assert exc.value.m == 3
+
+
+def test_cross_check_failure_names_first_exponent(monkeypatch):
+    monkeypatch.setattr(certificates, "is_r_full", lambda n, r: True)
+    with pytest.raises(VerificationFailure, match="factorization says 12 is r-full") as exc:
+        check_non_rfull(construct_certificate(2, 2), 10)
+    assert exc.value.m == 1
+
+
+def test_check_is_exported_lazily():
+    import floorfull
+
+    assert floorfull.check_non_rfull is check_non_rfull
+    assert "check_non_rfull" in dir(floorfull)
+
+
+def test_check_rejects_invalid_certificate_like_verify():
+    broken = Certificate(r=2, ell=6, case=CASE_II, k=3, p=3)
+    with pytest.raises(ValueError, match="structurally invalid: p_squared_does_not_divide_ell"):
+        check_non_rfull(broken, 5)
+    with pytest.raises(ValueError, match="max_m must be >= 1"):
+        check_non_rfull(construct_certificate(2, 2), 0)
 
 
 def test_case_iii_shift_never_squarefull_by_factorization():

@@ -439,6 +439,44 @@ def test_series_digits_bit_bound_is_exact_at_the_edge():
         series_digits(itertools.count(1), 2, 10**12, 2)  # stops at the bound, not at 10^12 terms
 
 
+def _power_per_term_sum(terms, base):
+    """series_digits' partial sum as it was: one power base**(top - a) per term."""
+    top = terms[-1]
+    return Fraction(sum(a * base ** (top - a) for a in terms), base**top)
+
+
+def _leading_digits(x, base, n):
+    """The first n base-`base` digits after the point of x, by one integer division."""
+    scaled = math.floor((x - math.floor(x)) * base**n)
+    digits = []
+    for _ in range(n):
+        scaled, d = divmod(scaled, base)
+        digits.append(d)
+    return ("" if base <= 10 else ",").join(str(d) for d in reversed(digits))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    base=st.sampled_from([2, 3, 10, 16]),
+    gaps=st.lists(st.integers(1, 300), min_size=1, max_size=40),
+    n_digits=st.integers(1, 40),
+)
+def test_series_digits_horner_matches_power_per_term_sum(base, gaps, n_digits):
+    terms = list(itertools.accumulate(gaps))  # strictly increasing, positive
+    digits, total = series_digits(terms, base, len(terms), n_digits)
+    assert total == _power_per_term_sum(terms, base)
+    assert digits == _leading_digits(total, base, n_digits)
+
+
+def test_series_digits_horner_at_the_bit_bound():
+    for base in (2, 3, 10, 16):
+        edge = classify.SERIES_BITS_CAP // base.bit_length()
+        terms = [1, edge - 1, edge]  # one gap of edge - 2, then a gap of 1
+        digits, total = series_digits(terms, base, len(terms), 8)
+        assert total == _power_per_term_sum(terms, base)
+        assert digits == _leading_digits(total, base, 8)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -175,11 +175,25 @@ def test_bitmap_validation():
         PSetBitmap(bound=0, bits=1)
 
 
+def from_rle_json_dict(payload: dict) -> PSetBitmap:
+    """Round-trip oracle: rebuild a bitmap from to_rle_json_dict's runs."""
+    bits = 0
+    for start, length in payload["runs"]:
+        bits |= ((1 << length) - 1) << start
+    return PSetBitmap(bound=int(payload["bound"]), bits=bits)
+
+
+def from_bit_bytes(blob: bytes) -> PSetBitmap:
+    """Round-trip oracle: rebuild a bitmap from to_bit_bytes's export."""
+    n_bits = int.from_bytes(blob[:8], "little")
+    return PSetBitmap(bound=n_bits - 1, bits=int.from_bytes(blob[8:], "little"))
+
+
 def test_bitmap_rle_round_trip():
     bitmap = compute_pset([2, 3, 9], 20)
     payload = bitmap.to_rle_json_dict()
     assert payload["bound"] == 20
-    assert PSetBitmap.from_rle_json_dict(payload) == bitmap
+    assert from_rle_json_dict(payload) == bitmap
     # runs really are maximal: {0, 2, 3, 5} -> [0,1], [2,2], [5,1], ...
     assert compute_pset([2, 3], 10).runs() == [(0, 1), (2, 2), (5, 1)]
 
@@ -188,7 +202,7 @@ def test_bitmap_bit_file_round_trip():
     bitmap = compute_pset([1, 4, 9], 25)
     blob = bitmap.to_bit_bytes()
     assert int.from_bytes(blob[:8], "little") == 26  # bit count header
-    assert PSetBitmap.from_bit_bytes(blob) == bitmap
+    assert from_bit_bytes(blob) == bitmap
 
 
 def test_bitmap_count():
