@@ -326,8 +326,9 @@ def series_digits(
     Returns the first n_digits digits after the radix point of the exact
     partial sum, plus the partial sum itself as a rational.  Digits are
     extracted by repeated multiply-by-base on the exact fractional part,
-    so there are no rounding decisions; bases above 10 render as
-    comma-separated decimal digit values.
+    held as an integer over base**top, so there are no rounding decisions
+    and no gcd per digit; bases above 10 render as comma-separated decimal
+    digit values.
 
     The consumed prefix must be strictly increasing positive integers, and
     base**a must fit in SERIES_BITS_CAP bits for every term a: the exact
@@ -351,14 +352,11 @@ def series_digits(
         # Horner: ends as sum(a * base**(top - a)) over the terms, top the last
         numerator = numerator * base ** (a - previous) + a
         previous = a
-    partial_sum = Fraction(numerator, base ** previous)
-
-    frac = partial_sum - math.floor(partial_sum)
+    denominator = base ** previous
+    remainder = numerator % denominator
     digits = []
     for _ in range(n_digits):
-        frac *= base
-        d = math.floor(frac)
+        d, remainder = divmod(remainder * base, denominator)
         digits.append(d)
-        frac -= d
     sep = "" if base <= 10 else ","
-    return sep.join(str(d) for d in digits), partial_sum
+    return sep.join(str(d) for d in digits), Fraction(numerator, denominator)

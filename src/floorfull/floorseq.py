@@ -7,8 +7,10 @@ positive integer and the s_n increase, the image is nondecreasing in n, a
 fact the skip-argument verifier relies on.
 
 The alpha values sending s to a target t form exactly the half-open
-interval [t/s, (t+1)/s); all scanning over "every real alpha" reduces to
-exact endpoint arithmetic on those preimage intervals.
+interval [t/s, (t+1)/s), which for t >= 1 lies inside [0, 1) when s > t and
+outside it otherwise; all scanning over "every real alpha" in [0, 1)
+reduces to exact endpoint arithmetic on those preimage intervals, with no
+clipping.
 """
 
 from __future__ import annotations
@@ -119,26 +121,21 @@ def member_alpha_set(
     spec: SeqSpec,
     t: int,
     n_max: int,
-    window: RatInterval,
     *,
     cap: int = DEFAULT_SEQ_CAP,
 ) -> list[RatInterval]:
-    """Intervals of alpha in `window` with t in the floor-scaled image.
+    """Intervals of alpha in [0, 1) with t in the floor-scaled image.
 
-    One clipped preimage interval per index n <= n_max whose clip is
-    nonempty, in n order; together they are exactly the alpha in `window`
-    for which some index <= n_max witnesses t.
+    One preimage interval [t/s, (t+1)/s) per term s > t among the first
+    n_max, in n order; together they are exactly the alpha in [0, 1) for
+    which some index <= n_max witnesses t.  No clipping to [0, 1) is
+    needed: for t >= 1 a term s <= t has its preimage start at t/s >= 1,
+    entirely outside, and a term s > t has its preimage end at
+    (t+1)/s <= 1, entirely inside.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    if window.lo < 0:
-        raise ValueError(f"window must sit inside [0, inf), got {window}")
-    intervals = []
-    for s in generate_terms(spec, n_max, cap=cap):
-        clipped = preimage_interval(t, s).intersect(window)
-        if not clipped.is_empty:
-            intervals.append(clipped)
-    return intervals
+    return [preimage_interval(t, s) for s in generate_terms(spec, n_max, cap=cap) if s > t]
 
 
 @dataclass(frozen=True)

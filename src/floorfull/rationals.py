@@ -1,15 +1,17 @@
-"""Exact rational arithmetic and half-open rational intervals.
+"""Exact rational arithmetic and nonempty half-open rational intervals.
 
 Rationals are `fractions.Fraction` values: arbitrary precision, always
 reduced, denominator always positive.  Intervals are uniformly half-open
-[lo, hi) because every floor preimage {alpha : floor(alpha*s) = t} has that
-shape; a single convention avoids endpoint-comparison bugs.  No floating
-point is used anywhere; decimal rendering is display-only and labeled
-approximate.
+and nonempty, [lo, hi) with lo < hi, because every floor preimage
+{alpha : floor(alpha*s) = t} has that shape; a single convention avoids
+endpoint-comparison bugs.  No floating point is used anywhere; decimal
+rendering is display-only and labeled approximate.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,13 +20,19 @@ def parse_rational(text: str) -> Fraction:
     """Parse "a/b", an integer, or a decimal string as an exact rational.
 
     Decimal inputs are exact decimal fractions ("0.3" -> 3/10), never
-    binary floats.
+    binary floats.  A decimal exponent may be at most 4,300 in magnitude,
+    the digit limit Python applies to int(str); it is checked before the
+    power of ten is built, so "1e-100000000" costs nothing.
 
     >>> parse_rational("3/2")
     Fraction(3, 2)
     >>> parse_rational("0.3")
     Fraction(3, 10)
     """
+    limit = sys.int_info.default_max_str_digits
+    exponent = re.search(r"[eE]([-+]?[\d_]+)\s*\Z", text)
+    if exponent and (len(exponent[1]) > limit or abs(int(exponent[1])) > limit):
+        raise ValueError(f"decimal exponent in {text!r} exceeds {limit} in magnitude")
     try:
         return Fraction(text.strip())
     except ZeroDivisionError as exc:
@@ -38,61 +46,26 @@ def rat_str(q: Fraction) -> str:
 
 @dataclass(frozen=True)
 class RatInterval:
-    """Half-open rational interval [lo, hi); empty iff lo == hi.
-
-    Empty intervals compare equal to each other regardless of where their
-    (coincident) endpoints sit, so interval algebra behaves like set
-    algebra.
-    """
+    """Nonempty half-open rational interval [lo, hi); lo < hi is enforced."""
 
     lo: Fraction
     hi: Fraction
 
     def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
-
-    @property
-    def is_empty(self) -> bool:
-        return self.lo == self.hi
+        if self.lo >= self.hi:
+            raise ValueError(f"interval needs lo < hi, got lo={self.lo}, hi={self.hi}")
 
     def __contains__(self, q: Fraction) -> bool:
         return self.lo <= q < self.hi
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RatInterval):
-            return NotImplemented
-        if self.is_empty and other.is_empty:
-            return True
-        return self.lo == other.lo and self.hi == other.hi
-
-    def __hash__(self):
-        if self.is_empty:
-            return hash(("RatInterval", "empty"))
-        return hash(("RatInterval", self.lo, self.hi))
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def intersect(self, other: RatInterval) -> RatInterval:
-        """[max(lo), min(hi)), clamped to the empty interval when disjoint."""
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if hi < lo:
-            return RatInterval(lo, lo)
-        return RatInterval(lo, hi)
+        """[max(lo), min(hi)); ValueError unless the two overlap."""
+        return RatInterval(max(self.lo, other.lo), min(self.hi, other.hi))
 
     def to_json_dict(self) -> dict:
         return {"lo": rat_str(self.lo), "hi": rat_str(self.hi), "closed_open": True}
-
-    def __str__(self) -> str:
-        return f"[{self.lo}, {self.hi})"
 
 
 def interval(lo, hi) -> RatInterval:
     """RatInterval from anything Fraction accepts (ints, "a/b" strings)."""
     return RatInterval(Fraction(lo), Fraction(hi))
-
-
-UNIT = RatInterval(Fraction(0), Fraction(1))

@@ -5,7 +5,8 @@ no single alpha in (0, 1) puts both 2^j and 2^(j+1) into the image
 {floor(alpha * s_n)}.  Two independent routes certify this:
 
 * Interval decomposition (verify_skip_all_alpha).  If 2^j is hit at index
-  k, then alpha lies in I_k = [2^j/s_k, (2^j+1)/s_k).  Over that half-open
+  k, then alpha lies in I_k = [2^j/s_k, (2^j+1)/s_k), which meets (0, 1)
+  only when s_k > 2^j and then lies inside it whole.  Over that half-open
   interval the exact extrema of floor(alpha*s_{k+1}) and floor(alpha*s_{k+2})
   are computable from the endpoints alone; showing max <= 2^(j+1)-1 at
   k+1 and min >= 2^(j+1)+1 at k+2 pins 2^(j+1) between two achieved
@@ -39,7 +40,7 @@ from .floorseq import (
     member_alpha_set,
     preimage_interval,
 )
-from .rationals import UNIT, RatInterval, rat_str
+from .rationals import RatInterval, rat_str
 
 GAMMA_LOW = Fraction(3, 2)
 GAMMA_HIGH = Fraction(2)
@@ -56,8 +57,6 @@ def interval_extrema_of_floor(window: RatInterval, s: int) -> tuple[int, int]:
     >>> interval_extrema_of_floor(RatInterval(Fraction(8, 17), Fraction(9, 17)), 25)
     (11, 13)
     """
-    if window.is_empty:
-        raise ValueError(f"window {window} is empty")
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     lo_scaled = window.lo * s
@@ -84,7 +83,7 @@ class SkipReport:
     j: int
     k_max: int
     rows: tuple[SkipRow, ...]
-    skipped: tuple[int, ...]   # k whose clipped alpha-interval was empty
+    skipped: tuple[int, ...]   # k with s_k <= 2^j: no alpha in (0, 1) hits 2^j there
     overall: bool
 
 
@@ -93,10 +92,11 @@ def verify_skip_all_alpha(
 ) -> SkipReport:
     """Certify 2^(j+1) misses the image whenever 2^j is hit at index <= k_max.
 
-    For each k with a nonempty alpha-window I_k = [2^j/s_k, (2^j+1)/s_k)
-    inside (0, 1), the row passes when the exact floor extrema satisfy
-    max at k+1 <= 2^(j+1) - 1 and min at k+2 >= 2^(j+1) + 1.  Raises
-    SkipViolation (carrying the full report) if any row fails.
+    Each k with s_k <= 2^j is skipped: I_k = [2^j/s_k, (2^j+1)/s_k) then
+    starts at or above 1.  Every other I_k ends at or below 1 and is the
+    row's window as it stands; the row passes when the exact floor extrema
+    satisfy max at k+1 <= 2^(j+1) - 1 and min at k+2 >= 2^(j+1) + 1.
+    Raises SkipViolation (carrying the full report) if any row fails.
     """
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
@@ -109,44 +109,38 @@ def verify_skip_all_alpha(
 
     rows = []
     skipped = []
-    overall = True
-    first_failure = None
     for k in range(1, k_max + 1):
         s_k = terms[k - 1]
-        window = preimage_interval(target, s_k).intersect(UNIT)
-        if window.is_empty:
+        if s_k <= target:
             skipped.append(k)
             continue
+        window = preimage_interval(target, s_k)
         _, max_next = interval_extrema_of_floor(window, terms[k])
         min_next2, _ = interval_extrema_of_floor(window, terms[k + 1])
-        passed = max_next <= ceiling and min_next2 >= floor_min
         rows.append(
             SkipRow(
                 k=k,
                 interval=window,
                 max_floor_next=max_next,
                 min_floor_next2=min_next2,
-                passed=passed,
+                passed=max_next <= ceiling and min_next2 >= floor_min,
             )
         )
-        if not passed:
-            overall = False
-            if first_failure is None:
-                first_failure = (k, max_next, min_next2)
+    failures = [row for row in rows if not row.passed]
     report = SkipReport(
         gamma=gamma,
         j=j,
         k_max=k_max,
         rows=tuple(rows),
         skipped=tuple(skipped),
-        overall=overall,
+        overall=not failures,
     )
-    if not overall:
-        k, max_next, min_next2 = first_failure
+    if failures:
+        row = failures[0]
         raise SkipViolation(
-            f"skip argument fails at k={k}: max_next={max_next} (allowed <= {ceiling}), "
-            f"min_next2={min_next2} (required >= {floor_min})",
-            k=k,
+            f"skip argument fails at k={row.k}: max_next={row.max_floor_next} "
+            f"(allowed <= {ceiling}), min_next2={row.min_floor_next2} (required >= {floor_min})",
+            k=row.k,
             report=report,
         )
     return report
@@ -254,15 +248,15 @@ def counterexample_scan(
     one of t2 (witness indices <= n_max), a-major as a nested loop would;
     an empty list means no alpha in (0, 1) puts both targets into the
     image within the bound.  member_alpha_set keeps n order and s_n
-    strictly increases, so down each list lo and hi never increase.  The
+    strictly increases, so down each list lo and hi strictly decrease.  The
     b meeting a (b.lo < a.hi and b.hi > a.lo) are then a suffix cut by a
     prefix, one contiguous block, and both its ends only move forward as
     a does: `start` passes each b once and every inner step is a hit.
     """
     if t1 == t2:
         raise ValueError("targets must differ")
-    first = member_alpha_set(spec, t1, n_max, UNIT, cap=cap)
-    second = member_alpha_set(spec, t2, n_max, UNIT, cap=cap)
+    first = member_alpha_set(spec, t1, n_max, cap=cap)
+    second = member_alpha_set(spec, t2, n_max, cap=cap)
     hits, start = [], 0
     for a in first:
         while start < len(second) and second[start].lo >= a.hi:

@@ -468,6 +468,32 @@ def test_series_digits_horner_matches_power_per_term_sum(base, gaps, n_digits):
     assert digits == _leading_digits(total, base, n_digits)
 
 
+def _fraction_digit_loop(partial_sum, base, n_digits):
+    """series_digits' digits as they were: multiply-by-base on the Fraction's fractional part."""
+    frac = partial_sum - math.floor(partial_sum)
+    digits = []
+    for _ in range(n_digits):
+        frac *= base
+        d = math.floor(frac)
+        digits.append(d)
+        frac -= d
+    return ("" if base <= 10 else ",").join(str(d) for d in digits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    base=st.sampled_from([2, 3, 10, 16]),
+    # small gaps from 1 on give base-2 sums of 1 and more, with an integer part
+    gaps=st.lists(st.one_of(st.integers(1, 3), st.integers(1, 60)), min_size=1, max_size=30),
+    n_digits=st.integers(1, 200),
+)
+@example(base=2, gaps=[1, 1, 1], n_digits=8)  # 1/2 + 2/4 + 3/8 = 11/8
+def test_series_digits_integer_remainder_matches_fraction_loop(base, gaps, n_digits):
+    terms = list(itertools.accumulate(gaps))  # strictly increasing, positive
+    digits, total = series_digits(terms, base, len(terms), n_digits)
+    assert digits == _fraction_digit_loop(total, base, n_digits)
+
+
 def test_series_digits_horner_at_the_bit_bound():
     for base in (2, 3, 10, 16):
         edge = classify.SERIES_BITS_CAP // base.bit_length()

@@ -10,6 +10,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from typing import NamedTuple
@@ -326,3 +327,24 @@ def test_malformed_certificate_exits_2_with_one_line(tmp_path, capsys, payload):
     assert captured.out == ""
     assert captured.err.startswith("error: certificate")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("alpha", ["1e-100000000", "1e100000000", "1e-4301"])
+def test_huge_decimal_exponent_exits_2_without_building_the_power(alpha):
+    # 10^100000000 alone would need ~40 MiB; the exponent is rejected first
+    tracemalloc.start()
+    try:
+        proc = run_cli("seq", "salpha", "--alpha", alpha, "--n", "5")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert proc.returncode == 2
+    assert b"--alpha" in proc.stderr
+    assert peak < 8 * 2**20
+
+
+def test_largest_allowed_decimal_exponent_is_exact():
+    payload = run_json("seq", "salpha", "--alpha", "1e-4300", "--n", "3")
+    with unlimited_int_digits():
+        assert payload["result"]["alpha"] == f"1/{10 ** 4300}"
+    assert payload["result"]["values"] == [0, 0, 0]

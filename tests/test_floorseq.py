@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from floorfull.floorseq import (
     Explicit,
@@ -14,7 +14,7 @@ from floorfull.floorseq import (
     ratio_condition_check,
     s_alpha,
 )
-from floorfull.rationals import UNIT, RatInterval, interval
+from floorfull.rationals import interval
 
 POW32 = FloorPower(Fraction(3, 2))
 
@@ -104,12 +104,12 @@ def test_preimages_tile_the_line(s):
     for t in range(0, 25):
         window = preimage_interval(t, s)
         assert window.lo == previous_hi  # adjacent, no gap, no overlap
-        assert window.width == Fraction(1, s)
+        assert window.hi - window.lo == Fraction(1, s)
         previous_hi = window.hi
 
 
 def test_member_alpha_set_floor_power():
-    got = member_alpha_set(POW32, 8, 12, UNIT)
+    got = member_alpha_set(POW32, 8, 12)
     terms = generate_terms(POW32, 12)
     expected = [
         interval(Fraction(8, s), Fraction(9, s)) for s in terms if s > 8
@@ -120,7 +120,7 @@ def test_member_alpha_set_floor_power():
 
 
 def test_member_alpha_set_squares():
-    got = member_alpha_set(Squares(), 1, 5, UNIT)
+    got = member_alpha_set(Squares(), 1, 5)
     assert got == [
         interval("1/4", "1/2"),
         interval("1/9", "2/9"),
@@ -129,16 +129,56 @@ def test_member_alpha_set_squares():
     ]
 
 
-def test_member_alpha_set_empty_window():
-    empty = RatInterval(Fraction(1, 2), Fraction(1, 2))
-    assert member_alpha_set(POW32, 8, 12, empty) == []
-
-
 def test_member_alpha_set_validates():
     with pytest.raises(ValueError):
-        member_alpha_set(POW32, 0, 5, UNIT)
-    with pytest.raises(ValueError):
-        member_alpha_set(POW32, 3, 5, RatInterval(Fraction(-1), Fraction(1)))
+        member_alpha_set(POW32, 0, 5)
+    with pytest.raises(TypeError):  # the alpha range is always [0, 1): no window argument
+        member_alpha_set(POW32, 3, 5, interval(0, 1))
+
+
+def _clipped_preimages(spec, t, n_max):
+    """The route before clipping was dropped: [t/s, (t+1)/s) clipped to [0, 1), empties dropped."""
+    clipped = []
+    for s in generate_terms(spec, n_max):
+        lo = max(Fraction(t, s), Fraction(0))
+        hi = min(Fraction(t + 1, s), Fraction(1))
+        if lo < hi:
+            clipped.append((lo, hi))
+    return clipped
+
+
+def _strictly_increasing_power(gamma, n_max):
+    spec = FloorPower(gamma)
+    try:
+        generate_terms(spec, n_max)
+    except ValueError:  # floor(gamma^n) repeats a value for gamma close to 1
+        assume(False)
+    return spec
+
+
+@given(
+    kind=st.one_of(
+        st.fractions(min_value=Fraction(11, 10), max_value=4, max_denominator=12)
+        .map(lambda g: ("power", g)),
+        st.just(("squares", None)),
+        st.lists(st.integers(1, 400), min_size=1, max_size=80, unique=True)
+        .map(lambda xs: ("explicit", tuple(sorted(xs)))),
+    ),
+    t=st.integers(1, 300),
+    n_max=st.integers(1, 90),
+)
+@settings(max_examples=200, deadline=None)
+def test_member_alpha_set_matches_clipped_preimages(kind, t, n_max):
+    name, value = kind
+    if name == "power":
+        spec = _strictly_increasing_power(value, n_max)
+    elif name == "squares":
+        spec = Squares()
+    else:
+        spec = Explicit(value)
+        n_max = min(n_max, len(value))
+    got = member_alpha_set(spec, t, n_max)
+    assert [(w.lo, w.hi) for w in got] == _clipped_preimages(spec, t, n_max)
 
 
 def test_membership_consistency_with_s_alpha():
@@ -148,7 +188,7 @@ def test_membership_consistency_with_s_alpha():
         alpha = Fraction(numerator, 40)
         image = set(s_alpha(POW32, alpha, n_max))
         for t in (3, 8, 16, 25):
-            windows = member_alpha_set(POW32, t, n_max, UNIT)
+            windows = member_alpha_set(POW32, t, n_max)
             assert (t in image) == any(alpha in w for w in windows), (alpha, t)
 
 

@@ -45,7 +45,7 @@ HOMES = {
         "PSetBitmap", "SquaresWitnessReport", "brown_criterion", "complete_up_to",
         "compute_pset", "squares_witness_alpha", "verify_squares_witness",
     ],
-    "rationals": ["RatInterval", "UNIT", "interval", "parse_rational", "rat_str"],
+    "rationals": ["RatInterval", "interval", "parse_rational", "rat_str"],
     "skipverify": [
         "SkipReport", "SymbolicCheck", "counterexample_scan", "gamma_exception_search",
         "interval_extrema_of_floor", "symbolic_condition_check", "verify_skip_all_alpha",

@@ -2,13 +2,15 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from floorfull.cli import to_json
 from floorfull.errors import NotFoundWithinBound, SkipViolation
-from floorfull.floorseq import Explicit, FloorPower, Squares, generate_terms, member_alpha_set, s_alpha
-from floorfull.rationals import UNIT, RatInterval, interval
+from floorfull.floorseq import Explicit, FloorPower, Squares, generate_terms, s_alpha
+from floorfull.rationals import RatInterval, interval
 from floorfull.skipverify import (
+    SkipReport,
+    SkipRow,
     counterexample_scan,
     gamma_exception_search,
     interval_extrema_of_floor,
@@ -31,8 +33,8 @@ def test_extrema_examples():
 
 
 def test_extrema_rejects_empty_window_and_bad_s():
-    with pytest.raises(ValueError):
-        interval_extrema_of_floor(interval(1, 1), 5)
+    with pytest.raises(ValueError):  # the interval type itself rejects an empty window
+        interval(1, 1)
     with pytest.raises(ValueError):
         interval_extrema_of_floor(interval(0, 1), 0)
 
@@ -63,7 +65,7 @@ def test_extrema_bound_every_sample(lo, width, s):
     window = RatInterval(lo, lo + width)
     minimum, maximum = interval_extrema_of_floor(window, s)
     for i in range(8):
-        sample = window.lo + window.width * Fraction(i, 8)
+        sample = window.lo + (window.hi - window.lo) * Fraction(i, 8)
         assert minimum <= math.floor(sample * s) <= maximum
 
 
@@ -102,6 +104,65 @@ def test_skip_verify_j1_violates():
     assert exc.value.k == 3
     assert exc.value.report is not None
     assert not exc.value.report.overall
+
+
+def _clipped_skip_loop(gamma, j, k_max):
+    """The verifier's loop before clipping was dropped: (report, None or (message, k)).
+
+    Each I_k = [2^j/s_k, (2^j+1)/s_k) is clipped to [0, 1) and skipped when
+    the clip is empty; the floor extrema come straight from the endpoints.
+    """
+    terms = generate_terms(FloorPower(gamma), k_max + 2)
+    target, ceiling, floor_min = 2 ** j, 2 ** (j + 1) - 1, 2 ** (j + 1) + 1
+    rows, skipped, first_failure = [], [], None
+    for k in range(1, k_max + 1):
+        lo = max(Fraction(target, terms[k - 1]), Fraction(0))
+        hi = min(Fraction(target + 1, terms[k - 1]), Fraction(1))
+        if hi <= lo:
+            skipped.append(k)
+            continue
+        max_next = math.ceil(hi * terms[k]) - 1
+        min_next2 = math.floor(lo * terms[k + 1])
+        passed = max_next <= ceiling and min_next2 >= floor_min
+        rows.append(SkipRow(k, RatInterval(lo, hi), max_next, min_next2, passed))
+        if not passed and first_failure is None:
+            first_failure = (
+                f"skip argument fails at k={k}: max_next={max_next} (allowed <= {ceiling}), "
+                f"min_next2={min_next2} (required >= {floor_min})",
+                k,
+            )
+    report = SkipReport(gamma, j, k_max, tuple(rows), tuple(skipped), first_failure is None)
+    return report, first_failure
+
+
+def _check_against_clipped_loop(gamma, j, k_max):
+    expected, failure = _clipped_skip_loop(gamma, j, k_max)
+    if failure is None:
+        assert verify_skip_all_alpha(gamma, j, k_max) == expected
+        return
+    with pytest.raises(SkipViolation) as exc:
+        verify_skip_all_alpha(gamma, j, k_max)
+    assert (str(exc.value), exc.value.k) == failure
+    assert exc.value.report == expected
+
+
+def test_skip_verify_j1_violation_matches_clipped_loop():
+    _, failure = _clipped_skip_loop(Fraction(3, 2), 1, 50)
+    assert failure is not None and failure[1] == 3
+    _check_against_clipped_loop(Fraction(3, 2), 1, 50)
+
+
+@given(
+    gamma=st.fractions(min_value=Fraction(11, 10), max_value=4, max_denominator=12),
+    j=st.integers(1, 9),
+    k_max=st.integers(3, 80),
+)
+@settings(max_examples=150, deadline=None)
+@example(gamma=Fraction(3, 2), j=3, k_max=60)  # passes every row
+@example(gamma=Fraction(8, 5), j=2, k_max=40)  # fails on growth
+def test_skip_verify_matches_clipped_loop(gamma, j, k_max):
+    _strictly_increasing_power(gamma, k_max + 2)
+    _check_against_clipped_loop(gamma, j, k_max)
 
 
 def test_skip_verify_validates_args():
@@ -241,15 +302,25 @@ def test_scan_rejects_equal_targets():
 
 
 def _all_pairs_scan(spec, t1, t2, n_max):
-    """Reference: intersect every pair of preimage intervals, O(n^2)."""
-    first = member_alpha_set(spec, t1, n_max, UNIT)
-    second = member_alpha_set(spec, t2, n_max, UNIT)
+    """Reference: intersect every pair of preimage intervals, O(n^2).
+
+    Built from the terms and Fraction comparisons alone, so it shares no
+    code with the sweep: each preimage is clipped to [0, 1) by hand.
+    """
+    terms = generate_terms(spec, n_max)
+
+    def preimages(t):
+        clipped = [
+            (max(Fraction(t, s), Fraction(0)), min(Fraction(t + 1, s), Fraction(1))) for s in terms
+        ]
+        return [(lo, hi) for lo, hi in clipped if lo < hi]
+
     hits = []
-    for a in first:
-        for b in second:
-            both = a.intersect(b)
-            if not both.is_empty:
-                hits.append(both)
+    for a_lo, a_hi in preimages(t1):
+        for b_lo, b_hi in preimages(t2):
+            lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
+            if lo < hi:
+                hits.append(RatInterval(lo, hi))
     return hits
 
 
@@ -303,7 +374,9 @@ def test_scan_intersect_calls_are_linear(monkeypatch):
         return intersect(self, other)
 
     monkeypatch.setattr(RatInterval, "intersect", counted)
-    hits = counterexample_scan(POW32, 8, 16, 2000)
-    # 2000 clips per target in member_alpha_set, then one call per hit;
-    # comparing every pair would make 2000 * 2000 more
-    assert calls <= 2 * 2000 + len(hits)
+    # one call per hit and no clipping; comparing every pair would make
+    # 2000 * 2000 calls
+    assert counterexample_scan(POW32, 8, 16, 2000) == []
+    assert calls == 0
+    hits = counterexample_scan(Squares(), 1, 2, 20)
+    assert calls == len(hits) == 79
