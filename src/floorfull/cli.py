@@ -43,7 +43,7 @@ from .errors import (
     VerificationFailure,
     WitnessFailure,
 )
-from .rationals import parse_rational, rat_str
+from .rationals import parse_rational, rat_str, unlimited_int_digits
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -206,16 +206,8 @@ def _flat_csv(value, writer, prefix: str) -> None:
 
 
 def _emit(config: RunConfig, result, out) -> None:
-    """Render `result` in the configured format.
-
-    Exact results may have more than the default 4300 decimal digits, so
-    the int-to-str limit is lifted while rendering only; input parsing
-    keeps it.  Interpreters older than 3.10.7 have no limit to lift.
-    """
-    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if digit_limit:
-        sys.set_int_max_str_digits(0)
-    try:
+    """Render `result` in the configured format, with no digit limit."""
+    with unlimited_int_digits():
         config_json, result_json = to_json(config), to_json(result)
         if config.format == "json":
             _emit_json(config_json, result_json, out)
@@ -223,9 +215,6 @@ def _emit(config: RunConfig, result, out) -> None:
             _emit_csv(config_json, result_json, out)
         else:
             _emit_table(config_json, result_json, out)
-    finally:
-        if digit_limit:
-            sys.set_int_max_str_digits(digit_limit)
 
 
 # ---------------------------------------------------------------------------

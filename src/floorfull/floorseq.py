@@ -10,12 +10,11 @@ The alpha values sending s to a target t form exactly the half-open
 interval [t/s, (t+1)/s), which for t >= 1 lies inside [0, 1) when s > t and
 outside it otherwise; all scanning over "every real alpha" in [0, 1)
 reduces to exact endpoint arithmetic on those preimage intervals, with no
-clipping.
+clipping.  Terms and floor-scaled images use integer arithmetic alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -62,6 +61,14 @@ SeqSpec = Union[FloorPower, Squares, Explicit]
 def generate_terms(spec: SeqSpec, n_max: int, *, cap: int = DEFAULT_SEQ_CAP) -> list[int]:
     """First n_max terms [s_1, ..., s_n_max]; strict increase is enforced.
 
+    For FloorPower(p/q) the loop keeps p^n = s_n*q^n + r_n, 0 <= r_n < q^n
+    (so s_n = floor(gamma^n)), from s_0 = 1, r_0 = 0.  With (a, b) =
+    divmod(p*s_n, q), p^(n+1) = p*s_n*q^n + p*r_n = a*q^(n+1) + (b*q^n +
+    p*r_n), so (c, r_(n+1)) = divmod(b*q^n + p*r_n, q^(n+1)) restores it
+    with s_(n+1) = a + c.  As b < q and r_n < q^n the dividend is below
+    (p + q)*q^n, so c < (p + q)/q: each step is linear in the size of the
+    term, where floor(p^n/q^n) by long division has an n-digit quotient.
+
     >>> generate_terms(FloorPower(Fraction(3, 2)), 10)
     [1, 2, 3, 5, 7, 11, 17, 25, 38, 57]
     """
@@ -70,11 +77,14 @@ def generate_terms(spec: SeqSpec, n_max: int, *, cap: int = DEFAULT_SEQ_CAP) -> 
     if n_max > cap:
         raise ValueError(f"n_max {n_max} exceeds sequence cap {cap}")
     if isinstance(spec, FloorPower):
-        power = Fraction(1)
-        terms = []
+        p, q = spec.gamma.numerator, spec.gamma.denominator
+        s, r, q_n, terms = 1, 0, 1, []
         for _ in range(n_max):
-            power *= spec.gamma
-            terms.append(math.floor(power))
+            a, b = divmod(p * s, q)
+            dividend, q_n = b * q_n + p * r, q_n * q
+            c, r = divmod(dividend, q_n)
+            s = a + c
+            terms.append(s)
     elif isinstance(spec, Squares):
         terms = [n * n for n in range(1, n_max + 1)]
     elif isinstance(spec, Explicit):
@@ -101,7 +111,7 @@ def s_alpha(spec: SeqSpec, alpha: Fraction, n_max: int, *, cap: int = DEFAULT_SE
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    return [math.floor(alpha * s) for s in generate_terms(spec, n_max, cap=cap)]
+    return [alpha.numerator * s // alpha.denominator for s in generate_terms(spec, n_max, cap=cap)]
 
 
 def preimage_interval(t: int, s: int) -> RatInterval:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,6 +43,21 @@ def parse_rational(text: str) -> Fraction:
 def rat_str(q: Fraction) -> str:
     """Canonical "num/den" rendering, denominator always present."""
     return f"{q.numerator}/{q.denominator}"
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Lift the int-to-str digit limit for the block (a no-op before 3.10.7).
+
+    Exact results may exceed 4300 digits; input parsing keeps the limit."""
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digit_limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if digit_limit:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 @dataclass(frozen=True)

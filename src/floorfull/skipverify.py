@@ -8,9 +8,11 @@ no single alpha in (0, 1) puts both 2^j and 2^(j+1) into the image
   k, then alpha lies in I_k = [2^j/s_k, (2^j+1)/s_k), which meets (0, 1)
   only when s_k > 2^j and then lies inside it whole.  Over that half-open
   interval the exact extrema of floor(alpha*s_{k+1}) and floor(alpha*s_{k+2})
-  are computable from the endpoints alone; showing max <= 2^(j+1)-1 at
-  k+1 and min >= 2^(j+1)+1 at k+2 pins 2^(j+1) between two achieved
-  values it can never equal, because the image is nondecreasing in n.
+  are computable from the endpoints alone, by one integer division each
+  (the terms come from floorseq's integer recurrence); showing
+  max <= 2^(j+1)-1 at k+1 and min >= 2^(j+1)+1 at k+2 pins 2^(j+1)
+  between two achieved values it can never equal, because the image is
+  nondecreasing in n.
   This covers every real alpha whose witness index is <= the scanned
   bound - no sampling, no tolerance.
 
@@ -27,7 +29,6 @@ intersects the two targets' preimage intervals directly, in O(n + hits).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,7 +41,7 @@ from .floorseq import (
     member_alpha_set,
     preimage_interval,
 )
-from .rationals import RatInterval, rat_str
+from .rationals import RatInterval, rat_str, unlimited_int_digits
 
 GAMMA_LOW = Fraction(3, 2)
 GAMMA_HIGH = Fraction(2)
@@ -52,18 +53,17 @@ def interval_extrema_of_floor(window: RatInterval, s: int) -> tuple[int, int]:
     floor(alpha * s) is a nondecreasing step function of alpha, so the
     minimum sits at lo and the maximum just below hi; when hi * s is an
     integer the supremum itself is excluded.  Both extremes are attained
-    by explicit rationals in the window.
+    by explicit rationals in the window.  On integers, with lo = a/b and
+    hi = c/d: min = floor(a*s/b) = a*s // b and
+    max = ceil(c*s/d) - 1 = -(-c*s // d) - 1.
 
     >>> interval_extrema_of_floor(RatInterval(Fraction(8, 17), Fraction(9, 17)), 25)
     (11, 13)
     """
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    lo_scaled = window.lo * s
-    hi_scaled = window.hi * s
-    minimum = math.floor(lo_scaled)
-    maximum = math.ceil(hi_scaled) - 1
-    return minimum, maximum
+    lo, hi = window.lo, window.hi
+    return lo.numerator * s // lo.denominator, -(-hi.numerator * s // hi.denominator) - 1
 
 
 @dataclass(frozen=True)
@@ -137,12 +137,12 @@ def verify_skip_all_alpha(
     )
     if failures:
         row = failures[0]
-        raise SkipViolation(
-            f"skip argument fails at k={row.k}: max_next={row.max_floor_next} "
-            f"(allowed <= {ceiling}), min_next2={row.min_floor_next2} (required >= {floor_min})",
-            k=row.k,
-            report=report,
-        )
+        with unlimited_int_digits():   # the extrema may exceed 4300 digits
+            message = (
+                f"skip argument fails at k={row.k}: max_next={row.max_floor_next} "
+                f"(allowed <= {ceiling}), min_next2={row.min_floor_next2} (required >= {floor_min})"
+            )
+        raise SkipViolation(message, k=row.k, report=report)
     return report
 
 

@@ -11,13 +11,14 @@ import math
 import subprocess
 import sys
 import tracemalloc
-from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from typing import NamedTuple
 
 import pytest
 
 from floorfull.cli import build_parser, dispatch, main
+from floorfull.rationals import unlimited_int_digits
 
 CLI = [sys.executable, "-m", "floorfull"]
 
@@ -257,16 +258,6 @@ def test_closed_pipe_does_not_traceback():
 
 # --- in-process: results past 4300 digits, malformed certificates ------------
 
-@contextmanager
-def unlimited_int_digits():
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def is_squarefull(n: int) -> bool:
     p = 2
     while p * p <= n:
@@ -348,3 +339,25 @@ def test_largest_allowed_decimal_exponent_is_exact():
     with unlimited_int_digits():
         assert payload["result"]["alpha"] == f"1/{10 ** 4300}"
     assert payload["result"]["values"] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("fmt", ["json", "table", "csv"])
+def test_skip_violation_past_4300_digits_exits_1_with_its_report(fmt):
+    # row k = 1 fails with extrema 9*10^4300 - 1 and 8*10^8600
+    limit = sys.get_int_max_str_digits()
+    proc = run_cli("thm2", "verify", "--gamma", "1e4300", "--j", "3", "--K", "3", "--format", fmt)
+    assert sys.get_int_max_str_digits() == limit
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+    lines = proc.stdout.decode().splitlines()
+    assert [line for line in lines if line.startswith("verification failed:")] == lines[-1:]
+    with unlimited_int_digits():
+        assert lines[-1] == (
+            f"verification failed: skip argument fails at k=1: max_next={9 * 10**4300 - 1} "
+            f"(allowed <= 15), min_next2={8 * 10**8600} (required >= 17)"
+        )
+        if fmt == "json":
+            report = json.loads(lines[0])["result"]
+            assert (report["overall"], report["skipped"], len(report["rows"])) == (False, [], 3)
+        else:
+            assert len(lines) > 2  # the report precedes the failure line

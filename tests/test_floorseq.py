@@ -59,6 +59,40 @@ def test_generate_terms_cap_and_bounds():
         generate_terms(POW32, 50, cap=10)
 
 
+def _fraction_power_terms(gamma, n_max):
+    """The route before the remainder recurrence: floor of each Fraction power."""
+    power, terms = Fraction(1), []
+    for _ in range(n_max):
+        power *= gamma
+        terms.append(math.floor(power))
+    return terms
+
+
+@given(
+    gamma=st.one_of(
+        st.integers(1, 10**6).flatmap(
+            lambda q: st.integers(q + 1, 5 * q).map(lambda p: Fraction(p, q))
+        ),
+        st.fractions(min_value=Fraction(10**6 + 1, 10**6), max_value=1000, max_denominator=10**6),
+        st.integers(2, 10**6).map(Fraction),
+    ),
+    n_max=st.integers(1, 300),
+    alpha=st.fractions(min_value=Fraction(1, 10**6), max_value=3, max_denominator=10**6),
+)
+@settings(max_examples=300, deadline=None)
+def test_floor_power_terms_match_fraction_powers(gamma, n_max, alpha):
+    expected = _fraction_power_terms(gamma, n_max)
+    stalls = [(a, b) for a, b in zip(expected, expected[1:]) if b <= a]
+    if stalls:
+        a, b = stalls[0]
+        with pytest.raises(ValueError) as info:
+            generate_terms(FloorPower(gamma), n_max)
+        assert str(info.value) == f"sequence is not strictly increasing at {a} -> {b}"
+        return
+    assert generate_terms(FloorPower(gamma), n_max) == expected
+    assert s_alpha(FloorPower(gamma), alpha, n_max) == [math.floor(alpha * s) for s in expected]
+
+
 def test_s_alpha_halving():
     assert s_alpha(POW32, Fraction(1, 2), 7) == [0, 1, 1, 2, 3, 5, 8]
 

@@ -52,6 +52,7 @@ CASES = {
     "seq_ratio": ["seq", "ratio", "--kind", "squares", "--n", "20"],
     "thm2_verify": ["thm2", "verify", "--gamma", "3/2", "--j", "3", "--K", "12"],
     "thm2_verify_fails": ["thm2", "verify", "--gamma", "3/2", "--j", "1", "--K", "12"],
+    "thm2_verify_large_denominators": ["thm2", "verify", "--gamma", "19/10", "--j", "6", "--K", "200"],
     "thm2_symbolic": ["thm2", "symbolic", "--gamma", "3/2", "--j", "3"],
     "thm2_symbolic_gamma_out_of_range": ["thm2", "symbolic", "--gamma", "7/5", "--j", "3"],
     "thm2_gamma_search": ["thm2", "gamma-search", "--gamma", "8/5"],

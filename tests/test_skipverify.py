@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,23 @@ def test_extrema_bound_every_sample(lo, width, s):
     for i in range(8):
         sample = window.lo + (window.hi - window.lo) * Fraction(i, 8)
         assert minimum <= math.floor(sample * s) <= maximum
+
+
+@given(
+    lo=st.fractions(min_value=-3, max_value=3, max_denominator=10**6),
+    width=st.fractions(min_value=Fraction(1, 10**6), max_value=2, max_denominator=10**6),
+    s=st.one_of(st.integers(1, 400), st.integers(1, 10**40)),
+    integral_hi=st.booleans(),
+)
+@example(lo=Fraction(8, 17), width=Fraction(1, 17), s=17, integral_hi=False)
+@example(lo=Fraction(-1, 3), width=Fraction(1, 3), s=6, integral_hi=False)
+@settings(max_examples=300)
+def test_extrema_match_floor_and_ceil(lo, width, s, integral_hi):
+    hi = lo + width
+    if integral_hi:  # move hi onto a multiple of 1/s: hi*s is the excluded supremum
+        hi = Fraction(math.floor(lo * s) + 1 + math.floor(width * s), s)
+    minimum, maximum = interval_extrema_of_floor(RatInterval(lo, hi), s)
+    assert (minimum, maximum) == (math.floor(lo * s), math.ceil(hi * s) - 1)
 
 
 # --- the skip verifier ------------------------------------------------------
@@ -163,6 +181,20 @@ def test_skip_verify_j1_violation_matches_clipped_loop():
 def test_skip_verify_matches_clipped_loop(gamma, j, k_max):
     _strictly_increasing_power(gamma, k_max + 2)
     _check_against_clipped_loop(gamma, j, k_max)
+
+
+def test_skip_violation_past_4300_digits_raises_skip_violation():
+    # gamma = 10^4300, j = 3: row k = 1 has window [8, 9) / 10^4300, so its
+    # extrema 9*10^4300 - 1 and 8*10^8600 have more digits than str() allows
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(SkipViolation) as info:
+        verify_skip_all_alpha(Fraction(10**4300), 3, 3)
+    assert sys.get_int_max_str_digits() == limit
+    assert info.value.k == 1
+    assert not info.value.report.overall
+    row = info.value.report.rows[0]
+    assert (row.max_floor_next, row.min_floor_next2) == (9 * 10**4300 - 1, 8 * 10**8600)
+    assert str(info.value).startswith("skip argument fails at k=1: max_next=8999")
 
 
 def test_skip_verify_validates_args():
