@@ -146,13 +146,6 @@ def dirichlet_search(ell: int, s_max: int = DEFAULT_S_MAX) -> tuple[int, int]:
     )
 
 
-def _smallest_square_divisor_prime(ell: int) -> Optional[int]:
-    for p, e in factorize(ell).factors:
-        if e >= 2:
-            return p
-    return None
-
-
 def construct_certificate(r: int, ell: int, s_max: int = DEFAULT_S_MAX) -> Certificate:
     """Deterministic certificate for (r, ell): same inputs, same output.
 
@@ -164,10 +157,11 @@ def construct_certificate(r: int, ell: int, s_max: int = DEFAULT_S_MAX) -> Certi
         raise ValueError(f"r and ell must both be >= 2, got r={r}, ell={ell}")
     if ell == 2:
         return Certificate(r=r, ell=ell, case=CASE_I, k=10)
-    p = _smallest_square_divisor_prime(ell)
+    factors = factorize(ell).factors  # primes in increasing order
+    p = next((prime for prime, e in factors if e >= 2), None)
     if p is not None:
         return Certificate(r=r, ell=ell, case=CASE_II, k=p, p=p)
-    q = min(prime for prime, _ in factorize(ell).factors if prime % 2 == 1)
+    q = min(prime for prime, _ in factors if prime % 2 == 1)
     s, q_star = dirichlet_search(ell, s_max)
     return Certificate(
         r=r, ell=ell, case=CASE_III, k=ell * (q_star - 1), q=q, s=s, q_star=q_star

@@ -162,7 +162,7 @@ def _brent_rho(n: int, rng: random.Random) -> int:
 
 
 @lru_cache(maxsize=8192)
-def factorize(n: int, *, rho_seed: int = DEFAULT_RHO_SEED) -> Factorization:
+def factorize(n: int) -> Factorization:
     """Full prime factorization of n >= 1 (n = 1 gives an empty factor list).
 
     Results are immutable and cached; identical calls are free.
@@ -188,7 +188,7 @@ def factorize(n: int, *, rho_seed: int = DEFAULT_RHO_SEED) -> Factorization:
     else:
         if m > 1:
             # m has no prime factor below 1000: Miller-Rabin and Brent rho finish it
-            rng = random.Random(rho_seed)
+            rng = random.Random(DEFAULT_RHO_SEED)
             stack = [m]
             while stack:
                 c = stack.pop()

@@ -1,8 +1,11 @@
 """Command-line entry point.
 
-Every subcommand prints a self-describing report: the effective resource
-caps and defaults (K, M, s_max, j_max, seed, caps) appear in every header,
-and identical invocations produce byte-identical machine-readable output.
+Every subcommand prints a self-describing report, and identical
+invocations produce byte-identical machine-readable output.  The parsed
+argparse namespace is the only record of a run's settings: the top-level
+parser gives every subcommand the defaults of K, max_m, s_max and j_max,
+`dispatch` adds the three FLOORFULL_* caps, and `_header` names them all in
+every report header, with seed=0, the fixed Brent-rho seed DEFAULT_RHO_SEED.
 
 Exit codes: 0 success / verification passed; 1 verification failure
 (a skip violation, certificate verification failure, witness failure, or
@@ -24,7 +27,7 @@ import importlib
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from fractions import Fraction
 
 from .defaults import (
@@ -54,20 +57,6 @@ ENV_BITMAP_CAP = "FLOORFULL_BITMAP_CAP"
 ENV_SEQ_CAP = "FLOORFULL_SEQ_CAP"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    format: str
-    seed: int
-    sieve_cap: int
-    bitmap_cap: int
-    seq_cap: int
-    K: int
-    M: int
-    s_max: int
-    j_max: int
-
-
 def _env_cap(name: str, fallback: int) -> int:
     raw = os.environ.get(name)
     if raw is None:
@@ -78,19 +67,20 @@ def _env_cap(name: str, fallback: int) -> int:
         raise ValueError(f"{name} must be an integer, got {raw!r}") from exc
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand_path,
-        format=args.format,
-        seed=args.seed,
-        sieve_cap=_env_cap(ENV_SIEVE_CAP, SIEVE_CAP_DEFAULT),
-        bitmap_cap=_env_cap(ENV_BITMAP_CAP, BITMAP_CAP_DEFAULT),
-        seq_cap=_env_cap(ENV_SEQ_CAP, DEFAULT_SEQ_CAP),
-        K=getattr(args, "K", DEFAULT_K_MAX),
-        M=getattr(args, "max_m", DEFAULT_MAX_M),
-        s_max=getattr(args, "s_max", DEFAULT_S_MAX),
-        j_max=getattr(args, "j_max", DEFAULT_J_MAX),
-    )
+def _header(args: argparse.Namespace) -> dict:
+    """The ten settings every report header names."""
+    return {
+        "subcommand": args.subcommand_path,
+        "format": args.format,
+        "seed": DEFAULT_RHO_SEED,
+        "sieve_cap": args.sieve_cap,
+        "bitmap_cap": args.bitmap_cap,
+        "seq_cap": args.seq_cap,
+        "K": args.K,
+        "M": args.max_m,
+        "s_max": args.s_max,
+        "j_max": args.j_max,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +168,6 @@ def _emit_csv(config: dict, result, out) -> None:
     if isinstance(result, dict) and "values" in result and isinstance(result["values"], list):
         for item in result["values"]:
             writer.writerow([item])
-    elif isinstance(result, list) and result and all(isinstance(i, dict) for i in result):
-        keys = list(result[0].keys())
-        writer.writerow(keys)
-        for item in result:
-            writer.writerow([_cell(item.get(k)) for k in keys])
-    elif isinstance(result, list):
-        for item in result:
-            writer.writerow([item])
     else:
         _flat_csv(result, writer, prefix="")
 
@@ -205,13 +187,13 @@ def _flat_csv(value, writer, prefix: str) -> None:
         writer.writerow([prefix, value])
 
 
-def _emit(config: RunConfig, result, out) -> None:
-    """Render `result` in the configured format, with no digit limit."""
+def _emit(args: argparse.Namespace, result, out) -> None:
+    """Render `result` in the format of `args`, with no digit limit."""
     with unlimited_int_digits():
-        config_json, result_json = to_json(config), to_json(result)
-        if config.format == "json":
+        config_json, result_json = to_json(_header(args)), to_json(result)
+        if args.format == "json":
             _emit_json(config_json, result_json, out)
-        elif config.format == "csv":
+        elif args.format == "csv":
             _emit_csv(config_json, result_json, out)
         else:
             _emit_table(config_json, result_json, out)
@@ -225,14 +207,12 @@ def _spec_from_args(args: argparse.Namespace):
 
     kind = args.kind
     if kind == "pow32":
-        return floorseq.FloorPower(getattr(args, "gamma", None) or Fraction(3, 2))
+        return floorseq.FloorPower(args.gamma)
     if kind == "squares":
         return floorseq.Squares()
-    if kind == "file":
-        if not getattr(args, "file", None):
-            raise ValueError("--file is required with --kind file")
-        return floorseq.Explicit(tuple(_read_int_file(args.file)))
-    raise ValueError(f"unknown sequence kind {kind!r}")
+    if not args.file:
+        raise ValueError("--file is required with --kind file")
+    return floorseq.Explicit(tuple(_read_int_file(args.file)))
 
 
 def _read_int_file(path: str) -> list[int]:
@@ -255,17 +235,15 @@ def _series_terms(classify, args: argparse.Namespace):
         return classify.r_free_integers(args.r)
     if kind == "rfull":
         return classify.r_full_integers(args.r)
-    if kind == "squares":
-        return (n * n for n in range(1, args.terms + 1))
-    raise ValueError(f"unknown series kind {kind!r}")
+    return (n * n for n in range(1, args.terms + 1))
 
 
 # ---------------------------------------------------------------------------
 # handlers: each takes its table row's module, imported at dispatch, and
 # returns a result for `to_json` or raises
 
-def _run_classify(classify, args, config: RunConfig):
-    fact = classify.factorize(args.n, rho_seed=config.seed)
+def _run_classify(classify, args):
+    fact = classify.factorize(args.n)
     return {
         "n": args.n,
         "r": args.r,
@@ -275,40 +253,43 @@ def _run_classify(classify, args, config: RunConfig):
     }
 
 
-def _run_sieve(classify, args, config: RunConfig):
+def _run_sieve(classify, args):
     if args.method == "a2b3":
         if args.r != 2:
             raise ValueError("--method a2b3 only enumerates 2-full integers")
-        values = classify.squarefull_via_a2b3(args.limit, cap=config.sieve_cap)
+        values = classify.squarefull_via_a2b3(args.limit, cap=args.sieve_cap)
     else:
-        values = classify.r_full_up_to(args.limit, args.r, cap=config.sieve_cap)
+        values = classify.r_full_up_to(args.limit, args.r, cap=args.sieve_cap)
     return {"limit": args.limit, "r": args.r, "method": args.method, "values": values}
 
 
-def _run_series(classify, args, config: RunConfig):
+def _run_series(classify, args):
     terms = _series_terms(classify, args)
     digits, partial = classify.series_digits(terms, args.ell, args.terms, args.digits)
     return {"base": args.ell, "digits": digits, "partial_sum": partial}
 
 
-def _run_theorem1_construct(cert, args, config: RunConfig):
-    return cert.construct_certificate(args.r, args.ell, s_max=config.s_max)
+def _run_theorem1_construct(cert, args):
+    return cert.construct_certificate(args.r, args.ell, s_max=args.s_max)
 
 
 def _load_certificate(cert, path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return cert.Certificate.from_json_dict(json.load(handle))
+        try:
+            return cert.Certificate.from_json_dict(json.load(handle))
+        except RecursionError:  # json.load on a deeply nested array or object
+            raise ValueError("certificate JSON is nested too deeply") from None
 
 
-def _run_theorem1_validate(cert, args, config: RunConfig):
+def _run_theorem1_validate(cert, args):
     result = cert.validate_certificate(_load_certificate(cert, args.cert))
     if not result.ok:
         raise VerificationFailure(f"certificate invalid: {result.reason}", m=0)
     return result
 
 
-def _run_theorem1_verify(cert, args, config: RunConfig):
-    return cert.verify_non_rfull(_load_certificate(cert, args.cert), max_m=config.M)
+def _run_theorem1_verify(cert, args):
+    return cert.verify_non_rfull(_load_certificate(cert, args.cert), max_m=args.max_m)
 
 
 def _grid_cell(cell: tuple[int, int, int, int]) -> dict:
@@ -327,9 +308,9 @@ def _grid_cell(cell: tuple[int, int, int, int]) -> dict:
     }
 
 
-def _run_theorem1_grid(cert, args, config: RunConfig):
+def _run_theorem1_grid(cert, args):
     cells = [
-        (r, ell, config.s_max, config.M)
+        (r, ell, args.s_max, args.max_m)
         for r in range(args.r_min, args.r_max + 1)
         for ell in range(args.ell_min, args.ell_max + 1)
     ]
@@ -342,34 +323,34 @@ def _run_theorem1_grid(cert, args, config: RunConfig):
     return {"rows": rows, "all_passed": all(row["valid"] for row in rows)}
 
 
-def _run_seq_gen(seq, args, config: RunConfig):
-    values = seq.generate_terms(_spec_from_args(args), args.n, cap=config.seq_cap)
+def _run_seq_gen(seq, args):
+    values = seq.generate_terms(_spec_from_args(args), args.n, cap=args.seq_cap)
     return {"n": args.n, "values": values}
 
 
-def _run_seq_salpha(seq, args, config: RunConfig):
-    values = seq.s_alpha(_spec_from_args(args), args.alpha, args.n, cap=config.seq_cap)
+def _run_seq_salpha(seq, args):
+    values = seq.s_alpha(_spec_from_args(args), args.alpha, args.n, cap=args.seq_cap)
     return {"alpha": args.alpha, "n": args.n, "values": values}
 
 
-def _run_seq_preimage(seq, args, config: RunConfig):
+def _run_seq_preimage(seq, args):
     return seq.preimage_interval(args.t, args.s)
 
 
-def _run_seq_ratio(seq, args, config: RunConfig):
-    return seq.ratio_condition_check(_spec_from_args(args), args.n, cap=config.seq_cap)
+def _run_seq_ratio(seq, args):
+    return seq.ratio_condition_check(_spec_from_args(args), args.n, cap=args.seq_cap)
 
 
-def _run_thm2_verify(skip, args, config: RunConfig):
-    return skip.verify_skip_all_alpha(args.gamma, args.j, config.K, cap=config.seq_cap)
+def _run_thm2_verify(skip, args):
+    return skip.verify_skip_all_alpha(args.gamma, args.j, args.K, cap=args.seq_cap)
 
 
-def _run_thm2_symbolic(skip, args, config: RunConfig):
+def _run_thm2_symbolic(skip, args):
     return skip.symbolic_condition_check(args.gamma, args.j)
 
 
-def _run_thm2_gamma_search(skip, args, config: RunConfig):
-    j = skip.gamma_exception_search(args.gamma, config.j_max)
+def _run_thm2_gamma_search(skip, args):
+    j = skip.gamma_exception_search(args.gamma, args.j_max)
     return {
         "gamma": args.gamma,
         "j": j,
@@ -377,9 +358,9 @@ def _run_thm2_gamma_search(skip, args, config: RunConfig):
     }
 
 
-def _run_thm2_scan(skip, args, config: RunConfig):
+def _run_thm2_scan(skip, args):
     spec = _spec_from_args(args)
-    hits = skip.counterexample_scan(spec, args.t1, args.t2, args.n, cap=config.seq_cap)
+    hits = skip.counterexample_scan(spec, args.t1, args.t2, args.n, cap=args.seq_cap)
     return {
         "t1": args.t1,
         "t2": args.t2,
@@ -389,27 +370,27 @@ def _run_thm2_scan(skip, args, config: RunConfig):
     }
 
 
-def _run_pset_compute(pset, args, config: RunConfig):
+def _run_pset_compute(pset, args):
     terms = _read_int_file(args.terms)
-    bitmap = pset.compute_pset(terms, args.bound, cap=config.bitmap_cap)
+    bitmap = pset.compute_pset(terms, args.bound, cap=args.bitmap_cap)
     if args.bit_out:
         with open(args.bit_out, "wb") as handle:
             handle.write(bitmap.to_bit_bytes())
     return bitmap.to_rle_json_dict()
 
 
-def _run_pset_complete(pset, args, config: RunConfig):
+def _run_pset_complete(pset, args):
     terms = _read_int_file(args.terms)
-    threshold = pset.complete_up_to(terms, args.bound, cap=config.bitmap_cap)
+    threshold = pset.complete_up_to(terms, args.bound, cap=args.bitmap_cap)
     return {"bound": args.bound, "threshold": threshold, "covered": threshold is not None}
 
 
-def _run_pset_brown(pset, args, config: RunConfig):
+def _run_pset_brown(pset, args):
     terms = _read_int_file(args.terms)
     return {"terms": len(terms), "brown": pset.brown_criterion(terms)}
 
 
-def _run_pset_witness(pset, args, config: RunConfig):
+def _run_pset_witness(pset, args):
     return pset.verify_squares_witness(args.m)
 
 
@@ -419,10 +400,10 @@ def _run_pset_witness(pset, args, config: RunConfig):
 # string, and a default of ... marks the flag required.  Every subcommand
 # also takes the _COMMON flags.
 
-_COMMON = (("--format", ("table", "json", "csv"), "json"), ("--seed", int, DEFAULT_RHO_SEED))
+_COMMON = (("--format", ("table", "json", "csv"), "json"),)
 _SEQ_SPEC = (
     ("--kind", ("pow32", "squares", "file"), "pow32"),
-    ("--gamma", parse_rational, None),
+    ("--gamma", parse_rational, Fraction(3, 2)),
     ("--file", None, None),
 )
 _HELP = {
@@ -489,6 +470,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification toolkit: shifted-power certificates, "
         "floor-scaled sequences, subset-sum representation sets.",
     )
+    # a subcommand's own flag overrides these; the others echo them in the header
+    parser.set_defaults(
+        K=DEFAULT_K_MAX, max_m=DEFAULT_MAX_M, s_max=DEFAULT_S_MAX, j_max=DEFAULT_J_MAX
+    )
     top = parser.add_subparsers(dest="command", required=True)
     groups = {}
     for path, module, handler, flags in COMMANDS:
@@ -513,13 +498,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(args: argparse.Namespace, out) -> int:
-    config = _build_config(args)
     module = importlib.import_module(f"{__package__}.{args.module}")
     try:
-        result = args.handler(module, args, config)
+        args.sieve_cap = _env_cap(ENV_SIEVE_CAP, SIEVE_CAP_DEFAULT)
+        args.bitmap_cap = _env_cap(ENV_BITMAP_CAP, BITMAP_CAP_DEFAULT)
+        args.seq_cap = _env_cap(ENV_SEQ_CAP, DEFAULT_SEQ_CAP)
+        result = args.handler(module, args)
     except (SkipViolation,) as exc:
         if exc.report is not None:
-            _emit(config, exc.report, out)
+            _emit(args, exc.report, out)
         out.write(f"verification failed: {exc}\n")
         return EXIT_VERIFICATION_FAILED
     except (VerificationFailure, WitnessFailure) as exc:
@@ -531,7 +518,7 @@ def dispatch(args: argparse.Namespace, out) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    _emit(config, result, out)
+    _emit(args, result, out)
     return EXIT_OK
 
 

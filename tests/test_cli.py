@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import pytest
 
+from floorfull import classify
 from floorfull.cli import build_parser, dispatch, main
 from floorfull.rationals import unlimited_int_digits
 
@@ -83,12 +84,45 @@ def test_usage_error_exits_2():
     proc = run_cli("no-such-command")
     assert proc.returncode == 2
 
+    proc = run_cli("classify", "--n", "10", "--seed", "0")  # no such flag
+    assert proc.returncode == 2
+
 
 def test_config_error_names_cap(monkeypatch):
     monkeypatch.setenv("FLOORFULL_SIEVE_CAP", "1000")
     proc = run_cli("sieve", "--limit", "10000", "--r", "2")
     assert proc.returncode == 2
     assert b"cap" in proc.stderr
+
+
+@pytest.mark.parametrize("var", ["FLOORFULL_SIEVE_CAP", "FLOORFULL_BITMAP_CAP", "FLOORFULL_SEQ_CAP"])
+def test_malformed_env_cap_exits_2_with_one_line(monkeypatch, capsys, var):
+    # every header names all three caps, so classify reads the sequence cap too
+    monkeypatch.setenv(var, "abc")
+    assert main(["classify", "--n", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {var} must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("gamma", ["0", "0/5"])
+@pytest.mark.parametrize(
+    "argv",
+    [["seq", "gen", "--n", "5"], ["thm2", "scan", "--t1", "8", "--t2", "16", "--n", "10"]],
+    ids=["seq_gen", "thm2_scan"],
+)
+def test_gamma_zero_exits_2(argv, gamma):
+    proc = run_cli(*argv, "--gamma", gamma)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == b"error: gamma must exceed 1, got 0\n"
+
+
+def test_classify_factorizes_once():
+    classify.factorize.cache_clear()
+    payload = run_json("classify", "--n", "1234567")
+    assert payload["result"]["factorization"] == [[127, 1], [9721, 1]]
+    assert classify.factorize.cache_info().misses == 1
 
 
 def test_gamma_domain_error_exits_2():
@@ -307,8 +341,9 @@ def test_series_partial_sum_past_4300_digits(fmt):
         '{"r": 2, "ell": 6, "case": "III", "witness": {}}',
         "[1, 2]",
         '{"r": 2, "ell": 4, "case": "II", "k": 2, "witness": {"p": "2"}}',
+        "[" * 100_000 + "]" * 100_000,  # json.load raises RecursionError
     ],
-    ids=["missing_k", "not_an_object", "string_witness"],
+    ids=["missing_k", "not_an_object", "string_witness", "nested_100000_deep"],
 )
 def test_malformed_certificate_exits_2_with_one_line(tmp_path, capsys, payload):
     cert = tmp_path / "cert.json"

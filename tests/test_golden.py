@@ -10,12 +10,15 @@ To record the goldens afresh (only for a deliberate output change):
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import argparse
 import io
 import json
 import pathlib
+from collections import defaultdict
 
 import pytest
 
+from floorfull import cli
 from floorfull.cli import build_parser, dispatch
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
@@ -102,6 +105,57 @@ def test_every_subcommand_has_a_golden():
         "thm2 verify", "thm2 symbolic", "thm2 gamma-search", "thm2 scan",
         "pset compute", "pset complete", "pset brown", "pset witness",
     }
+
+
+# flags that no golden case reads: they matter only for another --kind
+TERMS = str(INPUTS / "terms.txt")
+OTHER_KINDS = [
+    ["seq", "gen", "--kind", "file", "--file", TERMS, "--n", "3"],
+    ["seq", "salpha", "--kind", "file", "--file", TERMS, "--alpha", "1/2", "--n", "3"],
+    ["seq", "ratio", "--kind", "file", "--file", TERMS, "--n", "3"],
+    ["seq", "ratio", "--n", "5"],
+    ["thm2", "scan", "--kind", "file", "--file", TERMS, "--t1", "1", "--t2", "2", "--n", "3"],
+    ["series", "--kind", "rfree", "--r", "3", "--terms", "4", "--digits", "8"],
+]
+
+
+class ReadLog(argparse.Namespace):
+    """A parsed namespace that records each attribute read while `recording` is set."""
+
+    recording = False
+
+    def __getattribute__(self, name):
+        get = super().__getattribute__
+        if get("recording"):
+            get("reads").add(name)
+        return get(name)
+
+
+def test_every_flag_is_read_beyond_the_header(monkeypatch):
+    # a flag that only the report header echoes changes nothing a run does
+    header = cli._header
+
+    def unrecorded_header(args):
+        args.recording = False
+        try:
+            return header(args)
+        finally:
+            args.recording = True
+
+    monkeypatch.setattr(cli, "_header", unrecorded_header)
+    reads = defaultdict(set)
+    for argv in [*CASES.values(), *OTHER_KINDS]:
+        args = ReadLog(**vars(build_parser().parse_args(argv)))
+        args.reads, args.recording = set(), True
+        dispatch(args, io.StringIO())
+        args.recording = False
+        reads[args.subcommand_path] |= args.reads
+    unread = {}
+    for path, _, _, flags in cli.COMMANDS:
+        dests = {name[2:].replace("-", "_") for name, *_ in (*flags, *cli._COMMON)}
+        if dests - reads[path]:
+            unread[path] = sorted(dests - reads[path])
+    assert unread == {}
 
 
 def test_goldens_cover_every_exit_code():
