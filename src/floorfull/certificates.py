@@ -30,8 +30,7 @@ per-m WitnessLine report that `theorem1 verify` prints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .classify import factorize, is_prime, is_r_full
 from .defaults import DEFAULT_MAX_M, DEFAULT_S_MAX
@@ -44,8 +43,7 @@ CASE_II = "II"
 CASE_III = "III"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Witness data making "ell^m + k is never r-full" machine-checkable."""
 
     r: int
@@ -95,8 +93,7 @@ class Certificate:
         )
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(NamedTuple):
     ok: bool
     reason: Optional[str] = None  # machine-readable code for the first failed check
 
@@ -104,8 +101,7 @@ class ValidationResult:
         return self.ok
 
 
-@dataclass(frozen=True)
-class WitnessLine:
+class WitnessLine(NamedTuple):
     """One verified exponent: w | ell^m + k but w^2 does not divide it."""
 
     m: int
@@ -115,8 +111,7 @@ class WitnessLine:
     cross_checked: bool            # full factorization also confirmed not r-full
 
 
-@dataclass(frozen=True)
-class NonRFullReport:
+class NonRFullReport(NamedTuple):
     certificate: Certificate
     max_m: int
     lines: tuple[WitnessLine, ...]

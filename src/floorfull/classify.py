@@ -21,10 +21,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .defaults import DEFAULT_RHO_SEED, SIEVE_CAP_DEFAULT
 from .errors import NotFoundWithinBound
@@ -85,27 +84,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(
+    NamedTuple("Factorization", [("n", int), ("factors", tuple[tuple[int, int], ...])])
+):
     """Sorted prime-exponent decomposition of a positive integer."""
 
-    n: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, n: int, factors: tuple[tuple[int, int], ...]):
         product = 1
         last_prime = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= last_prime:
-                raise ValueError(f"primes not strictly increasing in {self.factors}")
+                raise ValueError(f"primes not strictly increasing in {factors}")
             if e < 1:
                 raise ValueError(f"exponent {e} < 1 for prime {p}")
             if not (p in _TRIAL_PRIME_SET if p < 1000 else is_prime(p)):
                 raise ValueError(f"{p} is not prime")
             last_prime = p
             product *= p ** e
-        if product != self.n:
-            raise ValueError(f"factors {self.factors} do not multiply to {self.n}")
+        if product != n:
+            raise ValueError(f"factors {factors} do not multiply to {n}")
+        return super().__new__(cls, n, factors)
 
     @property
     def max_exponent(self) -> int:

@@ -27,7 +27,6 @@ import importlib
 import json
 import os
 import sys
-from dataclasses import fields
 from fractions import Fraction
 
 from .defaults import (
@@ -92,17 +91,18 @@ _JSON_SCALARS = (str, int, type(None))  # bool is an int
 def to_json(value):
     """The JSON form of a result; the only place that decides it.
 
-    Scalars pass through, tuples become lists, dicts and lists are
-    converted item by item, and a Fraction becomes "num/den".  A
-    `to_json_dict` method wins; otherwise a dataclass becomes a dict of its
-    fields in declaration order (the table and CSV formats print keys in
-    that order); anything else is a TypeError.  Scalar list items skip the
-    recursive call, because bitmap runs and sieve values can number in the
-    hundreds of thousands.
+    Scalars pass through, lists and plain tuples become lists and dicts
+    stay dicts, converted item by item, and a Fraction becomes "num/den".
+    A record is a NamedTuple, a tuple subclass, so it skips the tuple
+    branch: its `to_json_dict` method wins, and otherwise it becomes a
+    dict of its `_fields` in declaration order (the table and CSV formats
+    print keys in that order).  Anything else is a TypeError.  Scalar list
+    items skip the recursive call, because bitmap runs and sieve values
+    can number in the hundreds of thousands.
     """
     if isinstance(value, _JSON_SCALARS):
         return value
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list) or type(value) is tuple:
         return [item if isinstance(item, _JSON_SCALARS) else to_json(item) for item in value]
     if isinstance(value, dict):
         return {key: to_json(inner) for key, inner in value.items()}
@@ -110,7 +110,9 @@ def to_json(value):
         return rat_str(value)
     if hasattr(value, "to_json_dict"):
         return value.to_json_dict()
-    return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+    if hasattr(value, "_fields"):
+        return {name: to_json(inner) for name, inner in zip(value._fields, value)}
+    raise TypeError(f"no JSON form for {type(value).__name__}")
 
 
 def _emit_json(config: dict, result, out) -> None:
@@ -202,12 +204,21 @@ def _emit(args: argparse.Namespace, result, out) -> None:
 # ---------------------------------------------------------------------------
 # helpers
 
+def _unread_flag(kind: str, flag: str, value) -> None:
+    if value is not None:
+        raise ValueError(f"{flag} is not read with --kind {kind}")
+
+
 def _spec_from_args(args: argparse.Namespace):
     from . import floorseq
 
     kind = args.kind
+    if kind != "pow32":
+        _unread_flag(kind, "--gamma", args.gamma)
+    if kind != "file":
+        _unread_flag(kind, "--file", args.file)
     if kind == "pow32":
-        return floorseq.FloorPower(args.gamma)
+        return floorseq.FloorPower(Fraction(3, 2) if args.gamma is None else args.gamma)
     if kind == "squares":
         return floorseq.Squares()
     if not args.file:
@@ -227,14 +238,13 @@ def _read_int_file(path: str) -> list[int]:
 
 def _series_terms(classify, args: argparse.Namespace):
     kind = args.kind
-    if kind == "squarefree":
-        return classify.r_free_integers(2)
-    if kind == "squarefull":
-        return classify.r_full_integers(2)
-    if kind == "rfree":
-        return classify.r_free_integers(args.r)
-    if kind == "rfull":
-        return classify.r_full_integers(args.r)
+    r = 2 if args.r is None else args.r
+    if kind not in ("rfree", "rfull"):
+        _unread_flag(kind, "--r", args.r)
+    if kind in ("squarefree", "rfree"):
+        return classify.r_free_integers(r)
+    if kind in ("squarefull", "rfull"):
+        return classify.r_full_integers(r)
     return (n * n for n in range(1, args.terms + 1))
 
 
@@ -403,7 +413,7 @@ def _run_pset_witness(pset, args):
 _COMMON = (("--format", ("table", "json", "csv"), "json"),)
 _SEQ_SPEC = (
     ("--kind", ("pow32", "squares", "file"), "pow32"),
-    ("--gamma", parse_rational, Fraction(3, 2)),
+    ("--gamma", parse_rational, None),   # 3/2 when --kind pow32 reads it
     ("--file", None, None),
 )
 _HELP = {
@@ -422,7 +432,7 @@ COMMANDS = (
     )),
     ("series", "classify", _run_series, (
         ("--kind", ("squarefree", "squarefull", "rfree", "rfull", "squares"), "squarefree"),
-        ("--r", int, 2), ("--ell", int, 2), ("--terms", int, 10), ("--digits", int, 40),
+        ("--r", int, None), ("--ell", int, 2), ("--terms", int, 10), ("--digits", int, 40),
     )),
     ("theorem1 construct", "certificates", _run_theorem1_construct, (
         ("--r", int, ...), ("--ell", int, ...), ("--s-max", int, DEFAULT_S_MAX),

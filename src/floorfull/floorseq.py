@@ -15,44 +15,42 @@ clipping.  Terms and floor-scaled images use integer arithmetic alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .defaults import DEFAULT_SEQ_CAP
 from .rationals import RatInterval
 
 
-@dataclass(frozen=True)
-class FloorPower:
+class FloorPower(NamedTuple("FloorPower", [("gamma", Fraction)])):
     """Terms floor(gamma^n) for n = 1, 2, 3, ... with rational gamma > 1."""
 
-    gamma: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.gamma <= 1:
-            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
+    def __new__(cls, gamma: Fraction):
+        if gamma <= 1:
+            raise ValueError(f"gamma must exceed 1, got {gamma}")
+        return super().__new__(cls, gamma)
 
 
-@dataclass(frozen=True)
-class Squares:
+class Squares(NamedTuple):
     """Terms n^2 for n = 1, 2, 3, ..."""
 
 
-@dataclass(frozen=True)
-class Explicit:
+class Explicit(NamedTuple("Explicit", [("terms", tuple[int, ...])])):
     """A finite, strictly increasing list of positive integers."""
 
-    terms: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, terms: tuple[int, ...]):
         previous = 0
-        for t in self.terms:
+        for t in terms:
             if t <= previous:
                 raise ValueError(
-                    f"explicit terms must be strictly increasing positive, got {self.terms}"
+                    f"explicit terms must be strictly increasing positive, got {terms}"
                 )
             previous = t
+        return super().__new__(cls, terms)
 
 
 SeqSpec = Union[FloorPower, Squares, Explicit]
@@ -148,8 +146,7 @@ def member_alpha_set(
     return [preimage_interval(t, s) for s in generate_terms(spec, n_max, cap=cap) if s > t]
 
 
-@dataclass(frozen=True)
-class RatioReport:
+class RatioReport(NamedTuple):
     """Where the growth condition s_n < s_{n+1} <= 2*s_n fails."""
 
     n_checked: int

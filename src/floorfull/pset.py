@@ -18,28 +18,26 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .defaults import BITMAP_CAP_DEFAULT
 from .errors import WitnessFailure
 
 
-@dataclass(frozen=True)
-class PSetBitmap:
+class PSetBitmap(NamedTuple("PSetBitmap", [("bound", int), ("bits", int)])):
     """Characteristic bitmap of a representation set over [0, bound]."""
 
-    bound: int
-    bits: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.bound < 1:
-            raise ValueError(f"bound must be >= 1, got {self.bound}")
-        if self.bits & 1 == 0:
+    def __new__(cls, bound: int, bits: int):
+        if bound < 1:
+            raise ValueError(f"bound must be >= 1, got {bound}")
+        if bits & 1 == 0:
             raise ValueError("0 must always be representable (empty sum)")
-        if self.bits >> (self.bound + 1):
-            raise ValueError(f"bits set beyond bound {self.bound}")
+        if bits >> (bound + 1):
+            raise ValueError(f"bits set beyond bound {bound}")
+        return super().__new__(cls, bound, bits)
 
     def __contains__(self, value: int) -> bool:
         return 0 <= value <= self.bound and (self.bits >> value) & 1 == 1
@@ -152,8 +150,7 @@ def squares_witness_alpha(m: int) -> Fraction:
     return Fraction(1, 4 * (2 ** m + 1))
 
 
-@dataclass(frozen=True)
-class SquaresWitnessLine:
+class SquaresWitnessLine(NamedTuple):
     """One target 2^i: the found n_i and the integer inequalities checked."""
 
     i: int
@@ -165,8 +162,7 @@ class SquaresWitnessLine:
     gap_ok: bool           # inv_alpha >= gap_rhs (window wider than 1)
 
 
-@dataclass(frozen=True)
-class SquaresWitnessReport:
+class SquaresWitnessReport(NamedTuple):
     m: int
     alpha: Fraction
     inv_alpha: int
@@ -189,12 +185,10 @@ def verify_squares_witness(m: int) -> SquaresWitnessReport:
     inv_alpha = 4 * (2 ** m + 1)
     lines = []
     for i in range(m + 1):
-        target = 2 ** i
-        lower = inv_alpha * target
-        upper = inv_alpha * (target + 1)
-        n_i = math.isqrt(lower)
-        if n_i * n_i < lower:
-            n_i += 1
+        target = 1 << i
+        lower = inv_alpha << i
+        upper = lower + inv_alpha
+        n_i = math.isqrt(lower - 1) + 1   # ceil(sqrt(lower)), as lower >= 1
         if n_i * n_i >= upper:
             raise WitnessFailure(
                 f"no integer square in [{lower}, {upper}) for target 2^{i}", i=i

@@ -13,8 +13,8 @@ from __future__ import annotations
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
 def parse_rational(text: str) -> Fraction:
@@ -60,16 +60,15 @@ def unlimited_int_digits():
             sys.set_int_max_str_digits(digit_limit)
 
 
-@dataclass(frozen=True)
-class RatInterval:
+class RatInterval(NamedTuple("RatInterval", [("lo", Fraction), ("hi", Fraction)])):
     """Nonempty half-open rational interval [lo, hi); lo < hi is enforced."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lo >= self.hi:
-            raise ValueError(f"interval needs lo < hi, got lo={self.lo}, hi={self.hi}")
+    def __new__(cls, lo: Fraction, hi: Fraction):
+        if lo >= hi:
+            raise ValueError(f"interval needs lo < hi, got lo={lo}, hi={hi}")
+        return super().__new__(cls, lo, hi)
 
     def __contains__(self, q: Fraction) -> bool:
         return self.lo <= q < self.hi

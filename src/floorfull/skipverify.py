@@ -29,8 +29,8 @@ intersects the two targets' preimage intervals directly, in O(n + hits).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .defaults import DEFAULT_J_MAX, DEFAULT_K_MAX, DEFAULT_SEQ_CAP
 from .errors import NotFoundWithinBound, SkipViolation
@@ -66,8 +66,7 @@ def interval_extrema_of_floor(window: RatInterval, s: int) -> tuple[int, int]:
     return lo.numerator * s // lo.denominator, -(-hi.numerator * s // hi.denominator) - 1
 
 
-@dataclass(frozen=True)
-class SkipRow:
+class SkipRow(NamedTuple):
     """One witness index k and the floor extrema over its alpha-interval."""
 
     k: int
@@ -77,8 +76,7 @@ class SkipRow:
     passed: bool
 
 
-@dataclass(frozen=True)
-class SkipReport:
+class SkipReport(NamedTuple):
     gamma: Fraction
     j: int
     k_max: int
@@ -146,8 +144,7 @@ def verify_skip_all_alpha(
     return report
 
 
-@dataclass(frozen=True)
-class SymbolicCheck:
+class SymbolicCheck(NamedTuple):
     """The two k-free inequalities with their exact evaluated sides."""
 
     gamma: Fraction

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -110,7 +109,7 @@ def test_construct_rejects_bad_args():
 def test_validate_reports_reason_codes():
     base3 = construct_certificate(2, 3)
 
-    tampered = dataclasses.replace(base3, q=2)
+    tampered = base3._replace(q=2)
     result = validate_certificate(tampered)
     assert not result.ok and result.reason == "q_must_be_odd"
 
@@ -118,10 +117,10 @@ def test_validate_reports_reason_codes():
     result = validate_certificate(bad_case2)
     assert not result.ok and result.reason == "p_squared_does_not_divide_ell"
 
-    result = validate_certificate(dataclasses.replace(base3, k=13))
+    result = validate_certificate(base3._replace(k=13))
     assert not result.ok and result.reason == "k_formula_mismatch"
 
-    result = validate_certificate(dataclasses.replace(base3, s=3, q_star=8, k=3 * 7))
+    result = validate_certificate(base3._replace(s=3, q_star=8, k=3 * 7))
     assert not result.ok and result.reason == "q_star_not_prime"
 
     not_squarefree = Certificate(

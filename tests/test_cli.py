@@ -118,6 +118,32 @@ def test_gamma_zero_exits_2(argv, gamma):
     assert proc.stderr == b"error: gamma must exceed 1, got 0\n"
 
 
+@pytest.mark.parametrize(
+    "argv, flag, kind",
+    [
+        (["seq", "gen", "--kind", "squares", "--gamma", "5", "--n", "4"], "--gamma", "squares"),
+        (["series", "--kind", "squarefree", "--r", "3", "--terms", "4", "--digits", "5"],
+         "--r", "squarefree"),
+        (["seq", "gen", "--kind", "pow32", "--file", "/nonexistent", "--n", "3"], "--file", "pow32"),
+    ],
+    ids=["seq_gamma_with_squares", "series_r_with_squarefree", "seq_file_with_pow32"],
+)
+def test_flag_the_kind_does_not_read_exits_2(argv, flag, kind):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == f"error: {flag} is not read with --kind {kind}\n".encode()
+
+
+def test_kind_defaults_apply_where_the_kind_reads_them():
+    assert run_json("seq", "gen", "--n", "5")["result"]["values"] == [1, 2, 3, 5, 7]
+    series = ("--terms", "6", "--digits", "12")
+    assert (run_json("series", "--kind", "rfree", *series)["result"]
+            == run_json("series", "--kind", "squarefree", *series)["result"])
+    assert (run_json("series", "--kind", "rfull", *series)["result"]
+            == run_json("series", "--kind", "squarefull", *series)["result"])
+
+
 def test_classify_factorizes_once():
     classify.factorize.cache_clear()
     payload = run_json("classify", "--n", "1234567")

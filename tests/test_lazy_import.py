@@ -1,9 +1,11 @@
 """A cold run imports only the library modules its subcommand uses.
 
 Each subcommand case runs in a fresh interpreter, calls `main(argv)` and
-prints the `floorfull.*` entries of `sys.modules`; the package namespace
-tests check that the lazy `floorfull/__init__` still exposes every name
-the package used to import eagerly, each bound to its home module's object.
+prints the names in `sys.modules`.  Only the handler's own library module
+may load, and neither `dataclasses` nor `inspect` may: importing them costs
+a cold run ~10 ms.  The package namespace tests check that the lazy
+`floorfull/__init__` still exposes every name the package used to import
+eagerly, each bound to its home module's object.
 """
 
 import importlib
@@ -18,6 +20,7 @@ import pytest
 import floorfull
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+CERT = str(pathlib.Path(__file__).resolve().parent / "golden" / "inputs" / "cert_ell12.json")
 LIBRARY = {"classify", "certificates", "floorseq", "pset", "skipverify"}
 
 # The public names `import floorfull` bound eagerly before it turned lazy,
@@ -64,17 +67,16 @@ def fresh_python(code: str) -> str:
     return proc.stdout.splitlines()[-1]
 
 
-def library_modules_loaded_by(argv: list[str]) -> set[str]:
+def modules_loaded_by(argv: list[str]) -> set[str]:
     code = (
         "import contextlib, io, json, sys\n"
         "from floorfull.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = main({argv!r})\n"
         "assert code == 0, code\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('floorfull.'))))\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
     )
-    loaded = {name.split(".", 1)[1] for name in json.loads(fresh_python(code))}
-    return loaded & LIBRARY
+    return set(json.loads(fresh_python(code)))
 
 
 @pytest.mark.parametrize(
@@ -83,13 +85,16 @@ def library_modules_loaded_by(argv: list[str]) -> set[str]:
         (["classify", "--n", "30"], {"certificates", "floorseq", "skipverify", "pset"}),
         (["thm2", "symbolic", "--gamma", "3/2", "--j", "3"], {"classify", "certificates", "pset"}),
         (["pset", "witness", "--m", "3"], {"classify", "certificates", "skipverify"}),
+        (["theorem1", "verify", "--cert", CERT], {"floorseq", "skipverify", "pset"}),
     ],
-    ids=["classify", "thm2_symbolic", "pset_witness"],
+    ids=["classify", "thm2_symbolic", "pset_witness", "theorem1_verify"],
 )
 def test_subcommand_loads_only_its_modules(argv, absent):
-    loaded = library_modules_loaded_by(argv)
+    modules = modules_loaded_by(argv)
+    loaded = {name.split(".", 1)[1] for name in modules if name.startswith("floorfull.")} & LIBRARY
     assert loaded, "the handler's own module must load"
     assert not loaded & absent
+    assert not modules & {"dataclasses", "inspect"}
 
 
 def test_entry_point_classify_loads_no_other_library_module():

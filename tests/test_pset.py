@@ -166,6 +166,27 @@ def test_squares_witness_through_m12():
             assert report.inv_alpha >= line.gap_rhs
 
 
+def test_squares_witness_lines_match_plain_products_through_m300():
+    for m in range(301):
+        inv_alpha = 4 * (2 ** m + 1)
+        expected = []
+        for i in range(m + 1):
+            target = 2 ** i
+            lower, upper = inv_alpha * target, inv_alpha * (target + 1)
+            n_i = math.isqrt(lower)
+            if n_i * n_i < lower:
+                n_i += 1
+            assert (n_i - 1) ** 2 < lower <= n_i ** 2 < upper
+            gap_rhs = 2 ** (i + 1) + 2 + math.isqrt(4 * target * (target + 1))
+            expected.append({
+                "i": i, "target": target, "n_i": n_i, "lower": lower, "upper": upper,
+                "gap_rhs": gap_rhs, "gap_ok": inv_alpha >= gap_rhs,
+            })
+        report = verify_squares_witness(m)
+        assert (report.m, report.inv_alpha, report.all_passed) == (m, inv_alpha, True)
+        assert [line._asdict() for line in report.lines] == expected
+
+
 def test_bitmap_validation():
     with pytest.raises(ValueError):
         PSetBitmap(bound=10, bits=0)  # 0 must be representable

@@ -1,0 +1,127 @@
+"""The record contract: every exported result type is an immutable NamedTuple.
+
+Records compare and hash by field values, keep the `X(a=..., b=...)` repr,
+serialize through `cli.to_json` in `_fields` order (or through their own
+`to_json_dict`), and the five validating records check their fields
+whether they are given positionally or by keyword.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+import floorfull
+from floorfull.classify import Factorization, factorize
+from floorfull.certificates import (
+    ValidationResult,
+    construct_certificate,
+    validate_certificate,
+    verify_non_rfull,
+)
+from floorfull.cli import to_json
+from floorfull.floorseq import Explicit, FloorPower, Squares, ratio_condition_check
+from floorfull.pset import PSetBitmap, compute_pset, verify_squares_witness
+from floorfull.rationals import RatInterval, interval
+from floorfull.skipverify import symbolic_condition_check, verify_skip_all_alpha
+
+CERT = construct_certificate(2, 3)
+SAMPLES = {
+    "Certificate": CERT,
+    "Explicit": Explicit((1, 3, 4)),
+    "Factorization": factorize(72),
+    "FloorPower": FloorPower(Fraction(3, 2)),
+    "NonRFullReport": verify_non_rfull(CERT, max_m=4),
+    "PSetBitmap": compute_pset([2, 3], 10),
+    "RatInterval": interval("1/3", "1/2"),
+    "RatioReport": ratio_condition_check(Squares(), 10),
+    "SkipReport": verify_skip_all_alpha(Fraction(3, 2), 3, 12),
+    "Squares": Squares(),
+    "SquaresWitnessReport": verify_squares_witness(3),
+    "SymbolicCheck": symbolic_condition_check(Fraction(3, 2), 3),
+    "ValidationResult": validate_certificate(CERT),
+}
+
+
+def exported_record_classes() -> dict:
+    records = {}
+    for names in floorfull._EXPORTS.values():
+        for name in names:
+            value = getattr(floorfull, name)
+            if isinstance(value, type) and issubclass(value, tuple) and hasattr(value, "_fields"):
+                records[name] = value
+    return records
+
+
+def test_every_exported_record_has_a_sample():
+    classes = exported_record_classes()
+    assert set(classes) == set(SAMPLES)
+    for name, record in SAMPLES.items():
+        assert type(record) is classes[name]
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_fields_cannot_be_assigned(name):
+    record = SAMPLES[name]
+    for field in (*record._fields, "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_equal_fields_give_equal_records_and_hashes(name):
+    record = SAMPLES[name]
+    cls = type(record)
+    for copy in (cls(*record), cls(**record._asdict())):
+        assert copy == record and copy is not record
+        assert hash(copy) == hash(record)
+        assert repr(copy) == repr(record)
+    assert repr(record).startswith(f"{name}(")
+    assert all(f"{field}=" in repr(record) for field in record._fields)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_to_json_keys_follow_fields(name):
+    record = SAMPLES[name]
+    if hasattr(record, "to_json_dict"):
+        assert to_json(record) == record.to_json_dict()
+    else:
+        payload = to_json(record)
+        assert list(payload) == list(record._fields)
+        assert payload == {field: to_json(getattr(record, field)) for field in record._fields}
+
+
+def test_to_json_rejects_what_is_not_a_record():
+    with pytest.raises(TypeError):
+        to_json(object())
+    assert to_json(((2, 3), (3, 2))) == [[2, 3], [3, 2]]
+
+
+def test_truth_of_a_verdict_record_is_its_verdict():
+    assert not ValidationResult(ok=False, reason="q_must_be_odd")
+    assert ValidationResult(ok=True)
+    assert not symbolic_condition_check(Fraction(3, 2), 2)
+    assert symbolic_condition_check(Fraction(3, 2), 3)
+
+
+@pytest.mark.parametrize(
+    "cls, args, message",
+    [
+        (RatInterval, (Fraction(1, 2), Fraction(1, 3)), "lo < hi"),
+        (RatInterval, (Fraction(1, 2), Fraction(1, 2)), "lo < hi"),
+        (Factorization, (12, ((2, 1), (3, 1))), "do not multiply"),
+        (Factorization, (12, ((3, 1), (2, 2))), "not strictly increasing"),
+        (Factorization, (16, ((4, 2),)), "4 is not prime"),
+        (Factorization, (1, ((2, 0),)), "exponent 0 < 1"),
+        (FloorPower, (Fraction(1),), "gamma must exceed 1"),
+        (Explicit, ((3, 2),), "strictly increasing positive"),
+        (Explicit, ((0, 2),), "strictly increasing positive"),
+        (PSetBitmap, (10, 0), "0 must always be representable"),
+        (PSetBitmap, (3, 1 << 6 | 1), "bits set beyond bound 3"),
+        (PSetBitmap, (0, 1), "bound must be >= 1"),
+    ],
+)
+def test_validating_records_reject_bad_fields(cls, args, message):
+    with pytest.raises(ValueError, match=message):
+        cls(*args)
+    with pytest.raises(ValueError, match=message):
+        cls(**dict(zip(cls._fields, args)))
