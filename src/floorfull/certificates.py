@@ -108,7 +108,8 @@ class WitnessLine(NamedTuple):
     witness: int
     divides: bool
     square_free_at_witness: bool   # w^2 does not divide ell^m + k
-    cross_checked: bool            # full factorization also confirmed not r-full
+    # trial division, or factorization where it cannot decide, confirmed not 2-full
+    cross_checked: bool
 
 
 class NonRFullReport(NamedTuple):

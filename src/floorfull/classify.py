@@ -10,7 +10,9 @@ Factorization strategy: trial division by the primes below 1000; a larger
 cofactor goes to a Miller-Rabin primality test that is deterministic for
 all inputs below 3,317,044,064,679,887,385,961,981 (comfortably above 2^64)
 and, if composite, to Brent rho on a fixed-seed RNG, so runs are
-reproducible, within a budget of RHO_BUDGET squarings per split.
+reproducible, within a budget of RHO_BUDGET squarings per split.  One lazy
+generator, _prime_powers, does this for factorize and for the r-free /
+r-full predicates, which stop at the first prime that decides them.
 
 Enumeration factorizes nothing: r_full_up_to searches products of prime
 powers, in time proportional to its output, on which r_full_integers runs.
@@ -111,10 +113,6 @@ class Factorization(
     def max_exponent(self) -> int:
         return max((e for _, e in self.factors), default=0)
 
-    @property
-    def min_exponent(self) -> int:
-        return min((e for _, e in self.factors), default=0)
-
 
 RHO_BUDGET = 2 ** 22  # squarings per _brent_rho call, sized in its docstring
 
@@ -161,6 +159,52 @@ def _brent_rho(n: int, rng: random.Random) -> int:
             return g
 
 
+def _prime_powers(n: int) -> Iterator[tuple[int, int]]:
+    """(p, e) for each prime power p^e exactly dividing n >= 1, p ascending.
+
+    Lazy, so a consumer stops the work where it stops reading: trial
+    division by the primes below 1000 ends at the first p with p*p above
+    the cofactor m, where m > 1 is prime (no prime factor below p and
+    m < p^2).  A cofactor that outlasts every trial prime has no prime
+    factor below 1000 and is split by _split_cofactor only when read.
+    """
+    m = n
+    for p in _TRIAL_PRIMES:
+        if p * p > m:
+            if m > 1:
+                yield m, 1
+            return
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            yield p, e
+    if m > 1:
+        yield from _split_cofactor(m)
+
+
+@lru_cache(maxsize=1024)
+def _split_cofactor(m: int) -> tuple[tuple[int, int], ...]:
+    """Sorted (p, e) of m > 1 with no prime factor below 1000.
+
+    Miller-Rabin and Brent rho, cached so that factorize and the two
+    predicates on the same n run rho once between them.
+    """
+    rng = random.Random(DEFAULT_RHO_SEED)
+    counts: dict[int, int] = {}
+    stack = [m]
+    while stack:
+        c = stack.pop()
+        if is_prime(c):
+            counts[c] = counts.get(c, 0) + 1
+            continue
+        d = _brent_rho(c, rng)
+        stack.append(d)
+        stack.append(c // d)
+    return tuple(sorted(counts.items()))
+
+
 @lru_cache(maxsize=8192)
 def factorize(n: int) -> Factorization:
     """Full prime factorization of n >= 1 (n = 1 gives an empty factor list).
@@ -172,43 +216,25 @@ def factorize(n: int) -> Factorization:
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
-    counts: dict[int, int] = {}
-    m = n
-    for p in _TRIAL_PRIMES:
-        if p * p > m:
-            if m > 1:
-                counts[m] = 1  # no prime factor below p and m < p^2, so m is prime
-            break
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            counts[p] = e
-    else:
-        if m > 1:
-            # m has no prime factor below 1000: Miller-Rabin and Brent rho finish it
-            rng = random.Random(DEFAULT_RHO_SEED)
-            stack = [m]
-            while stack:
-                c = stack.pop()
-                if is_prime(c):
-                    counts[c] = counts.get(c, 0) + 1
-                    continue
-                d = _brent_rho(c, rng)
-                stack.append(d)
-                stack.append(c // d)
-    return Factorization(n, tuple(sorted(counts.items())))
+    return Factorization(n, tuple(_prime_powers(n)))
 
 
 def is_r_free(n: int, r: int) -> bool:
-    """True iff no prime p has p^r | n (vacuously true for n = 1)."""
+    """True iff no prime p has p^r | n (vacuously true for n = 1).
+
+    Stops at the first prime, in ascending order, with exponent >= r.
+
+    >>> is_r_free(12, 2)
+    False
+    """
     _require_classify_args(n, r)
-    return factorize(n).max_exponent < r
+    return all(e < r for _, e in _prime_powers(n))
 
 
 def is_r_full(n: int, r: int) -> bool:
     """True iff every prime dividing n does so with exponent >= r.
+
+    Stops at the first prime, in ascending order, with exponent < r.
 
     >>> is_r_full(72, 2)
     True
@@ -216,9 +242,7 @@ def is_r_full(n: int, r: int) -> bool:
     False
     """
     _require_classify_args(n, r)
-    if n == 1:
-        return True
-    return factorize(n).min_exponent >= r
+    return all(e >= r for _, e in _prime_powers(n))
 
 
 def _require_classify_args(n: int, r: int) -> None:

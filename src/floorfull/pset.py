@@ -158,7 +158,7 @@ class SquaresWitnessLine(NamedTuple):
     n_i: int
     lower: int             # inv_alpha * 2^i       (need n_i^2 >= lower)
     upper: int             # inv_alpha * (2^i + 1) (need n_i^2 <  upper)
-    gap_rhs: int           # 2^(i+1) + 2 + isqrt(4 * 2^i * (2^i + 1))
+    gap_rhs: int           # 2^(i+2) + 2 = 2^(i+1) + 2 + isqrt(4 * 2^i * (2^i + 1))
     gap_ok: bool           # inv_alpha >= gap_rhs (window wider than 1)
 
 
@@ -179,6 +179,8 @@ def verify_squares_witness(m: int) -> SquaresWitnessReport:
     integer at least sqrt(inv_alpha * 2^i), found with math.isqrt.  The
     window is guaranteed wider than 1 by the gap inequality
     inv_alpha >= 2^(i+1) + 2 + isqrt(4 * 2^i * (2^i + 1)), also checked.
+    Its root has a closed form: with t = 2^i, 4t^2 <= 4t^2 + 4t < (2t + 1)^2,
+    so isqrt(4t(t + 1)) = 2t and the right-hand side is 2^(i+2) + 2.
     Raises WitnessFailure if any target is missed (none ever is).
     """
     alpha = squares_witness_alpha(m)
@@ -193,7 +195,7 @@ def verify_squares_witness(m: int) -> SquaresWitnessReport:
             raise WitnessFailure(
                 f"no integer square in [{lower}, {upper}) for target 2^{i}", i=i
             )
-        gap_rhs = 2 ** (i + 1) + 2 + math.isqrt(4 * target * (target + 1))
+        gap_rhs = (1 << (i + 2)) + 2
         gap_ok = inv_alpha >= gap_rhs
         if not gap_ok:
             raise WitnessFailure(

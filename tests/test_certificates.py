@@ -20,7 +20,7 @@ from floorfull.certificates import (
     validate_certificate,
     verify_non_rfull,
 )
-from floorfull.classify import is_r_full
+from floorfull.classify import factorize, is_r_full
 from floorfull.cli import main, to_json
 from floorfull.errors import NotFoundWithinBound, VerificationFailure
 
@@ -333,6 +333,18 @@ def test_check_rejects_invalid_certificate_like_verify():
 def test_case_iii_shift_never_squarefull_by_factorization():
     for m in range(1, 41):
         assert not is_r_full(3 ** m + 12, 2)
+
+
+def test_grid_cross_checks_factorize_nothing_but_the_ells():
+    # the cross-check settles ell^m + k by trial division where it can;
+    # only construct_certificate and validate_certificate factorize, and
+    # only ell, which the cache serves to the second r
+    ells = range(2, 61)
+    factorize.cache_clear()
+    for r in (2, 3):
+        for ell in ells:
+            check_non_rfull(construct_certificate(r, ell), 40)
+    assert factorize.cache_info().misses <= len(ells)
 
 
 def test_verify_rejects_invalid_certificate():

@@ -204,6 +204,61 @@ def test_r_full_examples():
     assert is_r_full(72, 2)
 
 
+# 1, primes above 1000 on both sides of 997^2 (the first is proved prime by
+# trial division, the second goes to Miller-Rabin), prime powers and a
+# product past trial division, and A014233(12), which only rho splits
+_COFACTORS = (1, 1009, 1_000_003, 1009**2, 1009**3, 1009 * 1013, 399165290221 * 798330580441)
+
+
+@pytest.mark.parametrize("c", _COFACTORS)
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_predicates_match_the_factorization_on_the_cofactor_branch(r, c):
+    # small prime powers in front of the cofactor, with exponents below and
+    # above r, so the predicates stop in trial division or read on into c
+    prefixes = (
+        1,
+        2 ** (r - 1),
+        2 ** r * 3 ** (r + 1),
+        2 ** (r + 1) * 5 ** (r - 1),
+        3 ** (r - 1) * 7 ** r,
+        997 ** r,
+    )
+    for a in prefixes:
+        n = a * c
+        exponents = [e for _, e in factorize(n).factors]
+        assert is_r_full(n, r) == all(e >= r for e in exponents), n
+        assert is_r_free(n, r) == all(e < r for e in exponents), n
+    assert is_r_full(1, r) and is_r_free(1, r)
+
+
+def test_classify_runs_rho_no_more_than_factorize_alone(monkeypatch, capsys):
+    # classify calls factorize, is_r_free and is_r_full on the same n; the
+    # predicates must not split A014233(12) again
+    n = 318665857834031151167461
+    real_rho = classify._brent_rho
+    calls = []
+
+    def counting_rho(m, rng):
+        calls.append(m)
+        return real_rho(m, rng)
+
+    def clear_caches():
+        for value in vars(classify).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+    monkeypatch.setattr(classify, "_brent_rho", counting_rho)
+    clear_caches()
+    factorize(n)
+    alone = len(calls)
+    calls.clear()
+    clear_caches()
+    assert main(["classify", "--n", str(n)]) == 0
+    capsys.readouterr()
+    assert alone >= 1
+    assert len(calls) == alone
+
+
 def test_classify_rejects_bad_args():
     with pytest.raises(ValueError):
         is_r_full(0, 2)

@@ -187,6 +187,14 @@ def test_squares_witness_lines_match_plain_products_through_m300():
         assert [line._asdict() for line in report.lines] == expected
 
 
+def test_squares_witness_gap_rhs_closed_form_through_i3000():
+    # the closed form 2^(i+2) + 2 against the isqrt it replaces, every i <= 3000
+    report = verify_squares_witness(3000)
+    for line in report.lines:
+        t = line.target
+        assert line.gap_rhs == 2 ** (line.i + 1) + 2 + math.isqrt(4 * t * (t + 1))
+
+
 def test_bitmap_validation():
     with pytest.raises(ValueError):
         PSetBitmap(bound=10, bits=0)  # 0 must be representable
