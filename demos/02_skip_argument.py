@@ -52,6 +52,6 @@ print()
 print("the same story for other growth rates gamma in [3/2, 2):")
 for text in ("3/2", "8/5", "17/10", "9/5", "19/10"):
     gamma = Fraction(text)
-    j = gamma_exception_search(gamma, 20)
+    j = gamma_exception_search(gamma)
     confirmed = verify_skip_all_alpha(gamma, j, 200).overall
     print(f"  gamma = {text:5s} -> skip pair (2^{j}, 2^{j+1}), scan to k=200 confirms: {confirmed}")

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .classify import factorize, is_prime, is_r_full
+from .classify import factorize, is_prime, is_r_free, is_r_full
 from .defaults import DEFAULT_MAX_M, DEFAULT_S_MAX
 from .errors import NotFoundWithinBound, VerificationFailure
 
@@ -208,7 +208,7 @@ def validate_certificate(cert: Certificate) -> ValidationResult:
             return fail("q_not_prime")
         if cert.ell % cert.q != 0:
             return fail("q_does_not_divide_ell")
-        if factorize(cert.ell).max_exponent >= 2:
+        if not is_r_free(cert.ell, 2):
             return fail("ell_not_squarefree")
         if cert.s < 2:
             return fail("s_below_2")

@@ -109,10 +109,6 @@ class Factorization(
             raise ValueError(f"factors {factors} do not multiply to {n}")
         return super().__new__(cls, n, factors)
 
-    @property
-    def max_exponent(self) -> int:
-        return max((e for _, e in self.factors), default=0)
-
 
 RHO_BUDGET = 2 ** 22  # squarings per _brent_rho call, sized in its docstring
 
@@ -356,12 +352,19 @@ def series_digits(
 
     The consumed prefix must be strictly increasing positive integers, and
     base**a must fit in SERIES_BITS_CAP bits for every term a: the exact
-    bound a * base.bit_length() is checked before any power is built.
+    bound a * base.bit_length() is checked before any power is built.  The
+    digit loop's time and memory grow linearly with n_digits, which obeys
+    the same cap, n_digits * base.bit_length() <= SERIES_BITS_CAP, checked
+    before any term is read.
     """
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
     if n_terms < 1 or n_digits < 1:
         raise ValueError("n_terms and n_digits must be positive")
+    if n_digits * base.bit_length() > SERIES_BITS_CAP:
+        raise ValueError(
+            f"{n_digits} base-{base} digits may exceed the series bound of {SERIES_BITS_CAP} bits"
+        )
     taken = []
     for a in itertools.islice(terms, n_terms):
         if a * base.bit_length() > SERIES_BITS_CAP:

@@ -3,7 +3,7 @@
 Every subcommand prints a self-describing report, and identical
 invocations produce byte-identical machine-readable output.  The parsed
 argparse namespace is the only record of a run's settings: the top-level
-parser gives every subcommand the defaults of K, max_m, s_max and j_max,
+parser gives every subcommand the defaults of K, max_m and s_max,
 `dispatch` adds the three FLOORFULL_* caps, and `_header` names them all in
 every report header, with seed=0, the fixed Brent-rho seed DEFAULT_RHO_SEED.
 
@@ -31,7 +31,6 @@ from fractions import Fraction
 
 from .defaults import (
     BITMAP_CAP_DEFAULT,
-    DEFAULT_J_MAX,
     DEFAULT_K_MAX,
     DEFAULT_MAX_M,
     DEFAULT_RHO_SEED,
@@ -67,7 +66,7 @@ def _env_cap(name: str, fallback: int) -> int:
 
 
 def _header(args: argparse.Namespace) -> dict:
-    """The ten settings every report header names."""
+    """The nine settings every report header names."""
     return {
         "subcommand": args.subcommand_path,
         "format": args.format,
@@ -78,7 +77,6 @@ def _header(args: argparse.Namespace) -> dict:
         "K": args.K,
         "M": args.max_m,
         "s_max": args.s_max,
-        "j_max": args.j_max,
     }
 
 
@@ -360,7 +358,7 @@ def _run_thm2_symbolic(skip, args):
 
 
 def _run_thm2_gamma_search(skip, args):
-    j = skip.gamma_exception_search(args.gamma, args.j_max)
+    j = skip.gamma_exception_search(args.gamma)
     return {
         "gamma": args.gamma,
         "j": j,
@@ -386,7 +384,7 @@ def _run_pset_compute(pset, args):
     if args.bit_out:
         with open(args.bit_out, "wb") as handle:
             handle.write(bitmap.to_bit_bytes())
-    return bitmap.to_rle_json_dict()
+    return bitmap
 
 
 def _run_pset_complete(pset, args):
@@ -458,7 +456,7 @@ COMMANDS = (
         ("--gamma", parse_rational, ...), ("--j", int, ...),
     )),
     ("thm2 gamma-search", "skipverify", _run_thm2_gamma_search, (
-        ("--gamma", parse_rational, ...), ("--j-max", int, DEFAULT_J_MAX),
+        ("--gamma", parse_rational, ...),
     )),
     ("thm2 scan", "skipverify", _run_thm2_scan, (
         *_SEQ_SPEC, ("--t1", int, ...), ("--t2", int, ...), ("--n", int, DEFAULT_K_MAX),
@@ -481,9 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
         "floor-scaled sequences, subset-sum representation sets.",
     )
     # a subcommand's own flag overrides these; the others echo them in the header
-    parser.set_defaults(
-        K=DEFAULT_K_MAX, max_m=DEFAULT_MAX_M, s_max=DEFAULT_S_MAX, j_max=DEFAULT_J_MAX
-    )
+    parser.set_defaults(K=DEFAULT_K_MAX, max_m=DEFAULT_MAX_M, s_max=DEFAULT_S_MAX)
     top = parser.add_subparsers(dest="command", required=True)
     groups = {}
     for path, module, handler, flags in COMMANDS:

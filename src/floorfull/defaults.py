@@ -9,6 +9,5 @@ DEFAULT_RHO_SEED = 0
 BITMAP_CAP_DEFAULT = 100_000_000  # bits
 DEFAULT_SEQ_CAP = 10_000
 DEFAULT_K_MAX = 300
-DEFAULT_J_MAX = 20
 DEFAULT_S_MAX = 10_000
 DEFAULT_MAX_M = 60

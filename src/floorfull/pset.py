@@ -57,7 +57,7 @@ class PSetBitmap(NamedTuple("PSetBitmap", [("bound", int), ("bits", int)])):
         text = bin(self.bits)
         return [(len(text) - m.end(), m.end() - m.start()) for m in re.finditer("1+", text)][::-1]
 
-    def to_rle_json_dict(self) -> dict:
+    def to_json_dict(self) -> dict:
         return {"bound": self.bound, "runs": [[s, n] for s, n in self.runs()]}
 
     def to_bit_bytes(self) -> bytes:

@@ -21,7 +21,10 @@ no single alpha in (0, 1) puts both 2^j and 2^(j+1) into the image
   collapses the per-k inequalities into two exact rational conditions,
   (2^j + 2) * gamma <= 2^(j+1)  and  2^j * (gamma^2 - 2) >= 2,
   which are slightly conservative but independent of k: when they hold,
-  the skip happens at every witness index simultaneously.
+  the skip happens at every witness index simultaneously.  Both are
+  monotone in j, so the smallest passing j is a closed form
+  (gamma_exception_search): (c - 1).bit_length() with
+  c = ceil(max(2*gamma/(2 - gamma), 2/(gamma^2 - 2))).
 
 counterexample_scan is an oracle independent of both: a sorted sweep that
 intersects the two targets' preimage intervals directly, in O(n + hits).
@@ -32,8 +35,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .defaults import DEFAULT_J_MAX, DEFAULT_K_MAX, DEFAULT_SEQ_CAP
-from .errors import NotFoundWithinBound, SkipViolation
+from .defaults import DEFAULT_K_MAX, DEFAULT_SEQ_CAP
+from .errors import SkipViolation
 from .floorseq import (
     FloorPower,
     SeqSpec,
@@ -45,6 +48,20 @@ from .rationals import RatInterval, rat_str, unlimited_int_digits
 
 GAMMA_LOW = Fraction(3, 2)
 GAMMA_HIGH = Fraction(2)
+# Largest j a report accepts: its cost grows with j, while j(gamma) stays
+# below 2^15 for every gamma that parse_rational accepts (2 - gamma >= 1/q
+# and q < 10^8600: 4,300 digits on each side of the point, exponent 4,300).
+J_CAP = 2 ** 16
+
+
+def _require_gamma(gamma: Fraction) -> None:
+    if not (GAMMA_LOW <= gamma < GAMMA_HIGH):
+        raise ValueError(f"gamma must lie in [3/2, 2), got {gamma}")
+
+
+def _require_j(j: int) -> None:
+    if not 1 <= j <= J_CAP:
+        raise ValueError(f"j must lie in 1..J_CAP = {J_CAP}, got {j}")
 
 
 def interval_extrema_of_floor(window: RatInterval, s: int) -> tuple[int, int]:
@@ -96,8 +113,7 @@ def verify_skip_all_alpha(
     satisfy max at k+1 <= 2^(j+1) - 1 and min at k+2 >= 2^(j+1) + 1.
     Raises SkipViolation (carrying the full report) if any row fails.
     """
-    if j < 1:
-        raise ValueError(f"j must be >= 1, got {j}")
+    _require_j(j)
     if k_max < 3:
         raise ValueError(f"k_max must be >= 3, got {k_max}")
     terms = generate_terms(FloorPower(gamma), k_max + 2, cap=cap)
@@ -190,10 +206,8 @@ def symbolic_condition_check(gamma: Fraction, j: int) -> SymbolicCheck:
     >>> bool(symbolic_condition_check(Fraction(3, 2), 3))
     True
     """
-    if not (GAMMA_LOW <= gamma < GAMMA_HIGH):
-        raise ValueError(f"gamma must lie in [3/2, 2), got {gamma}")
-    if j < 1:
-        raise ValueError(f"j must be >= 1, got {j}")
+    _require_gamma(gamma)
+    _require_j(j)
     growth_lhs = (2 ** j + 2) * gamma
     growth_rhs = 2 ** (j + 1)
     gap_lhs = 2 ** j * (gamma * gamma - 2)
@@ -210,25 +224,28 @@ def symbolic_condition_check(gamma: Fraction, j: int) -> SymbolicCheck:
     )
 
 
-def gamma_exception_search(gamma: Fraction, j_max: int = DEFAULT_J_MAX) -> int:
-    """Smallest j <= j_max passing both symbolic conditions.
+def gamma_exception_search(gamma: Fraction) -> int:
+    """Smallest j passing both symbolic conditions, in closed form.
 
-    Some j always works for gamma in [3/2, 2): 2^(j+1)/(2^j + 2) climbs to
-    2 > gamma and 2^j * (gamma^2 - 2) grows without bound (gamma^2 > 2).
-    The returned j is the smallest passing these derived sufficient
-    conditions, one concrete instantiation of "a suitable exponent".
+    For gamma = p/q in [3/2, 2), 2 - gamma > 0 and gamma^2 - 2 >= 1/4, so
+    the growth condition (2^j + 2) * gamma <= 2^(j+1) holds iff
+    2^j >= 2p/(2q - p), and the gap condition iff 2^j >= 2q^2/(p^2 - 2q^2).
+    Both hold iff the integer 2^j is at least c, the ceiling of the larger
+    bound, i.e. iff 2^j > c - 1, so the smallest such j is
+    (c - 1).bit_length().  The growth bound is 6 at gamma = 3/2 and rises
+    with gamma, so c >= 6 and j >= 3.  No search bound is needed; j is
+    returned once symbolic_condition_check passes at j and fails at j - 1.
+
+    >>> gamma_exception_search(Fraction(1999999999, 1000000000))
+    32
     """
-    for j in range(1, j_max + 1):
-        if symbolic_condition_check(gamma, j).ok:
-            return j
-    # threshold estimate: both conditions hold once 2^j >= max(2g/(2-g), 2/(g^2-2))
-    need = max(2 * gamma / (2 - gamma), 2 / (gamma * gamma - 2))
-    estimate = max(need.numerator // need.denominator, 1).bit_length()
-    raise NotFoundWithinBound(
-        f"no j <= {j_max} passes the symbolic conditions for gamma={gamma}; "
-        f"roughly j >= {estimate} should suffice",
-        bound=j_max,
-    )
+    _require_gamma(gamma)
+    p, q = gamma.numerator, gamma.denominator
+    c = max(-(-2 * p // (2 * q - p)), -(-2 * q * q // (p * p - 2 * q * q)))
+    j = (c - 1).bit_length()
+    if not symbolic_condition_check(gamma, j).ok or symbolic_condition_check(gamma, j - 1).ok:
+        raise ArithmeticError(f"closed-form j={j} is not the smallest passing j for gamma={gamma}")
+    return j
 
 
 def counterexample_scan(

@@ -75,7 +75,7 @@ def test_criterion_2_skip_verification():
 
 def test_criterion_3_gamma_generalization():
     with criterion(3, "generalized exponent search over gamma grid", 10.0):
-        assert gamma_exception_search(Fraction(3, 2), 20) == 3
+        assert gamma_exception_search(Fraction(3, 2)) == 3
         gammas = (
             Fraction(3, 2),
             Fraction(8, 5),
@@ -84,7 +84,7 @@ def test_criterion_3_gamma_generalization():
             Fraction(19, 10),
         )
         for gamma in gammas:
-            j = gamma_exception_search(gamma, 20)
+            j = gamma_exception_search(gamma)
             report = verify_skip_all_alpha(gamma, j, 200)
             assert report.overall, (gamma, j)
 

@@ -490,6 +490,9 @@ def test_series_digits_bit_bound_is_exact_at_the_edge():
         series_digits([edge], base, 1, 2)  # base**edge fits the bound
         with pytest.raises(ValueError, match=str(classify.SERIES_BITS_CAP)):
             series_digits([edge + 1], base, 1, 2)
+        series_digits([1], base, 1, edge)  # edge digits fit the bound too
+        with pytest.raises(ValueError, match=str(classify.SERIES_BITS_CAP)):
+            series_digits(iter(()), base, 1, edge + 1)  # rejected before any term is read
     with pytest.raises(ValueError, match="bits"):
         series_digits(itertools.count(1), 2, 10**12, 2)  # stops at the bound, not at 10^12 terms
 
@@ -563,8 +566,9 @@ def test_series_digits_horner_at_the_bit_bound():
     [
         ["series", "--kind", "rfull", "--r", "5", "--terms", "500"],  # top term 3,125,000,000
         ["series", "--kind", "squares", "--terms", "100000"],  # top term 10^10
+        ["series", "--terms", "10", "--digits", "524289"],  # one digit past 2^20 / 2
     ],
-    ids=["rfull_r5", "squares"],
+    ids=["rfull_r5", "squares", "digits"],
 )
 def test_series_past_the_bit_bound_exits_2(argv, capsys):
     tracemalloc.start()

@@ -57,7 +57,7 @@ def test_config_header_reports_defaults():
     assert config["K"] == 300
     assert config["M"] == 60
     assert config["s_max"] == 10_000
-    assert config["j_max"] == 20
+    assert "j_max" not in config  # gamma-search has no search bound
     assert config["seed"] == 0
 
 
@@ -75,6 +75,30 @@ def test_thm2_verify_passes_and_fails_by_exit_code():
     report = json.loads(first_line)
     assert report["result"]["overall"] is False
     assert any(not row["passed"] for row in report["result"]["rows"])
+
+
+def test_gamma_search_near_two_exits_0():
+    payload = run_json("thm2", "gamma-search", "--gamma", "1999999999/1000000000")
+    assert payload["result"]["j"] == 32
+
+
+@pytest.mark.parametrize("gamma", ["2", "7/5"])
+def test_gamma_search_out_of_range_exits_2_with_one_line(gamma):
+    proc = run_cli("thm2", "gamma-search", "--gamma", gamma)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == f"error: gamma must lie in [3/2, 2), got {gamma}\n".encode()
+
+
+@pytest.mark.parametrize(
+    "argv", [["thm2", "symbolic"], ["thm2", "verify", "--K", "3"]], ids=["symbolic", "verify"]
+)
+def test_thm2_j_past_the_cap_exits_2_with_one_line(argv):
+    assert run_cli(*argv, "--gamma", "3/2", "--j", "65536").returncode == 0
+    proc = run_cli(*argv, "--gamma", "3/2", "--j", "65537")
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == b"error: j must lie in 1..J_CAP = 65536, got 65537\n"
 
 
 def test_usage_error_exits_2():

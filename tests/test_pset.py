@@ -205,7 +205,7 @@ def test_bitmap_validation():
 
 
 def from_rle_json_dict(payload: dict) -> PSetBitmap:
-    """Round-trip oracle: rebuild a bitmap from to_rle_json_dict's runs."""
+    """Round-trip oracle: rebuild a bitmap from to_json_dict's runs."""
     bits = 0
     for start, length in payload["runs"]:
         bits |= ((1 << length) - 1) << start
@@ -220,7 +220,7 @@ def from_bit_bytes(blob: bytes) -> PSetBitmap:
 
 def test_bitmap_rle_round_trip():
     bitmap = compute_pset([2, 3, 9], 20)
-    payload = bitmap.to_rle_json_dict()
+    payload = bitmap.to_json_dict()
     assert payload["bound"] == 20
     assert from_rle_json_dict(payload) == bitmap
     # runs really are maximal: {0, 2, 3, 5} -> [0,1], [2,2], [5,1], ...

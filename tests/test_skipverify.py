@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from floorfull.cli import to_json
-from floorfull.errors import NotFoundWithinBound, SkipViolation
+from floorfull.errors import SkipViolation
 from floorfull.floorseq import Explicit, FloorPower, Squares, generate_terms, s_alpha
 from floorfull.rationals import RatInterval, interval
 from floorfull.skipverify import (
@@ -255,14 +255,14 @@ GAMMA_GRID = [
 
 def test_symbolic_monotone_in_j():
     for gamma in GAMMA_GRID:
-        j = gamma_exception_search(gamma, 20)
+        j = gamma_exception_search(gamma)
         for extra in range(1, 5):
             assert symbolic_condition_check(gamma, j + extra).ok, (gamma, j + extra)
 
 
 def test_symbolic_implies_bounded_scan():
     for gamma in GAMMA_GRID:
-        j = gamma_exception_search(gamma, 20)
+        j = gamma_exception_search(gamma)
         report = verify_skip_all_alpha(gamma, j, 60)
         assert report.overall, (gamma, j)
 
@@ -277,9 +277,10 @@ def test_gamma_search_values():
         Fraction(17, 10): 4,
         Fraction(9, 5): 5,
         Fraction(19, 10): 6,
+        Fraction(1999999999, 1000000000): 32,  # no j <= 20 passes
     }
     for gamma, j in expected.items():
-        assert gamma_exception_search(gamma, 20) == j
+        assert gamma_exception_search(gamma) == j
         assert symbolic_condition_check(gamma, j).ok
         if j > 1:
             assert not symbolic_condition_check(gamma, j - 1).ok
@@ -290,9 +291,22 @@ def test_gamma_search_eight_fifths_rejects_j2_on_growth():
     assert not check.growth_ok  # (4 + 2) * 8/5 = 48/5 > 8
 
 
-def test_gamma_search_bound_exhaustion():
-    with pytest.raises(NotFoundWithinBound):
-        gamma_exception_search(Fraction(19, 10), 2)
+def _smallest_passing_j(gamma):
+    """The search as a loop, the oracle: the first j in 1..64 passing both conditions."""
+    return next(j for j in range(1, 65) if symbolic_condition_check(gamma, j).ok)
+
+
+@given(
+    gamma=st.integers(2, 10**12).flatmap(  # p/q in [3/2, 2): p from ceil(3q/2) to 2q - 1
+        lambda q: st.builds(Fraction, st.integers(-(-3 * q // 2), 2 * q - 1), st.just(q))
+    )
+)
+@settings(max_examples=300, deadline=None)
+@example(gamma=Fraction(3, 2))
+@example(gamma=Fraction(2 * 10**12 - 1, 10**12))
+@example(gamma=Fraction(3 * 10**12 + 1, 2 * 10**12))  # 2/(gamma^2 - 2) is the larger bound
+def test_gamma_search_closed_form_matches_loop(gamma):
+    assert gamma_exception_search(gamma) == _smallest_passing_j(gamma)
 
 
 # --- counterexample scan ----------------------------------------------------
