@@ -2,10 +2,11 @@
 
 Every subcommand prints a self-describing report, and identical
 invocations produce byte-identical machine-readable output.  The parsed
-argparse namespace is the only record of a run's settings: the top-level
-parser gives every subcommand the defaults of K, max_m and s_max,
-`dispatch` adds the three FLOORFULL_* caps, and `_header` names them all in
-every report header, with seed=0, the fixed Brent-rho seed DEFAULT_RHO_SEED.
+argparse namespace is the only record of a run's settings.  Each COMMANDS
+row lists the settings its run reads: the bound flags it declares, the
+FLOORFULL_* caps, which `dispatch` reads from the environment for that row
+alone, and seed=0, the fixed Brent-rho seed DEFAULT_RHO_SEED, where the run
+can factor.  `_header` names the subcommand, the format and those settings.
 
 Exit codes: 0 success / verification passed; 1 verification failure
 (a skip violation, certificate verification failure, witness failure, or
@@ -13,16 +14,15 @@ failed validation); 2 usage or configuration error (bad flags, resource
 cap exceeded, bounded search exhausted).
 
 A cold run imports only what its subcommand runs.  The parser is built
-from the COMMANDS table; each row names the library module its handler
-uses, and `dispatch` imports that module and hands it to the handler.  At
-module scope this file imports no library module but the light
-`defaults` (the header's caps), `errors` and `rationals`.
+from the COMMANDS table; each subcommand group names the library module
+its handlers use, and `dispatch` imports that module and hands it to the
+handler.  At module scope this file imports no library module but the
+light `defaults` (the caps and bounds), `errors` and `rationals`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib
 import json
 import os
@@ -50,9 +50,11 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 
-ENV_SIEVE_CAP = "FLOORFULL_SIEVE_CAP"
-ENV_BITMAP_CAP = "FLOORFULL_BITMAP_CAP"
-ENV_SEQ_CAP = "FLOORFULL_SEQ_CAP"
+_CAPS = {  # setting: (environment variable, default)
+    "sieve_cap": ("FLOORFULL_SIEVE_CAP", SIEVE_CAP_DEFAULT),
+    "bitmap_cap": ("FLOORFULL_BITMAP_CAP", BITMAP_CAP_DEFAULT),
+    "seq_cap": ("FLOORFULL_SEQ_CAP", DEFAULT_SEQ_CAP),
+}
 
 
 def _env_cap(name: str, fallback: int) -> int:
@@ -66,18 +68,12 @@ def _env_cap(name: str, fallback: int) -> int:
 
 
 def _header(args: argparse.Namespace) -> dict:
-    """The nine settings every report header names."""
-    return {
-        "subcommand": args.subcommand_path,
-        "format": args.format,
-        "seed": DEFAULT_RHO_SEED,
-        "sieve_cap": args.sieve_cap,
-        "bitmap_cap": args.bitmap_cap,
-        "seq_cap": args.seq_cap,
-        "K": args.K,
-        "M": args.max_m,
-        "s_max": args.s_max,
-    }
+    """The subcommand, the format and the settings its COMMANDS row lists."""
+    header = {"subcommand": args.subcommand_path, "format": args.format}
+    for name in args.settings:
+        value = DEFAULT_RHO_SEED if name == "seed" else getattr(args, name)
+        header["M" if name == "max_m" else name] = value
+    return header
 
 
 # ---------------------------------------------------------------------------
@@ -111,20 +107,6 @@ def to_json(value):
     if hasattr(value, "_fields"):
         return {name: to_json(inner) for name, inner in zip(value._fields, value)}
     raise TypeError(f"no JSON form for {type(value).__name__}")
-
-
-def _emit_json(config: dict, result, out) -> None:
-    payload = {"config": config, "result": result}
-    out.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
-
-
-def _config_header(config: dict) -> str:
-    return "# " + " ".join(f"{key}={config[key]}" for key in sorted(config))
-
-
-def _emit_table(config: dict, result, out) -> None:
-    out.write(_config_header(config) + "\n")
-    _render_table(result, out, indent="")
 
 
 def _render_table(value, out, indent: str) -> None:
@@ -162,8 +144,9 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit_csv(config: dict, result, out) -> None:
-    out.write(_config_header(config) + "\n")
+def _emit_csv(result, out) -> None:
+    import csv  # only --format csv pays for it
+
     writer = csv.writer(out, lineterminator="\n")
     if isinstance(result, dict) and "values" in result and isinstance(result["values"], list):
         for item in result["values"]:
@@ -190,13 +173,16 @@ def _flat_csv(value, writer, prefix: str) -> None:
 def _emit(args: argparse.Namespace, result, out) -> None:
     """Render `result` in the format of `args`, with no digit limit."""
     with unlimited_int_digits():
-        config_json, result_json = to_json(_header(args)), to_json(result)
+        config, result = to_json(_header(args)), to_json(result)
         if args.format == "json":
-            _emit_json(config_json, result_json, out)
-        elif args.format == "csv":
-            _emit_csv(config_json, result_json, out)
+            payload = {"config": config, "result": result}
+            out.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+            return
+        out.write("# " + " ".join(f"{key}={config[key]}" for key in sorted(config)) + "\n")
+        if args.format == "csv":
+            _emit_csv(result, out)
         else:
-            _emit_table(config_json, result_json, out)
+            _render_table(result, out, indent="")
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +303,8 @@ def _grid_cell(cell: tuple[int, int, int, int]) -> dict:
 
 
 def _run_theorem1_grid(cert, args):
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     cells = [
         (r, ell, args.s_max, args.max_m)
         for r in range(args.r_min, args.r_max + 1)
@@ -403,7 +391,9 @@ def _run_pset_witness(pset, args):
 
 
 # ---------------------------------------------------------------------------
-# parser: one row per subcommand, (path, module, handler, flags).  A flag is
+# parser: one row per subcommand, (path, settings, handler, flags).  The
+# settings are what the report header names: the bound flags and FLOORFULL_*
+# caps the run reads, and "seed" where it can factor.  A flag is
 # (name, type or tuple of choices, default[, help]); type None keeps the
 # string, and a default of ... marks the flag required.  Every subcommand
 # also takes the _COMMON flags.
@@ -414,61 +404,63 @@ _SEQ_SPEC = (
     ("--gamma", parse_rational, None),   # 3/2 when --kind pow32 reads it
     ("--file", None, None),
 )
-_HELP = {
-    "classify": "factor n and classify r-free / r-full",
-    "sieve": "enumerate r-full integers up to a limit",
-    "series": "base-ell digits of sum(a * ell^-a)",
-    "theorem1": "shifted-power non-r-full certificates",
-    "seq": "sequence generation and floor scaling",
-    "thm2": "skip-argument verification and scans",
-    "pset": "subset-sum representation sets",
+_GROUPS = {  # first word of a path: (library module its handlers use, help)
+    "classify": ("classify", "factor n and classify r-free / r-full"),
+    "sieve": ("classify", "enumerate r-full integers up to a limit"),
+    "series": ("classify", "base-ell digits of sum(a * ell^-a)"),
+    "theorem1": ("certificates", "shifted-power non-r-full certificates"),
+    "seq": ("floorseq", "sequence generation and floor scaling"),
+    "thm2": ("skipverify", "skip-argument verification and scans"),
+    "pset": ("pset", "subset-sum representation sets"),
 }
 COMMANDS = (
-    ("classify", "classify", _run_classify, (("--n", int, ...), ("--r", int, 2))),
-    ("sieve", "classify", _run_sieve, (
+    ("classify", ("seed",), _run_classify, (("--n", int, ...), ("--r", int, 2))),
+    ("sieve", ("sieve_cap",), _run_sieve, (
         ("--limit", int, ...), ("--r", int, 2), ("--method", ("spf", "a2b3"), "spf"),
     )),
-    ("series", "classify", _run_series, (
+    ("series", ("seed",), _run_series, (
         ("--kind", ("squarefree", "squarefull", "rfree", "rfull", "squares"), "squarefree"),
         ("--r", int, None), ("--ell", int, 2), ("--terms", int, 10), ("--digits", int, 40),
     )),
-    ("theorem1 construct", "certificates", _run_theorem1_construct, (
+    ("theorem1 construct", ("s_max", "seed"), _run_theorem1_construct, (
         ("--r", int, ...), ("--ell", int, ...), ("--s-max", int, DEFAULT_S_MAX),
     )),
-    ("theorem1 validate", "certificates", _run_theorem1_validate, (("--cert", None, ...),)),
-    ("theorem1 verify", "certificates", _run_theorem1_verify, (
+    ("theorem1 validate", ("seed",), _run_theorem1_validate, (("--cert", None, ...),)),
+    ("theorem1 verify", ("max_m", "seed"), _run_theorem1_verify, (
         ("--cert", None, ...), ("--max-m", int, DEFAULT_MAX_M),
     )),
-    ("theorem1 grid", "certificates", _run_theorem1_grid, (
+    ("theorem1 grid", ("max_m", "s_max", "seed"), _run_theorem1_grid, (
         ("--r-min", int, 2), ("--r-max", int, 5), ("--ell-min", int, 2), ("--ell-max", int, 50),
         ("--max-m", int, DEFAULT_MAX_M), ("--s-max", int, DEFAULT_S_MAX), ("--jobs", int, 1),
     )),
-    ("seq gen", "floorseq", _run_seq_gen, (*_SEQ_SPEC, ("--n", int, ...))),
-    ("seq salpha", "floorseq", _run_seq_salpha, (
+    ("seq gen", ("seq_cap",), _run_seq_gen, (*_SEQ_SPEC, ("--n", int, ...))),
+    ("seq salpha", ("seq_cap",), _run_seq_salpha, (
         *_SEQ_SPEC, ("--alpha", parse_rational, ...), ("--n", int, ...),
     )),
-    ("seq preimage", "floorseq", _run_seq_preimage, (("--t", int, ...), ("--s", int, ...))),
-    ("seq ratio", "floorseq", _run_seq_ratio, (*_SEQ_SPEC, ("--n", int, ...))),
-    ("thm2 verify", "skipverify", _run_thm2_verify, (
+    ("seq preimage", (), _run_seq_preimage, (("--t", int, ...), ("--s", int, ...))),
+    ("seq ratio", ("seq_cap",), _run_seq_ratio, (*_SEQ_SPEC, ("--n", int, ...))),
+    ("thm2 verify", ("K", "seq_cap"), _run_thm2_verify, (
         ("--gamma", parse_rational, ...), ("--j", int, ...), ("--K", int, DEFAULT_K_MAX),
     )),
-    ("thm2 symbolic", "skipverify", _run_thm2_symbolic, (
+    ("thm2 symbolic", (), _run_thm2_symbolic, (
         ("--gamma", parse_rational, ...), ("--j", int, ...),
     )),
-    ("thm2 gamma-search", "skipverify", _run_thm2_gamma_search, (
+    ("thm2 gamma-search", (), _run_thm2_gamma_search, (
         ("--gamma", parse_rational, ...),
     )),
-    ("thm2 scan", "skipverify", _run_thm2_scan, (
+    ("thm2 scan", ("seq_cap",), _run_thm2_scan, (
         *_SEQ_SPEC, ("--t1", int, ...), ("--t2", int, ...), ("--n", int, DEFAULT_K_MAX),
     )),
-    ("pset compute", "pset", _run_pset_compute, (
+    ("pset compute", ("bitmap_cap",), _run_pset_compute, (
         ("--terms", None, ..., "file with one integer per line"),
         ("--bound", int, ...),
         ("--bit-out", None, None, "also write the raw bitmap here"),
     )),
-    ("pset complete", "pset", _run_pset_complete, (("--terms", None, ...), ("--bound", int, ...))),
-    ("pset brown", "pset", _run_pset_brown, (("--terms", None, ...),)),
-    ("pset witness", "pset", _run_pset_witness, (("--m", int, ...),)),
+    ("pset complete", ("bitmap_cap",), _run_pset_complete, (
+        ("--terms", None, ...), ("--bound", int, ...),
+    )),
+    ("pset brown", (), _run_pset_brown, (("--terms", None, ...),)),
+    ("pset witness", (), _run_pset_witness, (("--m", int, ...),)),
 )
 
 
@@ -478,17 +470,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification toolkit: shifted-power certificates, "
         "floor-scaled sequences, subset-sum representation sets.",
     )
-    # a subcommand's own flag overrides these; the others echo them in the header
-    parser.set_defaults(K=DEFAULT_K_MAX, max_m=DEFAULT_MAX_M, s_max=DEFAULT_S_MAX)
     top = parser.add_subparsers(dest="command", required=True)
     groups = {}
-    for path, module, handler, flags in COMMANDS:
+    for path, settings, handler, flags in COMMANDS:
         group, _, action = path.partition(" ")
+        module, help_text = _GROUPS[group]
         if not action:
-            sub = top.add_parser(path, help=_HELP[path])
+            sub = top.add_parser(path, help=help_text)
         else:
             if group not in groups:
-                groups[group] = top.add_parser(group, help=_HELP[group]).add_subparsers(
+                groups[group] = top.add_parser(group, help=help_text).add_subparsers(
                     dest="action", required=True
                 )
             sub = groups[group].add_parser(action)
@@ -499,16 +490,16 @@ def build_parser() -> argparse.ArgumentParser:
             else:
                 options["default"] = default
             sub.add_argument(name, help=help_[0] if help_ else None, **options)
-        sub.set_defaults(handler=handler, module=module, subcommand_path=path)
+        sub.set_defaults(handler=handler, module=module, subcommand_path=path, settings=settings)
     return parser
 
 
 def dispatch(args: argparse.Namespace, out) -> int:
     module = importlib.import_module(f"{__package__}.{args.module}")
     try:
-        args.sieve_cap = _env_cap(ENV_SIEVE_CAP, SIEVE_CAP_DEFAULT)
-        args.bitmap_cap = _env_cap(ENV_BITMAP_CAP, BITMAP_CAP_DEFAULT)
-        args.seq_cap = _env_cap(ENV_SEQ_CAP, DEFAULT_SEQ_CAP)
+        for name in args.settings:
+            if name in _CAPS:
+                setattr(args, name, _env_cap(*_CAPS[name]))
         result = args.handler(module, args)
     except (SkipViolation,) as exc:
         if exc.report is not None:

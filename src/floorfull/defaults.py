@@ -1,7 +1,8 @@
 """Default caps, bounds and seeds of the library, in one light module.
 
-The CLI prints every one of them in each report header before it imports
-the library module that uses it; each library module re-exports its own.
+The CLI needs them before it imports the library module that uses them:
+as flag defaults, as the fallbacks of the FLOORFULL_* caps, and as the
+seed a report header names.  Each library module re-exports its own.
 """
 
 SIEVE_CAP_DEFAULT = 100_000_000

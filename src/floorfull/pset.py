@@ -24,6 +24,10 @@ from typing import Iterable, NamedTuple
 from .defaults import BITMAP_CAP_DEFAULT
 from .errors import WitnessFailure
 
+# Largest m a squares witness accepts: line i holds numbers of about m + i
+# bits, so the report grows like m^2 (13 MB of JSON at m = 3,000).
+WITNESS_M_CAP = 2 ** 12
+
 
 class PSetBitmap(NamedTuple("PSetBitmap", [("bound", int), ("bits", int)])):
     """Characteristic bitmap of a representation set over [0, bound]."""
@@ -181,8 +185,11 @@ def verify_squares_witness(m: int) -> SquaresWitnessReport:
     inv_alpha >= 2^(i+1) + 2 + isqrt(4 * 2^i * (2^i + 1)), also checked.
     Its root has a closed form: with t = 2^i, 4t^2 <= 4t^2 + 4t < (2t + 1)^2,
     so isqrt(4t(t + 1)) = 2t and the right-hand side is 2^(i+2) + 2.
-    Raises WitnessFailure if any target is missed (none ever is).
+    Raises WitnessFailure if any target is missed (none ever is), and
+    ValueError for m above WITNESS_M_CAP, before any line is built.
     """
+    if not 0 <= m <= WITNESS_M_CAP:
+        raise ValueError(f"m must lie in 0..WITNESS_M_CAP = {WITNESS_M_CAP}, got {m}")
     alpha = squares_witness_alpha(m)
     inv_alpha = 4 * (2 ** m + 1)
     lines = []

@@ -8,6 +8,7 @@ is called, so the env caps are set with `monkeypatch.setenv`.
 import io
 import json
 import math
+import pathlib
 import subprocess
 import sys
 import tracemalloc
@@ -17,11 +18,12 @@ from typing import NamedTuple
 
 import pytest
 
-from floorfull import classify
+from floorfull import classify, pset
 from floorfull.cli import build_parser, dispatch, main
 from floorfull.rationals import unlimited_int_digits
 
 CLI = [sys.executable, "-m", "floorfull"]
+TERMS = str(pathlib.Path(__file__).resolve().parent / "golden" / "inputs" / "terms.txt")
 
 
 class Run(NamedTuple):
@@ -52,13 +54,11 @@ def test_theorem1_construct_case_i():
 
 
 def test_config_header_reports_defaults():
+    # construct reads --s-max and factors ell; it names no K, M or cap
     payload = run_json("theorem1", "construct", "--r", "2", "--ell", "2")
-    config = payload["config"]
-    assert config["K"] == 300
-    assert config["M"] == 60
-    assert config["s_max"] == 10_000
-    assert "j_max" not in config  # gamma-search has no search bound
-    assert config["seed"] == 0
+    assert payload["config"] == {
+        "subcommand": "theorem1 construct", "format": "json", "s_max": 10_000, "seed": 0,
+    }
 
 
 def test_thm2_verify_passes_and_fails_by_exit_code():
@@ -119,14 +119,28 @@ def test_config_error_names_cap(monkeypatch):
     assert b"cap" in proc.stderr
 
 
-@pytest.mark.parametrize("var", ["FLOORFULL_SIEVE_CAP", "FLOORFULL_BITMAP_CAP", "FLOORFULL_SEQ_CAP"])
+CAP_READERS = {
+    "FLOORFULL_SIEVE_CAP": ["sieve", "--limit", "10"],
+    "FLOORFULL_BITMAP_CAP": ["pset", "complete", "--terms", TERMS, "--bound", "10"],
+    "FLOORFULL_SEQ_CAP": ["seq", "gen", "--n", "3"],
+}
+
+
+@pytest.mark.parametrize("var", list(CAP_READERS))
 def test_malformed_env_cap_exits_2_with_one_line(monkeypatch, capsys, var):
-    # every header names all three caps, so classify reads the sequence cap too
     monkeypatch.setenv(var, "abc")
-    assert main(["classify", "--n", "10"]) == 2
+    assert main(CAP_READERS[var]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {var} must be an integer, got 'abc'\n"
+
+
+def test_malformed_env_cap_the_run_does_not_read_is_ignored(monkeypatch):
+    clean = run_cli("classify", "--n", "10")
+    monkeypatch.setenv("FLOORFULL_SEQ_CAP", "abc")
+    proc = run_cli("classify", "--n", "10")
+    assert proc.returncode == 0
+    assert proc.stdout == clean.stdout
 
 
 @pytest.mark.parametrize("gamma", ["0", "0/5"])
@@ -196,6 +210,14 @@ def test_grid_output_independent_of_jobs():
     assert single.stdout == double.stdout
     payload = json.loads(single.stdout)
     assert payload["result"]["all_passed"] is True
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_grid_jobs_below_one_exits_2_with_one_line(jobs):
+    proc = run_cli("theorem1", "grid", "--r-max", "2", "--ell-max", "3", "--jobs", jobs)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == f"error: --jobs must be >= 1, got {jobs}\n".encode()
 
 
 def test_seq_gen_csv_one_integer_per_row():
@@ -304,6 +326,25 @@ def test_pset_witness():
     payload = run_json("pset", "witness", "--m", "2")
     assert payload["result"]["alpha"] == "1/20"
     assert [line["n_i"] for line in payload["result"]["lines"]] == [5, 7, 9]
+
+
+class LineBuilt(Exception):
+    pass
+
+
+def test_witness_m_past_the_cap_exits_2_before_any_line(monkeypatch):
+    def no_line(**fields):
+        raise LineBuilt(fields["i"])
+
+    monkeypatch.setattr(pset, "SquaresWitnessLine", no_line)
+    cap = pset.WITNESS_M_CAP
+    assert cap >= 3_000  # the benchmark's enumerate workload runs m up to 3,000
+    with pytest.raises(LineBuilt):
+        pset.verify_squares_witness(cap)  # the cap itself passes the check
+    proc = run_cli("pset", "witness", "--m", str(cap + 1))
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == f"error: m must lie in 0..WITNESS_M_CAP = {cap}, got {cap + 1}\n".encode()
 
 
 def test_table_format_has_header_and_rows():

@@ -18,7 +18,7 @@ from collections import defaultdict
 
 import pytest
 
-from floorfull import cli
+from floorfull import classify, cli
 from floorfull.cli import build_parser, dispatch
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
@@ -156,6 +156,48 @@ def test_every_flag_is_read_beyond_the_header(monkeypatch):
         if dests - reads[path]:
             unread[path] = sorted(dests - reads[path])
     assert unread == {}
+
+
+def test_every_header_setting_is_read_by_the_run(monkeypatch):
+    # the reverse: each setting a header names is one its run reads, and
+    # seed=0 stands exactly on the subcommands that factor
+    header, prime_powers = cli._header, classify._prime_powers
+    named, reads, factored, calls = defaultdict(set), defaultdict(set), set(), []
+
+    def unrecorded_header(args):
+        args.recording = False
+        try:
+            config = header(args)
+        finally:
+            args.recording = True
+        named[args.subcommand_path] |= config.keys()
+        return config
+
+    def recorded_prime_powers(n):
+        calls.append(n)
+        return prime_powers(n)
+
+    monkeypatch.setattr(cli, "_header", unrecorded_header)
+    monkeypatch.setattr(classify, "_prime_powers", recorded_prime_powers)
+    for argv in [*CASES.values(), *OTHER_KINDS]:
+        args = ReadLog(**vars(build_parser().parse_args(argv)))
+        args.reads, args.recording = set(), True
+        classify.factorize.cache_clear()  # a cached factorization skips _prime_powers
+        calls.clear()
+        dispatch(args, io.StringIO())
+        args.recording = False
+        reads[args.subcommand_path] |= args.reads
+        if calls:
+            factored.add(args.subcommand_path)
+    assert named.keys() == {path for path, *_ in cli.COMMANDS}
+    attribute = {"M": "max_m"}
+    unread = {}
+    for path, keys in named.items():
+        settings = {attribute.get(key, key) for key in keys} - {"subcommand", "seed"}
+        if settings - reads[path]:
+            unread[path] = sorted(settings - reads[path])
+    assert unread == {}
+    assert {path for path, keys in named.items() if "seed" in keys} == factored
 
 
 def test_goldens_cover_every_exit_code():

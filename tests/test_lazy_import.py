@@ -3,7 +3,8 @@
 Each subcommand case runs in a fresh interpreter, calls `main(argv)` and
 prints the names in `sys.modules`.  Only the handler's own library module
 may load, and neither `dataclasses` nor `inspect` may: importing them costs
-a cold run ~10 ms.  The package namespace tests check that the lazy
+a cold run ~10 ms.  A JSON run loads no `csv` either; only `--format csv`
+needs it.  The package namespace tests check that the lazy
 `floorfull/__init__` still exposes every name the package used to import
 eagerly, each bound to its home module's object.
 """
@@ -94,7 +95,7 @@ def test_subcommand_loads_only_its_modules(argv, absent):
     loaded = {name.split(".", 1)[1] for name in modules if name.startswith("floorfull.")} & LIBRARY
     assert loaded, "the handler's own module must load"
     assert not loaded & absent
-    assert not modules & {"dataclasses", "inspect"}
+    assert not modules & {"dataclasses", "inspect", "csv"}
 
 
 def test_entry_point_classify_loads_no_other_library_module():
