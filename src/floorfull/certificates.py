@@ -37,6 +37,9 @@ from .defaults import DEFAULT_MAX_M, DEFAULT_S_MAX
 from .errors import NotFoundWithinBound, VerificationFailure
 
 FACTOR_CROSSCHECK_BOUND = 10 ** 12
+# Largest max_m a check accepts: `theorem1 verify` prints one line per m,
+# so its report grows linearly in m (92 MB of JSON at m = 10^6).
+MAX_M_CAP = 2 ** 16
 
 CASE_I = "I"
 CASE_II = "II"
@@ -245,13 +248,14 @@ def check_non_rfull(cert: Certificate, max_m: int = DEFAULT_MAX_M) -> int:
     r-full value is 2-full, so this one test equals "r-full or 2-full".
     ell^m + k increases with m, so the cross-checked m are a prefix [1, c];
     returns c (0 if none).  Raises VerificationFailure on the first failing
-    m, which a valid certificate never produces.
+    m, which a valid certificate never produces, and ValueError for max_m
+    outside 1..MAX_M_CAP, before any m is checked.
     """
     validation = validate_certificate(cert)
     if not validation:
         raise ValueError(f"certificate is structurally invalid: {validation.reason}")
-    if max_m < 1:
-        raise ValueError(f"max_m must be >= 1, got {max_m}")
+    if not 1 <= max_m <= MAX_M_CAP:
+        raise ValueError(f"max_m must be >= 1 and <= MAX_M_CAP = {MAX_M_CAP}, got {max_m}")
 
     ell, k = cert.ell, cert.k
     w = ell_m = None  # ell_m = ell^m mod w^2

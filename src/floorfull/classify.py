@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
-from .defaults import DEFAULT_RHO_SEED, SIEVE_CAP_DEFAULT
+from .defaults import DEFAULT_RHO_SEED, SIEVE_CAP
 from .errors import NotFoundWithinBound
 
 # The first 13 primes are a deterministic Miller-Rabin witness set for
@@ -261,7 +261,7 @@ def _integer_root(n: int, r: int) -> int:
         x = y
 
 
-def r_full_up_to(limit: int, r: int, *, cap: int = SIEVE_CAP_DEFAULT) -> list[int]:
+def r_full_up_to(limit: int, r: int, *, cap: int = SIEVE_CAP) -> list[int]:
     """All r-full integers in [1, limit], ascending.
 
     Depth-first search: from a product m it multiplies in p^e, e >= r, for
@@ -271,13 +271,15 @@ def r_full_up_to(limit: int, r: int, *, cap: int = SIEVE_CAP_DEFAULT) -> list[in
     taking primes in increasing order, reaches it along exactly one path:
     each r-full n <= limit appears once, nothing else appears, and the work
     grows with the ~c*limit^(1/r) values (Ivic-Shiu, Illinois J. Math. 26).
+    A limit above `cap` (SIEVE_CAP unless given) is rejected before any work.
 
     >>> r_full_up_to(100, 3)
     [1, 8, 16, 27, 32, 64, 81]
     """
     _require_classify_args(limit, r)
     if limit > cap:
-        raise ValueError(f"limit {limit} exceeds sieve cap {cap}")
+        named = "SIEVE_CAP = " if cap == SIEVE_CAP else ""
+        raise ValueError(f"limit {limit} exceeds the sieve cap {named}{cap}")
     primes = primes_up_to(_integer_root(limit, r))
     out = [1]
     stack = [(1, 0)]  # (product, index of the next prime it may take)
@@ -295,7 +297,7 @@ def r_full_up_to(limit: int, r: int, *, cap: int = SIEVE_CAP_DEFAULT) -> list[in
     return out
 
 
-def squarefull_via_a2b3(limit: int, *, cap: int = SIEVE_CAP_DEFAULT) -> list[int]:
+def squarefull_via_a2b3(limit: int) -> list[int]:
     """Square-full integers in [1, limit] via the a^2*b^3 characterization.
 
     Every square-full n is a^2*b^3 with b square-free, so enumerating those
@@ -303,8 +305,8 @@ def squarefull_via_a2b3(limit: int, *, cap: int = SIEVE_CAP_DEFAULT) -> list[int
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    if limit > cap:
-        raise ValueError(f"limit {limit} exceeds sieve cap {cap}")
+    if limit > SIEVE_CAP:
+        raise ValueError(f"limit {limit} exceeds the sieve cap SIEVE_CAP = {SIEVE_CAP}")
     found: set[int] = set()
     b = 1
     while b ** 3 <= limit:

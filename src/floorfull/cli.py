@@ -1,12 +1,13 @@
 """Command-line entry point.
 
 Every subcommand prints a self-describing report, and identical
-invocations produce byte-identical machine-readable output.  The parsed
-argparse namespace is the only record of a run's settings.  Each COMMANDS
-row lists the settings its run reads: the bound flags it declares, the
-FLOORFULL_* caps, which `dispatch` reads from the environment for that row
-alone, and seed=0, the fixed Brent-rho seed DEFAULT_RHO_SEED, where the run
-can factor.  `_header` names the subcommand, the format and those settings.
+invocations produce byte-identical machine-readable output.  A run's
+settings are its parsed flags and the constants of `defaults`, which no
+run can change.  Each COMMANDS row lists the settings its run reads: the
+bound flags it declares, the caps it checks (SIEVE_CAP, BITMAP_CAP,
+SEQ_CAP) and seed=0, the fixed Brent-rho seed DEFAULT_RHO_SEED, where the
+run can factor.  `_header` names the subcommand, the format and those
+settings.
 
 Exit codes: 0 success / verification passed; 1 verification failure
 (a skip violation, certificate verification failure, witness failure, or
@@ -30,13 +31,13 @@ import sys
 from fractions import Fraction
 
 from .defaults import (
-    BITMAP_CAP_DEFAULT,
+    BITMAP_CAP,
     DEFAULT_K_MAX,
     DEFAULT_MAX_M,
     DEFAULT_RHO_SEED,
     DEFAULT_S_MAX,
-    DEFAULT_SEQ_CAP,
-    SIEVE_CAP_DEFAULT,
+    SEQ_CAP,
+    SIEVE_CAP,
 )
 from .errors import (
     NotFoundWithinBound,
@@ -50,28 +51,19 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 
-_CAPS = {  # setting: (environment variable, default)
-    "sieve_cap": ("FLOORFULL_SIEVE_CAP", SIEVE_CAP_DEFAULT),
-    "bitmap_cap": ("FLOORFULL_BITMAP_CAP", BITMAP_CAP_DEFAULT),
-    "seq_cap": ("FLOORFULL_SEQ_CAP", DEFAULT_SEQ_CAP),
+_CONSTANTS = {  # the settings a header names that no flag sets
+    "seed": DEFAULT_RHO_SEED,
+    "sieve_cap": SIEVE_CAP,
+    "bitmap_cap": BITMAP_CAP,
+    "seq_cap": SEQ_CAP,
 }
-
-
-def _env_cap(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from exc
 
 
 def _header(args: argparse.Namespace) -> dict:
     """The subcommand, the format and the settings its COMMANDS row lists."""
     header = {"subcommand": args.subcommand_path, "format": args.format}
     for name in args.settings:
-        value = DEFAULT_RHO_SEED if name == "seed" else getattr(args, name)
+        value = _CONSTANTS[name] if name in _CONSTANTS else getattr(args, name)
         header["M" if name == "max_m" else name] = value
     return header
 
@@ -251,9 +243,9 @@ def _run_sieve(classify, args):
     if args.method == "a2b3":
         if args.r != 2:
             raise ValueError("--method a2b3 only enumerates 2-full integers")
-        values = classify.squarefull_via_a2b3(args.limit, cap=args.sieve_cap)
+        values = classify.squarefull_via_a2b3(args.limit)
     else:
-        values = classify.r_full_up_to(args.limit, args.r, cap=args.sieve_cap)
+        values = classify.r_full_up_to(args.limit, args.r)
     return {"limit": args.limit, "r": args.r, "method": args.method, "values": values}
 
 
@@ -286,6 +278,11 @@ def _run_theorem1_verify(cert, args):
     return cert.verify_non_rfull(_load_certificate(cert, args.cert), max_m=args.max_m)
 
 
+# Largest number of (r, ell) cells `theorem1 grid` runs; the cell list is
+# built before the first cell runs.
+GRID_CELL_CAP = 2 ** 16
+
+
 def _grid_cell(cell: tuple[int, int, int, int]) -> dict:
     from . import certificates  # a --jobs worker may start with a bare cli
 
@@ -305,6 +302,9 @@ def _grid_cell(cell: tuple[int, int, int, int]) -> dict:
 def _run_theorem1_grid(cert, args):
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    n_cells = max(0, args.r_max - args.r_min + 1) * max(0, args.ell_max - args.ell_min + 1)
+    if n_cells > GRID_CELL_CAP:
+        raise ValueError(f"the grid has {n_cells} cells, above GRID_CELL_CAP = {GRID_CELL_CAP}")
     cells = [
         (r, ell, args.s_max, args.max_m)
         for r in range(args.r_min, args.r_max + 1)
@@ -320,12 +320,12 @@ def _run_theorem1_grid(cert, args):
 
 
 def _run_seq_gen(seq, args):
-    values = seq.generate_terms(_spec_from_args(args), args.n, cap=args.seq_cap)
+    values = seq.generate_terms(_spec_from_args(args), args.n)
     return {"n": args.n, "values": values}
 
 
 def _run_seq_salpha(seq, args):
-    values = seq.s_alpha(_spec_from_args(args), args.alpha, args.n, cap=args.seq_cap)
+    values = seq.s_alpha(_spec_from_args(args), args.alpha, args.n)
     return {"alpha": args.alpha, "n": args.n, "values": values}
 
 
@@ -334,11 +334,11 @@ def _run_seq_preimage(seq, args):
 
 
 def _run_seq_ratio(seq, args):
-    return seq.ratio_condition_check(_spec_from_args(args), args.n, cap=args.seq_cap)
+    return seq.ratio_condition_check(_spec_from_args(args), args.n)
 
 
 def _run_thm2_verify(skip, args):
-    return skip.verify_skip_all_alpha(args.gamma, args.j, args.K, cap=args.seq_cap)
+    return skip.verify_skip_all_alpha(args.gamma, args.j, args.K)
 
 
 def _run_thm2_symbolic(skip, args):
@@ -356,7 +356,7 @@ def _run_thm2_gamma_search(skip, args):
 
 def _run_thm2_scan(skip, args):
     spec = _spec_from_args(args)
-    hits = skip.counterexample_scan(spec, args.t1, args.t2, args.n, cap=args.seq_cap)
+    hits = skip.counterexample_scan(spec, args.t1, args.t2, args.n)
     return {
         "t1": args.t1,
         "t2": args.t2,
@@ -368,7 +368,7 @@ def _run_thm2_scan(skip, args):
 
 def _run_pset_compute(pset, args):
     terms = _read_int_file(args.terms)
-    bitmap = pset.compute_pset(terms, args.bound, cap=args.bitmap_cap)
+    bitmap = pset.compute_pset(terms, args.bound)
     if args.bit_out:
         with open(args.bit_out, "wb") as handle:
             handle.write(bitmap.to_bit_bytes())
@@ -377,7 +377,7 @@ def _run_pset_compute(pset, args):
 
 def _run_pset_complete(pset, args):
     terms = _read_int_file(args.terms)
-    threshold = pset.complete_up_to(terms, args.bound, cap=args.bitmap_cap)
+    threshold = pset.complete_up_to(terms, args.bound)
     return {"bound": args.bound, "threshold": threshold, "covered": threshold is not None}
 
 
@@ -392,8 +392,8 @@ def _run_pset_witness(pset, args):
 
 # ---------------------------------------------------------------------------
 # parser: one row per subcommand, (path, settings, handler, flags).  The
-# settings are what the report header names: the bound flags and FLOORFULL_*
-# caps the run reads, and "seed" where it can factor.  A flag is
+# settings are what the report header names: the bound flags the run reads,
+# the caps it checks, and "seed" where it can factor.  A flag is
 # (name, type or tuple of choices, default[, help]); type None keeps the
 # string, and a default of ... marks the flag required.  Every subcommand
 # also takes the _COMMON flags.
@@ -497,9 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(args: argparse.Namespace, out) -> int:
     module = importlib.import_module(f"{__package__}.{args.module}")
     try:
-        for name in args.settings:
-            if name in _CAPS:
-                setattr(args, name, _env_cap(*_CAPS[name]))
         result = args.handler(module, args)
     except (SkipViolation,) as exc:
         if exc.report is not None:

@@ -10,8 +10,9 @@ class FloorfullError(Exception):
 class NotFoundWithinBound(FloorfullError):
     """A bounded search exhausted its budget without a hit.
 
-    The search target is guaranteed to exist for a large enough bound;
-    callers should retry with a bigger one.
+    The search target is guaranteed to exist for a large enough bound.
+    Where a flag sets the bound (`--s-max`), a bigger one may find it; the
+    Brent-rho budget RHO_BUDGET is a constant, so no rerun can.
     """
 
     def __init__(self, message: str, bound: int):

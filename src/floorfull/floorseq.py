@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .defaults import DEFAULT_SEQ_CAP
+from .defaults import SEQ_CAP
 from .rationals import RatInterval
 
 
@@ -56,7 +56,7 @@ class Explicit(NamedTuple("Explicit", [("terms", tuple[int, ...])])):
 SeqSpec = Union[FloorPower, Squares, Explicit]
 
 
-def generate_terms(spec: SeqSpec, n_max: int, *, cap: int = DEFAULT_SEQ_CAP) -> list[int]:
+def generate_terms(spec: SeqSpec, n_max: int) -> list[int]:
     """First n_max terms [s_1, ..., s_n_max]; strict increase is enforced.
 
     For FloorPower(p/q) the loop keeps p^n = s_n*q^n + r_n, 0 <= r_n < q^n
@@ -72,8 +72,8 @@ def generate_terms(spec: SeqSpec, n_max: int, *, cap: int = DEFAULT_SEQ_CAP) -> 
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if n_max > cap:
-        raise ValueError(f"n_max {n_max} exceeds sequence cap {cap}")
+    if n_max > SEQ_CAP:
+        raise ValueError(f"n_max {n_max} exceeds the sequence cap SEQ_CAP = {SEQ_CAP}")
     if isinstance(spec, FloorPower):
         p, q = spec.gamma.numerator, spec.gamma.denominator
         s, r, q_n, terms = 1, 0, 1, []
@@ -101,7 +101,7 @@ def generate_terms(spec: SeqSpec, n_max: int, *, cap: int = DEFAULT_SEQ_CAP) -> 
     return terms
 
 
-def s_alpha(spec: SeqSpec, alpha: Fraction, n_max: int, *, cap: int = DEFAULT_SEQ_CAP) -> list[int]:
+def s_alpha(spec: SeqSpec, alpha: Fraction, n_max: int) -> list[int]:
     """The floor-scaled image [floor(alpha*s_1), ..., floor(alpha*s_n_max)].
 
     >>> s_alpha(FloorPower(Fraction(3, 2)), Fraction(1, 2), 7)
@@ -109,7 +109,7 @@ def s_alpha(spec: SeqSpec, alpha: Fraction, n_max: int, *, cap: int = DEFAULT_SE
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    return [alpha.numerator * s // alpha.denominator for s in generate_terms(spec, n_max, cap=cap)]
+    return [alpha.numerator * s // alpha.denominator for s in generate_terms(spec, n_max)]
 
 
 def preimage_interval(t: int, s: int) -> RatInterval:
@@ -125,13 +125,7 @@ def preimage_interval(t: int, s: int) -> RatInterval:
     return RatInterval(Fraction(t, s), Fraction(t + 1, s))
 
 
-def member_alpha_set(
-    spec: SeqSpec,
-    t: int,
-    n_max: int,
-    *,
-    cap: int = DEFAULT_SEQ_CAP,
-) -> list[RatInterval]:
+def member_alpha_set(spec: SeqSpec, t: int, n_max: int) -> list[RatInterval]:
     """Intervals of alpha in [0, 1) with t in the floor-scaled image.
 
     One preimage interval [t/s, (t+1)/s) per term s > t among the first
@@ -143,7 +137,7 @@ def member_alpha_set(
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    return [preimage_interval(t, s) for s in generate_terms(spec, n_max, cap=cap) if s > t]
+    return [preimage_interval(t, s) for s in generate_terms(spec, n_max) if s > t]
 
 
 class RatioReport(NamedTuple):
@@ -154,11 +148,11 @@ class RatioReport(NamedTuple):
     holds_from: int               # all checked n >= holds_from satisfy it
 
 
-def ratio_condition_check(spec: SeqSpec, n_max: int, *, cap: int = DEFAULT_SEQ_CAP) -> RatioReport:
+def ratio_condition_check(spec: SeqSpec, n_max: int) -> RatioReport:
     """Check s_n < s_{n+1} <= 2*s_n for n = 1, ..., n_max - 1."""
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    terms = generate_terms(spec, n_max, cap=cap)
+    terms = generate_terms(spec, n_max)
     violations = tuple(
         n
         for n, (a, b) in enumerate(zip(terms, terms[1:]), start=1)

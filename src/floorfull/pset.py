@@ -21,7 +21,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .defaults import BITMAP_CAP_DEFAULT
+from .defaults import BITMAP_CAP
 from .errors import WitnessFailure
 
 # Largest m a squares witness accepts: line i holds numbers of about m + i
@@ -71,9 +71,7 @@ class PSetBitmap(NamedTuple("PSetBitmap", [("bound", int), ("bits", int)])):
         return n_bits.to_bytes(8, "little") + body
 
 
-def compute_pset(
-    terms: Iterable[int], bound: int, *, cap: int = BITMAP_CAP_DEFAULT
-) -> PSetBitmap:
+def compute_pset(terms: Iterable[int], bound: int) -> PSetBitmap:
     """Exact membership bitmap of the representation set on [0, bound].
 
     Multiset semantics: each occurrence in `terms` is usable at most once,
@@ -86,8 +84,8 @@ def compute_pset(
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    if bound + 1 > cap:
-        raise ValueError(f"bound {bound} exceeds bitmap cap {cap} bits")
+    if bound >= BITMAP_CAP:  # the bitmap holds bound + 1 bits
+        raise ValueError(f"bound {bound} must be below the bitmap cap BITMAP_CAP = {BITMAP_CAP}")
     mask = (1 << (bound + 1)) - 1
     bits = 1
     for a in terms:
@@ -98,16 +96,14 @@ def compute_pset(
     return PSetBitmap(bound=bound, bits=bits)
 
 
-def complete_up_to(
-    terms: Iterable[int], bound: int, *, cap: int = BITMAP_CAP_DEFAULT
-) -> int | None:
+def complete_up_to(terms: Iterable[int], bound: int) -> int | None:
     """Smallest T with [T, bound] fully representable, or None.
 
     None means `bound` itself is missing, so no tail of [0, bound] is
     covered.  A bounded-scale heuristic only: it cannot prove that all
     sufficiently large integers are representable.
     """
-    bitmap = compute_pset(terms, bound, cap=cap)
+    bitmap = compute_pset(terms, bound)
     if bound not in bitmap:
         return None
     missing = ~bitmap.bits & ((1 << (bound + 1)) - 1)

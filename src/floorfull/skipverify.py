@@ -35,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .defaults import DEFAULT_K_MAX, DEFAULT_SEQ_CAP
+from .defaults import DEFAULT_K_MAX
 from .errors import SkipViolation
 from .floorseq import (
     FloorPower,
@@ -102,9 +102,7 @@ class SkipReport(NamedTuple):
     overall: bool
 
 
-def verify_skip_all_alpha(
-    gamma: Fraction, j: int, k_max: int = DEFAULT_K_MAX, *, cap: int = DEFAULT_SEQ_CAP
-) -> SkipReport:
+def verify_skip_all_alpha(gamma: Fraction, j: int, k_max: int = DEFAULT_K_MAX) -> SkipReport:
     """Certify 2^(j+1) misses the image whenever 2^j is hit at index <= k_max.
 
     Each k with s_k <= 2^j is skipped: I_k = [2^j/s_k, (2^j+1)/s_k) then
@@ -116,7 +114,7 @@ def verify_skip_all_alpha(
     _require_j(j)
     if k_max < 3:
         raise ValueError(f"k_max must be >= 3, got {k_max}")
-    terms = generate_terms(FloorPower(gamma), k_max + 2, cap=cap)
+    terms = generate_terms(FloorPower(gamma), k_max + 2)
     target = 2 ** j
     ceiling = 2 ** (j + 1) - 1   # largest value allowed at index k+1
     floor_min = 2 ** (j + 1) + 1  # smallest value allowed at index k+2
@@ -249,12 +247,7 @@ def gamma_exception_search(gamma: Fraction) -> int:
 
 
 def counterexample_scan(
-    spec: SeqSpec,
-    t1: int,
-    t2: int,
-    n_max: int = DEFAULT_K_MAX,
-    *,
-    cap: int = DEFAULT_SEQ_CAP,
+    spec: SeqSpec, t1: int, t2: int, n_max: int = DEFAULT_K_MAX
 ) -> list[RatInterval]:
     """Alpha-intervals in (0, 1) hitting both t1 and t2, by a sorted sweep.
 
@@ -269,8 +262,8 @@ def counterexample_scan(
     """
     if t1 == t2:
         raise ValueError("targets must differ")
-    first = member_alpha_set(spec, t1, n_max, cap=cap)
-    second = member_alpha_set(spec, t2, n_max, cap=cap)
+    first = member_alpha_set(spec, t1, n_max)
+    second = member_alpha_set(spec, t2, n_max)
     hits, start = [], 0
     for a in first:
         while start < len(second) and second[start].lo >= a.hi:

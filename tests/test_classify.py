@@ -401,8 +401,7 @@ def test_r_full_integers_first_500_terms(r):
         assert below == terms
 
 
-def test_sieve_at_the_advertised_cap(capsys, monkeypatch):
-    monkeypatch.delenv("FLOORFULL_SIEVE_CAP", raising=False)
+def test_sieve_at_the_advertised_cap(capsys):
     assert main(["sieve", "--limit", "100000000"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["config"]["sieve_cap"] == 10**8

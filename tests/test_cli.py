@@ -1,10 +1,10 @@
 """The CLI, run in-process through `main(argv)`.
 
 Only the entry-point smoke test and the broken-pipe test start a
-`python -m floorfull` process; `_env_cap` reads the environment when it
-is called, so the env caps are set with `monkeypatch.setenv`.
+`python -m floorfull` process.
 """
 
+import ast
 import io
 import json
 import math
@@ -18,12 +18,15 @@ from typing import NamedTuple
 
 import pytest
 
-from floorfull import classify, pset
+import floorfull
+from floorfull import certificates, classify, cli, pset
 from floorfull.cli import build_parser, dispatch, main
+from floorfull.defaults import BITMAP_CAP, SEQ_CAP, SIEVE_CAP
 from floorfull.rationals import unlimited_int_digits
 
 CLI = [sys.executable, "-m", "floorfull"]
-TERMS = str(pathlib.Path(__file__).resolve().parent / "golden" / "inputs" / "terms.txt")
+INPUTS = pathlib.Path(__file__).resolve().parent / "golden" / "inputs"
+TERMS = str(INPUTS / "terms.txt")
 
 
 class Run(NamedTuple):
@@ -112,35 +115,64 @@ def test_usage_error_exits_2():
     assert proc.returncode == 2
 
 
-def test_config_error_names_cap(monkeypatch):
-    monkeypatch.setenv("FLOORFULL_SIEVE_CAP", "1000")
-    proc = run_cli("sieve", "--limit", "10000", "--r", "2")
-    assert proc.returncode == 2
-    assert b"cap" in proc.stderr
+def test_config_error_names_cap():
+    # each check runs before its sieve, bitmap or term list is allocated
+    past_the_caps = [
+        (["sieve", "--limit", str(SIEVE_CAP + 1)],
+         f"limit {SIEVE_CAP + 1} exceeds the sieve cap SIEVE_CAP = {SIEVE_CAP}"),
+        (["sieve", "--limit", str(SIEVE_CAP + 1), "--method", "a2b3"],
+         f"limit {SIEVE_CAP + 1} exceeds the sieve cap SIEVE_CAP = {SIEVE_CAP}"),
+        (["pset", "complete", "--terms", TERMS, "--bound", str(BITMAP_CAP)],
+         f"bound {BITMAP_CAP} must be below the bitmap cap BITMAP_CAP = {BITMAP_CAP}"),
+        (["seq", "gen", "--n", str(SEQ_CAP + 1)],
+         f"n_max {SEQ_CAP + 1} exceeds the sequence cap SEQ_CAP = {SEQ_CAP}"),
+    ]
+    for argv, message in past_the_caps:
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == f"error: {message}\n".encode()
 
 
-CAP_READERS = {
-    "FLOORFULL_SIEVE_CAP": ["sieve", "--limit", "10"],
-    "FLOORFULL_BITMAP_CAP": ["pset", "complete", "--terms", TERMS, "--bound", "10"],
-    "FLOORFULL_SEQ_CAP": ["seq", "gen", "--n", "3"],
-}
+CAP_RUNS = (
+    ["sieve", "--limit", "10"],
+    ["pset", "complete", "--terms", TERMS, "--bound", "10"],
+    ["seq", "gen", "--n", "3"],
+)
 
 
-@pytest.mark.parametrize("var", list(CAP_READERS))
-def test_malformed_env_cap_exits_2_with_one_line(monkeypatch, capsys, var):
-    monkeypatch.setenv(var, "abc")
-    assert main(CAP_READERS[var]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {var} must be an integer, got 'abc'\n"
+@pytest.mark.parametrize("value", ["abc", "1"])
+@pytest.mark.parametrize(
+    "var", ["FLOORFULL_SIEVE_CAP", "FLOORFULL_BITMAP_CAP", "FLOORFULL_SEQ_CAP"]
+)
+def test_former_env_caps_have_no_effect(monkeypatch, var, value):
+    clean = [run_cli(*argv) for argv in CAP_RUNS]
+    assert [proc.returncode for proc in clean] == [0, 0, 0]
+    monkeypatch.setenv(var, value)
+    for argv, expected in zip(CAP_RUNS, clean):
+        proc = run_cli(*argv)
+        assert (proc.returncode, proc.stdout) == (expected.returncode, expected.stdout)
 
 
-def test_malformed_env_cap_the_run_does_not_read_is_ignored(monkeypatch):
-    clean = run_cli("classify", "--n", "10")
-    monkeypatch.setenv("FLOORFULL_SEQ_CAP", "abc")
-    proc = run_cli("classify", "--n", "10")
-    assert proc.returncode == 0
-    assert proc.stdout == clean.stdout
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_environment():
+    # a run's settings are its flags and the constants of `defaults`; a
+    # knob read from the environment would be a setting no header names
+    reads = []
+    for path in sorted(pathlib.Path(floorfull.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            name = (
+                node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name)
+                else node.name if isinstance(node, ast.alias)
+                else node.value if isinstance(node, ast.Constant)  # getattr(os, "environ")
+                else None
+            )
+            if name in ENVIRONMENT_NAMES:
+                reads.append(f"{path.name}:{node.lineno}: {name}")
+    assert reads == []
 
 
 @pytest.mark.parametrize("gamma", ["0", "0/5"])
@@ -218,6 +250,66 @@ def test_grid_jobs_below_one_exits_2_with_one_line(jobs):
     assert proc.returncode == 2
     assert proc.stdout == b""
     assert proc.stderr == f"error: --jobs must be >= 1, got {jobs}\n".encode()
+
+
+def run_traced(*args):
+    """run_cli, and the peak of the memory its run allocated."""
+    tracemalloc.start()
+    try:
+        proc = run_cli(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return proc, peak
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["theorem1", "verify", "--cert", str(INPUTS / "cert_ell15.json")],
+     ["theorem1", "grid", "--r-max", "2", "--ell-max", "6"]],
+    ids=["verify", "grid"],
+)
+def test_max_m_past_the_cap_exits_2_with_one_line(argv):
+    cap = certificates.MAX_M_CAP
+    assert cap >= 200  # the benchmark's certify workload runs --max-m up to 200
+    proc, peak = run_traced(*argv, "--max-m", str(cap + 1))
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    message = f"max_m must be >= 1 and <= MAX_M_CAP = {cap}, got {cap + 1}"
+    assert proc.stderr == f"error: {message}\n".encode()
+    assert peak < 1 << 20  # one line per m would take megabytes
+
+
+def test_max_m_at_the_cap_exits_0():
+    # a grid builds no line per m, so the cap itself stays cheap there
+    payload = run_json("theorem1", "grid", "--r-max", "2", "--ell-max", "2",
+                       "--max-m", str(certificates.MAX_M_CAP))
+    assert payload["result"]["rows"][0]["verified_to"] == certificates.MAX_M_CAP
+
+
+class CellRun(Exception):
+    pass
+
+
+def test_grid_past_the_cell_cap_exits_2_before_any_cell(monkeypatch):
+    cap = cli.GRID_CELL_CAP
+    assert cap >= 840  # the benchmark's certify workload runs grids of up to 840 cells
+    proc, peak = run_traced("theorem1", "grid", "--r-max", "2", "--ell-max", str(cap + 2))
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    message = f"the grid has {cap + 1} cells, above GRID_CELL_CAP = {cap}"
+    assert proc.stderr == f"error: {message}\n".encode()
+    assert peak < 1 << 20
+    # empty ranges hold no cells, whatever the product of their signed lengths
+    empty = run_json("theorem1", "grid", "--r-min", "300", "--ell-min", "300")
+    assert empty["result"]["rows"] == []
+
+    def no_cell(cell):
+        raise CellRun(cell)
+
+    monkeypatch.setattr(cli, "_grid_cell", no_cell)
+    with pytest.raises(CellRun):  # the cap itself passes the check
+        run_cli("theorem1", "grid", "--r-max", "2", "--ell-max", str(cap + 1))
 
 
 def test_seq_gen_csv_one_integer_per_row():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from floorfull.floorseq import (
+    SEQ_CAP,
     Explicit,
     FloorPower,
     Squares,
@@ -55,8 +56,9 @@ def test_floor_power_requires_growth():
 def test_generate_terms_cap_and_bounds():
     with pytest.raises(ValueError):
         generate_terms(POW32, 0)
-    with pytest.raises(ValueError, match="cap"):
-        generate_terms(POW32, 50, cap=10)
+    assert len(generate_terms(Squares(), SEQ_CAP)) == SEQ_CAP
+    with pytest.raises(ValueError, match=f"sequence cap SEQ_CAP = {SEQ_CAP}"):
+        generate_terms(POW32, SEQ_CAP + 1)  # rejected before any term is built
 
 
 def _fraction_power_terms(gamma, n_max):

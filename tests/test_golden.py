@@ -18,7 +18,7 @@ from collections import defaultdict
 
 import pytest
 
-from floorfull import classify, cli
+from floorfull import classify, cli, floorseq, pset, skipverify
 from floorfull.cli import build_parser, dispatch
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
@@ -80,12 +80,6 @@ def golden_path(name: str, fmt: str) -> pathlib.Path:
     return GOLDEN_DIR / f"{name}.{fmt}"
 
 
-@pytest.fixture(autouse=True)
-def _default_caps(monkeypatch):
-    for var in ("FLOORFULL_SIEVE_CAP", "FLOORFULL_BITMAP_CAP", "FLOORFULL_SEQ_CAP"):
-        monkeypatch.delenv(var, raising=False)
-
-
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, fmt):
@@ -116,6 +110,7 @@ OTHER_KINDS = [
     ["seq", "ratio", "--n", "5"],
     ["thm2", "scan", "--kind", "file", "--file", TERMS, "--t1", "1", "--t2", "2", "--n", "3"],
     ["series", "--kind", "rfree", "--r", "3", "--terms", "4", "--digits", "8"],
+    ["series", "--kind", "squarefull", "--terms", "4", "--digits", "8"],
 ]
 
 
@@ -158,11 +153,22 @@ def test_every_flag_is_read_beyond_the_header(monkeypatch):
     assert unread == {}
 
 
+# each constant a header can name, and the functions that read it; a
+# module that imported a reader by name has its own binding to patch
+CONSTANT_READERS = {
+    "seed": [(classify, "_prime_powers")],
+    "sieve_cap": [(classify, "r_full_up_to"), (classify, "squarefull_via_a2b3")],
+    "seq_cap": [(floorseq, "generate_terms"), (skipverify, "generate_terms")],
+    "bitmap_cap": [(pset, "compute_pset")],
+}
+
+
 def test_every_header_setting_is_read_by_the_run(monkeypatch):
-    # the reverse: each setting a header names is one its run reads, and
-    # seed=0 stands exactly on the subcommands that factor
-    header, prime_powers = cli._header, classify._prime_powers
-    named, reads, factored, calls = defaultdict(set), defaultdict(set), set(), []
+    # the reverse: each flag a header names is one its run reads, and each
+    # constant (seed=0 and the caps) stands exactly on the subcommands whose
+    # runs reach a function that reads it
+    header = cli._header
+    named, reads, reached, reaching = defaultdict(set), defaultdict(set), defaultdict(set), set()
 
     def unrecorded_header(args):
         args.recording = False
@@ -173,31 +179,37 @@ def test_every_header_setting_is_read_by_the_run(monkeypatch):
         named[args.subcommand_path] |= config.keys()
         return config
 
-    def recorded_prime_powers(n):
-        calls.append(n)
-        return prime_powers(n)
+    def recording(constant, function):
+        def recorded(*args, **kwargs):
+            if "cap" not in kwargs:  # r_full_integers passes cap=limit, not SIEVE_CAP
+                reaching.add(constant)
+            return function(*args, **kwargs)
+        return recorded
 
     monkeypatch.setattr(cli, "_header", unrecorded_header)
-    monkeypatch.setattr(classify, "_prime_powers", recorded_prime_powers)
+    for constant, readers in CONSTANT_READERS.items():
+        for module, name in readers:
+            monkeypatch.setattr(module, name, recording(constant, getattr(module, name)))
     for argv in [*CASES.values(), *OTHER_KINDS]:
         args = ReadLog(**vars(build_parser().parse_args(argv)))
         args.reads, args.recording = set(), True
         classify.factorize.cache_clear()  # a cached factorization skips _prime_powers
-        calls.clear()
+        reaching.clear()
         dispatch(args, io.StringIO())
         args.recording = False
         reads[args.subcommand_path] |= args.reads
-        if calls:
-            factored.add(args.subcommand_path)
+        reached[args.subcommand_path] |= reaching
     assert named.keys() == {path for path, *_ in cli.COMMANDS}
     attribute = {"M": "max_m"}
     unread = {}
     for path, keys in named.items():
-        settings = {attribute.get(key, key) for key in keys} - {"subcommand", "seed"}
+        settings = {attribute.get(key, key) for key in keys} - {"subcommand", *CONSTANT_READERS}
         if settings - reads[path]:
             unread[path] = sorted(settings - reads[path])
     assert unread == {}
-    assert {path for path, keys in named.items() if "seed" in keys} == factored
+    assert {path: keys & CONSTANT_READERS.keys() for path, keys in named.items()} == {
+        path: reached[path] for path in named
+    }
 
 
 def test_goldens_cover_every_exit_code():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from floorfull.pset import (
+    BITMAP_CAP,
     PSetBitmap,
     brown_criterion,
     complete_up_to,
@@ -45,8 +46,8 @@ def test_compute_pset_guards():
         compute_pset([1, 2], 0)
     with pytest.raises(ValueError):
         compute_pset([-1], 10)
-    with pytest.raises(ValueError, match="cap"):
-        compute_pset([1], 10**9, cap=1000)
+    with pytest.raises(ValueError, match=f"bitmap cap BITMAP_CAP = {BITMAP_CAP}"):
+        compute_pset([1], BITMAP_CAP)  # BITMAP_CAP + 1 bits, rejected before the mask
     with pytest.raises(ValueError):
         compute_pset([10**8, -1], 10)  # a negative term is rejected even after skipped ones
 
