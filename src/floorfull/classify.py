@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
@@ -387,5 +386,6 @@ def series_digits(
     for _ in range(n_digits):
         d, remainder = divmod(remainder * base, denominator)
         digits.append(d)
+    from fractions import Fraction
     sep = "" if base <= 10 else ","
     return sep.join(str(d) for d in digits), Fraction(numerator, denominator)

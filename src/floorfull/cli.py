@@ -14,11 +14,12 @@ Exit codes: 0 success / verification passed; 1 verification failure
 failed validation); 2 usage or configuration error (bad flags, resource
 cap exceeded, bounded search exhausted).
 
-A cold run imports only what its subcommand runs.  The parser is built
-from the COMMANDS table; each subcommand group names the library module
-its handlers use, and `dispatch` imports that module and hands it to the
-handler.  At module scope this file imports no library module but the
-light `defaults` (the caps and bounds), `errors` and `rationals`.
+A cold run builds, imports and compiles only what its subcommand runs.
+`main` builds the COMMANDS parser tree pruned to the leaves of the group
+its argv names.  Each group names the library module its handlers use,
+and `dispatch` imports that module and hands it to the handler.
+`fractions` loads only with code that builds a Fraction, and the table
+and CSV renderers of `render` only for those formats.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import importlib
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .defaults import (
     BITMAP_CAP,
@@ -92,74 +92,14 @@ def to_json(value):
         return [item if isinstance(item, _JSON_SCALARS) else to_json(item) for item in value]
     if isinstance(value, dict):
         return {key: to_json(inner) for key, inner in value.items()}
-    if isinstance(value, Fraction):
+    fractions = sys.modules.get("fractions")  # no Fraction exists until it loads
+    if fractions is not None and isinstance(value, fractions.Fraction):
         return rat_str(value)
     if hasattr(value, "to_json_dict"):
         return value.to_json_dict()
     if hasattr(value, "_fields"):
         return {name: to_json(inner) for name, inner in zip(value._fields, value)}
     raise TypeError(f"no JSON form for {type(value).__name__}")
-
-
-def _render_table(value, out, indent: str) -> None:
-    if isinstance(value, dict):
-        for key, inner in value.items():
-            if isinstance(inner, (dict, list)):
-                out.write(f"{indent}{key}:\n")
-                _render_table(inner, out, indent + "  ")
-            else:
-                out.write(f"{indent}{key}: {inner}\n")
-    elif isinstance(value, list):
-        if value and all(isinstance(item, dict) for item in value):
-            keys = list(value[0].keys())
-            widths = {
-                k: max(len(str(k)), *(len(_cell(item.get(k))) for item in value))
-                for k in keys
-            }
-            out.write(indent + "  ".join(str(k).ljust(widths[k]) for k in keys) + "\n")
-            for item in value:
-                out.write(
-                    indent
-                    + "  ".join(_cell(item.get(k)).ljust(widths[k]) for k in keys)
-                    + "\n"
-                )
-        else:
-            for item in value:
-                out.write(f"{indent}{item}\n")
-    else:
-        out.write(f"{indent}{value}\n")
-
-
-def _cell(value) -> str:
-    if isinstance(value, dict) and value.get("closed_open"):
-        return f"[{value['lo']}, {value['hi']})"
-    return str(value)
-
-
-def _emit_csv(result, out) -> None:
-    import csv  # only --format csv pays for it
-
-    writer = csv.writer(out, lineterminator="\n")
-    if isinstance(result, dict) and "values" in result and isinstance(result["values"], list):
-        for item in result["values"]:
-            writer.writerow([item])
-    else:
-        _flat_csv(result, writer, prefix="")
-
-
-def _flat_csv(value, writer, prefix: str) -> None:
-    if isinstance(value, dict):
-        for key, inner in value.items():
-            path = f"{prefix}.{key}" if prefix else str(key)
-            if isinstance(inner, (dict, list)):
-                _flat_csv(inner, writer, path)
-            else:
-                writer.writerow([path, inner])
-    elif isinstance(value, list):
-        for idx, inner in enumerate(value):
-            _flat_csv(inner, writer, f"{prefix}[{idx}]")
-    else:
-        writer.writerow([prefix, value])
 
 
 def _emit(args: argparse.Namespace, result, out) -> None:
@@ -171,10 +111,11 @@ def _emit(args: argparse.Namespace, result, out) -> None:
             out.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
             return
         out.write("# " + " ".join(f"{key}={config[key]}" for key in sorted(config)) + "\n")
+        from . import render  # only --format table or csv loads it
         if args.format == "csv":
-            _emit_csv(result, out)
+            render.emit_csv(result, out)
         else:
-            _render_table(result, out, indent="")
+            render.render_table(result, out)
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +127,7 @@ def _unread_flag(kind: str, flag: str, value) -> None:
 
 
 def _spec_from_args(args: argparse.Namespace):
+    from fractions import Fraction  # floorseq loads it anyway
     from . import floorseq
 
     kind = args.kind
@@ -302,7 +244,10 @@ def _grid_cell(cell: tuple[int, int, int, int]) -> dict:
 def _run_theorem1_grid(cert, args):
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    n_cells = max(0, args.r_max - args.r_min + 1) * max(0, args.ell_max - args.ell_min + 1)
+    if args.r_min > args.r_max or args.ell_min > args.ell_max:
+        raise ValueError(f"the grid is empty: r in [{args.r_min}, {args.r_max}], "
+                         f"ell in [{args.ell_min}, {args.ell_max}]")
+    n_cells = (args.r_max - args.r_min + 1) * (args.ell_max - args.ell_min + 1)
     if n_cells > GRID_CELL_CAP:
         raise ValueError(f"the grid has {n_cells} cells, above GRID_CELL_CAP = {GRID_CELL_CAP}")
     cells = [
@@ -464,25 +409,32 @@ COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The COMMANDS parser; given argv, only its group gets leaf parsers and flags.
+
+    Every group parser is built, so top-level help and errors stay the same:
+    argparse descends only into the group named by argv's first word not
+    starting with "-".
+    """
     parser = argparse.ArgumentParser(
         prog="floorfull",
         description="Exact verification toolkit: shifted-power certificates, "
         "floor-scaled sequences, subset-sum representation sets.",
     )
     top = parser.add_subparsers(dest="command", required=True)
-    groups = {}
+    groups = {group: top.add_parser(group, help=text) for group, (_, text) in _GROUPS.items()}
+    wanted = _GROUPS if argv is None else {next((w for w in argv if not w.startswith("-")), None)}
+    actions = {}
     for path, settings, handler, flags in COMMANDS:
         group, _, action = path.partition(" ")
-        module, help_text = _GROUPS[group]
-        if not action:
-            sub = top.add_parser(path, help=help_text)
-        else:
-            if group not in groups:
-                groups[group] = top.add_parser(group, help=help_text).add_subparsers(
-                    dest="action", required=True
-                )
-            sub = groups[group].add_parser(action)
+        if group not in wanted:
+            continue
+        module = _GROUPS[group][0]
+        sub = groups[group]
+        if action:
+            if group not in actions:
+                actions[group] = sub.add_subparsers(dest="action", required=True)
+            sub = actions[group].add_parser(action)
         for name, kind, default, *help_ in (*flags, *_COMMON):
             options = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
             if default is ...:
@@ -517,8 +469,8 @@ def dispatch(args: argparse.Namespace, out) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return dispatch(args, sys.stdout)
     except BrokenPipeError:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .defaults import BITMAP_CAP
@@ -145,6 +144,7 @@ def squares_witness_alpha(m: int) -> Fraction:
     >>> squares_witness_alpha(2)
     Fraction(1, 20)
     """
+    from fractions import Fraction
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     return Fraction(1, 4 * (2 ** m + 1))

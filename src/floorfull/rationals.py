@@ -13,7 +13,6 @@ from __future__ import annotations
 import re
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 from typing import NamedTuple
 
 
@@ -34,6 +33,7 @@ def parse_rational(text: str) -> Fraction:
     exponent = re.search(r"[eE]([-+]?[\d_]+)\s*\Z", text)
     if exponent and (len(exponent[1]) > limit or abs(int(exponent[1])) > limit):
         raise ValueError(f"decimal exponent in {text!r} exceeds {limit} in magnitude")
+    from fractions import Fraction  # only runs that build a Fraction load it
     try:
         return Fraction(text.strip())
     except ZeroDivisionError as exc:
@@ -60,7 +60,7 @@ def unlimited_int_digits():
             sys.set_int_max_str_digits(digit_limit)
 
 
-class RatInterval(NamedTuple("RatInterval", [("lo", Fraction), ("hi", Fraction)])):
+class RatInterval(NamedTuple("RatInterval", [("lo", "Fraction"), ("hi", "Fraction")])):
     """Nonempty half-open rational interval [lo, hi); lo < hi is enforced."""
 
     __slots__ = ()
@@ -83,4 +83,5 @@ class RatInterval(NamedTuple("RatInterval", [("lo", Fraction), ("hi", Fraction)]
 
 def interval(lo, hi) -> RatInterval:
     """RatInterval from anything Fraction accepts (ints, "a/b" strings)."""
+    from fractions import Fraction
     return RatInterval(Fraction(lo), Fraction(hi))

@@ -1,0 +1,62 @@
+"""The table and CSV formats of a report's JSON form; a JSON run never loads them."""
+
+
+def render_table(value, out, indent: str = "") -> None:
+    if isinstance(value, dict):
+        for key, inner in value.items():
+            if isinstance(inner, (dict, list)):
+                out.write(f"{indent}{key}:\n")
+                render_table(inner, out, indent + "  ")
+            else:
+                out.write(f"{indent}{key}: {inner}\n")
+    elif isinstance(value, list):
+        if value and all(isinstance(item, dict) for item in value):
+            keys = list(value[0].keys())
+            widths = {
+                k: max(len(str(k)), *(len(_cell(item.get(k))) for item in value))
+                for k in keys
+            }
+            out.write(indent + "  ".join(str(k).ljust(widths[k]) for k in keys) + "\n")
+            for item in value:
+                out.write(
+                    indent
+                    + "  ".join(_cell(item.get(k)).ljust(widths[k]) for k in keys)
+                    + "\n"
+                )
+        else:
+            for item in value:
+                out.write(f"{indent}{item}\n")
+    else:
+        out.write(f"{indent}{value}\n")
+
+
+def _cell(value) -> str:
+    if isinstance(value, dict) and value.get("closed_open"):
+        return f"[{value['lo']}, {value['hi']})"
+    return str(value)
+
+
+def emit_csv(result, out) -> None:
+    import csv  # only --format csv pays for it
+
+    writer = csv.writer(out, lineterminator="\n")
+    if isinstance(result, dict) and "values" in result and isinstance(result["values"], list):
+        for item in result["values"]:
+            writer.writerow([item])
+    else:
+        _flat_csv(result, writer, prefix="")
+
+
+def _flat_csv(value, writer, prefix: str) -> None:
+    if isinstance(value, dict):
+        for key, inner in value.items():
+            path = f"{prefix}.{key}" if prefix else str(key)
+            if isinstance(inner, (dict, list)):
+                _flat_csv(inner, writer, path)
+            else:
+                writer.writerow([path, inner])
+    elif isinstance(value, list):
+        for idx, inner in enumerate(value):
+            _flat_csv(inner, writer, f"{prefix}[{idx}]")
+    else:
+        writer.writerow([prefix, value])

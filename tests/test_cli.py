@@ -4,6 +4,7 @@ Only the entry-point smoke test and the broken-pipe test start a
 `python -m floorfull` process.
 """
 
+import argparse
 import ast
 import io
 import json
@@ -300,9 +301,11 @@ def test_grid_past_the_cell_cap_exits_2_before_any_cell(monkeypatch):
     message = f"the grid has {cap + 1} cells, above GRID_CELL_CAP = {cap}"
     assert proc.stderr == f"error: {message}\n".encode()
     assert peak < 1 << 20
-    # empty ranges hold no cells, whatever the product of their signed lengths
-    empty = run_json("theorem1", "grid", "--r-min", "300", "--ell-min", "300")
-    assert empty["result"]["rows"] == []
+    # empty ranges are no verdict, whatever the product of their signed lengths
+    empty = run_cli("theorem1", "grid", "--r-min", "300", "--ell-min", "300")
+    assert empty.returncode == 2
+    assert empty.stdout == b""
+    assert empty.stderr == b"error: the grid is empty: r in [300, 5], ell in [300, 50]\n"
 
     def no_cell(cell):
         raise CellRun(cell)
@@ -579,3 +582,53 @@ def test_skip_violation_past_4300_digits_exits_1_with_its_report(fmt):
             assert (report["overall"], report["skipped"], len(report["rows"])) == (False, [], 3)
         else:
             assert len(lines) > 2  # the report precedes the failure line
+
+
+def run_parser(parser, argv):
+    """run_cli with `parser` in place of the one `main` builds."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = dispatch(parser.parse_args(argv), out)
+        except SystemExit as exc:
+            code = exc.code
+    return Run(code, out.getvalue().encode(), err.getvalue().encode())
+
+
+PARSER_CORPUS = [
+    [],
+    ["--help"],
+    ["-h", "thm2"],
+    *([group, "--help"] for group in cli._GROUPS),
+    *([*path.split(), "--help"] for path, *_ in cli.COMMANDS if " " in path),
+    ["bogus"],
+    ["thm2", "bogus"],
+    ["classify", "--r", "3"],
+    ["thm2", "verify", "--gamma", "3/2"],
+    ["classify", "--n", "4", "--bogus", "1"],
+    ["--", "thm2", "symbolic", "--gamma", "3/2", "--j", "3"],
+    ["--format", "json", "classify", "--n", "4"],
+    ["classify", "--n", "12", "--format", "table"],
+    ["seq", "gen", "--n", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
+def test_pruned_parser_matches_the_full_tree(argv):
+    pruned = run_parser(build_parser(argv), argv)
+    assert pruned == run_parser(build_parser(), argv)
+    assert pruned.returncode in (0, 2)
+
+
+def _subparsers(parser) -> dict:
+    return next((a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)), {})
+
+
+def test_pruned_parser_builds_only_the_named_group_leaves():
+    groups = _subparsers(build_parser(["classify", "--n", "4"]))
+    assert list(groups) == list(cli._GROUPS)
+    assert _subparsers(groups["thm2"]) == {}
+    assert "--n" in groups["classify"]._option_string_actions
+    assert "--gamma" not in groups["seq"]._option_string_actions
+    full = _subparsers(build_parser())
+    assert list(_subparsers(full["thm2"])) == ["verify", "symbolic", "gamma-search", "scan"]

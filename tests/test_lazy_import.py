@@ -3,8 +3,10 @@
 Each subcommand case runs in a fresh interpreter, calls `main(argv)` and
 prints the names in `sys.modules`.  Only the handler's own library module
 may load, and neither `dataclasses` nor `inspect` may: importing them costs
-a cold run ~10 ms.  A JSON run loads no `csv` either; only `--format csv`
-needs it.  The package namespace tests check that the lazy
+a cold run ~10 ms.  A JSON run loads neither `csv` nor `floorfull.render`,
+which only `--format table` and `csv` need.  A run that builds no Fraction
+loads no `fractions`, nor the `decimal` and `numbers` it imports: ~4 ms.
+The package namespace tests check that the lazy
 `floorfull/__init__` still exposes every name the package used to import
 eagerly, each bound to its home module's object.
 """
@@ -21,8 +23,10 @@ import pytest
 import floorfull
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-CERT = str(pathlib.Path(__file__).resolve().parent / "golden" / "inputs" / "cert_ell12.json")
+INPUTS = pathlib.Path(__file__).resolve().parent / "golden" / "inputs"
+CERT = str(INPUTS / "cert_ell12.json")
 LIBRARY = {"classify", "certificates", "floorseq", "pset", "skipverify"}
+NUMERIC = {"fractions", "decimal", "numbers"}
 
 # The public names `import floorfull` bound eagerly before it turned lazy,
 # by home module.
@@ -83,19 +87,27 @@ def modules_loaded_by(argv: list[str]) -> set[str]:
 @pytest.mark.parametrize(
     "argv, absent",
     [
-        (["classify", "--n", "30"], {"certificates", "floorseq", "skipverify", "pset"}),
+        (["classify", "--n", "30"], {"certificates", "floorseq", "skipverify", "pset", *NUMERIC}),
+        (["sieve", "--limit", "100"], {"certificates", "floorseq", "skipverify", "pset", *NUMERIC}),
         (["thm2", "symbolic", "--gamma", "3/2", "--j", "3"], {"classify", "certificates", "pset"}),
         (["pset", "witness", "--m", "3"], {"classify", "certificates", "skipverify"}),
-        (["theorem1", "verify", "--cert", CERT], {"floorseq", "skipverify", "pset"}),
+        (["pset", "compute", "--terms", str(INPUTS / "terms.txt"), "--bound", "50"],
+         {"classify", "certificates", "floorseq", "skipverify", *NUMERIC}),
+        (["theorem1", "verify", "--cert", CERT], {"floorseq", "skipverify", "pset", *NUMERIC}),
     ],
-    ids=["classify", "thm2_symbolic", "pset_witness", "theorem1_verify"],
+    ids=["classify", "sieve", "thm2_symbolic", "pset_witness", "pset_compute", "theorem1_verify"],
 )
 def test_subcommand_loads_only_its_modules(argv, absent):
     modules = modules_loaded_by(argv)
     loaded = {name.split(".", 1)[1] for name in modules if name.startswith("floorfull.")} & LIBRARY
     assert loaded, "the handler's own module must load"
     assert not loaded & absent
-    assert not modules & {"dataclasses", "inspect", "csv"}
+    assert not modules & (absent | {"dataclasses", "inspect", "csv", "floorfull.render"})
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+def test_table_and_csv_runs_load_the_renderer(fmt):
+    assert "floorfull.render" in modules_loaded_by(["classify", "--n", "30", "--format", fmt])
 
 
 def test_entry_point_classify_loads_no_other_library_module():
@@ -105,6 +117,7 @@ def test_entry_point_classify_loads_no_other_library_module():
     loaded = {line.split("'")[1] for line in proc.stderr.splitlines() if line.startswith("import 'floorfull")}
     assert {"floorfull.cli", "floorfull.classify"} <= loaded
     assert not loaded & {f"floorfull.{name}" for name in LIBRARY - {"classify"}}
+    assert "import 'fractions'" not in proc.stderr
 
 
 def test_bare_package_import_loads_no_submodule():

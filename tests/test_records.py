@@ -7,6 +7,7 @@ whether they are given positionally or by keyword.
 """
 
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -94,6 +95,23 @@ def test_to_json_rejects_what_is_not_a_record():
     with pytest.raises(TypeError):
         to_json(object())
     assert to_json(((2, 3), (3, 2))) == [[2, 3], [3, 2]]
+
+
+class Holder(NamedTuple):
+    alpha: Fraction
+    rows: list
+
+
+def test_to_json_renders_every_nested_fraction_as_num_den():
+    q = Fraction(-8, 17)
+    value = {"list": [q, 3], "dict": {"q": q}, "record": Holder(q, [Fraction(4)])}
+    assert to_json(value) == {
+        "list": ["-8/17", 3],
+        "dict": {"q": "-8/17"},
+        "record": {"alpha": "-8/17", "rows": ["4/1"]},
+    }
+    with pytest.raises(TypeError, match="no JSON form for float"):
+        to_json([q, 0.5])
 
 
 def test_truth_of_a_verdict_record_is_its_verdict():
