@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .classify import factorize, is_prime, is_r_free, is_r_full
-from .defaults import DEFAULT_MAX_M, DEFAULT_S_MAX
+from .defaults import DEFAULT_MAX_M, S_MAX
 from .errors import NotFoundWithinBound, VerificationFailure
 
 FACTOR_CROSSCHECK_BOUND = 10 ** 12
@@ -122,30 +122,29 @@ class NonRFullReport(NamedTuple):
     all_passed: bool
 
 
-def dirichlet_search(ell: int, s_max: int = DEFAULT_S_MAX) -> tuple[int, int]:
-    """Smallest s in [2, s_max] with ell*s - 1 prime, plus that prime.
+def dirichlet_search(ell: int) -> tuple[int, int]:
+    """Smallest s in [2, S_MAX] with ell*s - 1 prime, plus that prime.
 
-    Such s always exists for large enough s_max: gcd(-1, ell) = 1, so the
-    progression ell*s - 1 contains infinitely many primes.
+    Such s always exists for a large enough bound: gcd(-1, ell) = 1, so the
+    progression ell*s - 1 contains infinitely many primes.  S_MAX is only a
+    work budget, read at each call: any s found gives a valid certificate.
 
     >>> dirichlet_search(3)
     (2, 5)
     """
     if ell < 2:
         raise ValueError(f"ell must be >= 2, got {ell}")
-    if s_max < 2:
-        raise ValueError(f"s_max must be >= 2, got {s_max}")
-    for s in range(2, s_max + 1):
+    for s in range(2, S_MAX + 1):
         candidate = ell * s - 1
         if is_prime(candidate):
             return s, candidate
     raise NotFoundWithinBound(
-        f"no s <= {s_max} with {ell}*s - 1 prime; retry with a larger bound",
-        bound=s_max,
+        f"no s <= S_MAX = {S_MAX} with {ell}*s - 1 prime",
+        bound=S_MAX,
     )
 
 
-def construct_certificate(r: int, ell: int, s_max: int = DEFAULT_S_MAX) -> Certificate:
+def construct_certificate(r: int, ell: int) -> Certificate:
     """Deterministic certificate for (r, ell): same inputs, same output.
 
     Case selection: ell = 2 first (square-free but with no odd prime
@@ -161,7 +160,7 @@ def construct_certificate(r: int, ell: int, s_max: int = DEFAULT_S_MAX) -> Certi
     if p is not None:
         return Certificate(r=r, ell=ell, case=CASE_II, k=p, p=p)
     q = min(prime for prime, _ in factors if prime % 2 == 1)
-    s, q_star = dirichlet_search(ell, s_max)
+    s, q_star = dirichlet_search(ell)
     return Certificate(
         r=r, ell=ell, case=CASE_III, k=ell * (q_star - 1), q=q, s=s, q_star=q_star
     )

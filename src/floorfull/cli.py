@@ -5,14 +5,15 @@ invocations produce byte-identical machine-readable output.  A run's
 settings are its parsed flags and the constants of `defaults`, which no
 run can change.  Each COMMANDS row lists the settings its run reads: the
 bound flags it declares, the caps it checks (SIEVE_CAP, BITMAP_CAP,
-SEQ_CAP) and seed=0, the fixed Brent-rho seed DEFAULT_RHO_SEED, where the
-run can factor.  `_header` names the subcommand, the format and those
-settings.
+SEQ_CAP), s_max=S_MAX, the budget of the Case III search, where the run
+constructs certificates, and seed=0, the fixed Brent-rho seed
+DEFAULT_RHO_SEED, where the run can factor.  `_header` names the
+subcommand, the format and those settings.
 
 Exit codes: 0 success / verification passed; 1 verification failure
 (a skip violation, certificate verification failure, witness failure, or
 failed validation); 2 usage or configuration error (bad flags, resource
-cap exceeded, bounded search exhausted).
+cap exceeded, bounded search exhausted, a report stdout cannot take).
 
 A cold run builds, imports and compiles only what its subcommand runs.
 `main` builds the COMMANDS parser tree pruned to the leaves of the group
@@ -35,7 +36,7 @@ from .defaults import (
     DEFAULT_K_MAX,
     DEFAULT_MAX_M,
     DEFAULT_RHO_SEED,
-    DEFAULT_S_MAX,
+    S_MAX,
     SEQ_CAP,
     SIEVE_CAP,
 )
@@ -56,6 +57,7 @@ _CONSTANTS = {  # the settings a header names that no flag sets
     "sieve_cap": SIEVE_CAP,
     "bitmap_cap": BITMAP_CAP,
     "seq_cap": SEQ_CAP,
+    "s_max": S_MAX,
 }
 
 
@@ -198,7 +200,7 @@ def _run_series(classify, args):
 
 
 def _run_theorem1_construct(cert, args):
-    return cert.construct_certificate(args.r, args.ell, s_max=args.s_max)
+    return cert.construct_certificate(args.r, args.ell)
 
 
 def _load_certificate(cert, path: str):
@@ -225,42 +227,28 @@ def _run_theorem1_verify(cert, args):
 GRID_CELL_CAP = 2 ** 16
 
 
-def _grid_cell(cell: tuple[int, int, int, int]) -> dict:
-    from . import certificates  # a --jobs worker may start with a bare cli
-
-    r, ell, s_max, max_m = cell
-    cert = certificates.construct_certificate(r, ell, s_max=s_max)
-    certificates.check_non_rfull(cert, max_m)  # raises unless valid and verified
-    return {
-        "r": r,
-        "ell": ell,
-        "case": cert.case,
-        "k": cert.k,
-        "valid": True,
-        "verified_to": max_m,
-    }
-
-
 def _run_theorem1_grid(cert, args):
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.jobs != 1:
+        raise ValueError(f"--jobs must be 1, the grid runs serially; got {args.jobs}")
     if args.r_min > args.r_max or args.ell_min > args.ell_max:
         raise ValueError(f"the grid is empty: r in [{args.r_min}, {args.r_max}], "
                          f"ell in [{args.ell_min}, {args.ell_max}]")
     n_cells = (args.r_max - args.r_min + 1) * (args.ell_max - args.ell_min + 1)
     if n_cells > GRID_CELL_CAP:
         raise ValueError(f"the grid has {n_cells} cells, above GRID_CELL_CAP = {GRID_CELL_CAP}")
-    cells = [
-        (r, ell, args.s_max, args.max_m)
-        for r in range(args.r_min, args.r_max + 1)
-        for ell in range(args.ell_min, args.ell_max + 1)
-    ]
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only --jobs > 1 pays for it
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_grid_cell, cells, chunksize=8))
-    else:
-        rows = [_grid_cell(cell) for cell in cells]
+    rows = []
+    for r in range(args.r_min, args.r_max + 1):
+        for ell in range(args.ell_min, args.ell_max + 1):
+            certificate = cert.construct_certificate(r, ell)
+            cert.check_non_rfull(certificate, args.max_m)  # raises unless valid and verified
+            rows.append({
+                "r": r,
+                "ell": ell,
+                "case": certificate.case,
+                "k": certificate.k,
+                "valid": True,
+                "verified_to": args.max_m,
+            })
     return {"rows": rows, "all_passed": all(row["valid"] for row in rows)}
 
 
@@ -368,7 +356,7 @@ COMMANDS = (
         ("--r", int, None), ("--ell", int, 2), ("--terms", int, 10), ("--digits", int, 40),
     )),
     ("theorem1 construct", ("s_max", "seed"), _run_theorem1_construct, (
-        ("--r", int, ...), ("--ell", int, ...), ("--s-max", int, DEFAULT_S_MAX),
+        ("--r", int, ...), ("--ell", int, ...),
     )),
     ("theorem1 validate", ("seed",), _run_theorem1_validate, (("--cert", None, ...),)),
     ("theorem1 verify", ("max_m", "seed"), _run_theorem1_verify, (
@@ -376,7 +364,7 @@ COMMANDS = (
     )),
     ("theorem1 grid", ("max_m", "s_max", "seed"), _run_theorem1_grid, (
         ("--r-min", int, 2), ("--r-max", int, 5), ("--ell-min", int, 2), ("--ell-max", int, 50),
-        ("--max-m", int, DEFAULT_MAX_M), ("--s-max", int, DEFAULT_S_MAX), ("--jobs", int, 1),
+        ("--max-m", int, DEFAULT_MAX_M), ("--jobs", int, 1),
     )),
     ("seq gen", ("seq_cap",), _run_seq_gen, (*_SEQ_SPEC, ("--n", int, ...))),
     ("seq salpha", ("seq_cap",), _run_seq_salpha, (
@@ -450,12 +438,9 @@ def dispatch(args: argparse.Namespace, out) -> int:
     module = importlib.import_module(f"{__package__}.{args.module}")
     try:
         result = args.handler(module, args)
-    except (SkipViolation,) as exc:
-        if exc.report is not None:
+    except (SkipViolation, VerificationFailure, WitnessFailure) as exc:
+        if getattr(exc, "report", None) is not None:
             _emit(args, exc.report, out)
-        out.write(f"verification failed: {exc}\n")
-        return EXIT_VERIFICATION_FAILED
-    except (VerificationFailure, WitnessFailure) as exc:
         out.write(f"verification failed: {exc}\n")
         return EXIT_VERIFICATION_FAILED
     except NotFoundWithinBound as exc:
@@ -472,12 +457,17 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
     try:
-        return dispatch(args, sys.stdout)
-    except BrokenPipeError:
-        # downstream closed early (e.g. piped into head); mimic SIGPIPE exit
+        code = dispatch(args, sys.stdout)
+        sys.stdout.flush()  # a failed write surfaces here, not at interpreter exit
+        return code
+    except OSError as exc:
+        # stdout cannot take the report; point it at devnull so the flush at exit succeeds
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
-        return 141
+        if isinstance(exc, BrokenPipeError):
+            return 141  # downstream closed early (e.g. piped into head); mimic SIGPIPE exit
+        sys.stderr.write(f"error: cannot write the report: {exc}\n")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

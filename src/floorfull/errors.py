@@ -11,8 +11,8 @@ class NotFoundWithinBound(FloorfullError):
     """A bounded search exhausted its budget without a hit.
 
     The search target is guaranteed to exist for a large enough bound.
-    Where a flag sets the bound (`--s-max`), a bigger one may find it; the
-    Brent-rho budget RHO_BUDGET is a constant, so no rerun can.
+    Every bound is a module constant (S_MAX for the Case III search,
+    RHO_BUDGET for a Brent-rho split), so no rerun can find it.
     """
 
     def __init__(self, message: str, bound: int):

@@ -36,7 +36,7 @@ def oracle_is_prime(n: int) -> bool:
     [(3, 2, 5), (6, 2, 11), (15, 2, 29), (25, 6, 149)],
 )
 def test_dirichlet_search_finds_smallest(ell, expected_s, expected_q):
-    s, q_star = dirichlet_search(ell, 100)
+    s, q_star = dirichlet_search(ell)
     assert (s, q_star) == (expected_s, expected_q)
     assert oracle_is_prime(q_star)
     assert q_star == ell * s - 1
@@ -44,18 +44,27 @@ def test_dirichlet_search_finds_smallest(ell, expected_s, expected_q):
         assert not oracle_is_prime(ell * smaller - 1)
 
 
-def test_dirichlet_search_bound_exhaustion():
-    # for ell = 25 the first hit is s = 6, so a bound of 5 must fail loudly
+def test_dirichlet_search_bound_exhaustion(monkeypatch, capsys):
+    # for square-free ell = 23 the first hit is s = 6, so a budget of 5 must fail loudly
+    monkeypatch.setattr(certificates, "S_MAX", 5)
     with pytest.raises(NotFoundWithinBound) as exc:
-        dirichlet_search(25, 5)
+        dirichlet_search(23)
     assert exc.value.bound == 5
+    assert str(exc.value) == "no s <= S_MAX = 5 with 23*s - 1 prime"
+    assert main(["theorem1", "construct", "--r", "2", "--ell", "23"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "bounded search exhausted: no s <= S_MAX = 5 with 23*s - 1 prime\n"
 
 
-def test_dirichlet_search_rejects_bad_args():
+def test_dirichlet_search_rejects_bad_args(monkeypatch):
     with pytest.raises(ValueError):
         dirichlet_search(1)
-    with pytest.raises(ValueError):
-        dirichlet_search(3, 1)
+    with pytest.raises(TypeError):  # the budget is the constant S_MAX, not an argument
+        dirichlet_search(3, 100)
+    monkeypatch.setattr(certificates, "S_MAX", 1)  # no s to try
+    with pytest.raises(NotFoundWithinBound, match="S_MAX = 1 "):
+        dirichlet_search(3)
 
 
 # --- construction -----------------------------------------------------------
@@ -233,9 +242,9 @@ def test_check_and_verify_match_per_m_oracle(r, max_m, ell):
     assert flags == sorted(flags, reverse=True)  # the cross-checked m are a prefix
 
 
-def _old_grid_cell(r, ell, s_max, max_m):
+def _old_grid_cell(r, ell, max_m):
     """`theorem1 grid`'s cell as it was: construct, validate, full report."""
-    cert = construct_certificate(r, ell, s_max=s_max)
+    cert = construct_certificate(r, ell)
     ok = bool(validate_certificate(cert))
     report = verify_non_rfull(cert, max_m=max_m)
     return {"r": r, "ell": ell, "case": cert.case, "k": cert.k, "valid": ok, "verified_to": report.max_m}
@@ -243,10 +252,10 @@ def _old_grid_cell(r, ell, s_max, max_m):
 
 def test_grid_rows_match_per_cell_reports(capsys):
     argv = ["theorem1", "grid", "--r-min", "2", "--r-max", "4", "--ell-min", "2",
-            "--ell-max", "40", "--max-m", "45", "--s-max", "500"]
+            "--ell-max", "40", "--max-m", "45"]
     assert main(argv) == 0
     result = json.loads(capsys.readouterr().out)["result"]
-    expected = [_old_grid_cell(r, ell, 500, 45) for r in (2, 3, 4) for ell in range(2, 41)]
+    expected = [_old_grid_cell(r, ell, 45) for r in (2, 3, 4) for ell in range(2, 41)]
     assert {row["case"] for row in expected} == {CASE_I, CASE_II, CASE_III}
     assert result == {"rows": expected, "all_passed": True}
 

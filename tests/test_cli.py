@@ -1,7 +1,7 @@
 """The CLI, run in-process through `main(argv)`.
 
-Only the entry-point smoke test and the broken-pipe test start a
-`python -m floorfull` process.
+Only the entry-point smoke test and the broken-pipe and unwritable-stdout
+tests start a `python -m floorfull` process.
 """
 
 import argparse
@@ -58,7 +58,7 @@ def test_theorem1_construct_case_i():
 
 
 def test_config_header_reports_defaults():
-    # construct reads --s-max and factors ell; it names no K, M or cap
+    # construct searches up to S_MAX and factors ell; it names no K, M or cap
     payload = run_json("theorem1", "construct", "--r", "2", "--ell", "2")
     assert payload["config"] == {
         "subcommand": "theorem1 construct", "format": "json", "s_max": 10_000, "seed": 0,
@@ -232,25 +232,29 @@ def test_byte_identical_reruns():
     assert run_cli(*args).stdout == run_cli(*args).stdout
 
 
-def test_grid_output_independent_of_jobs():
-    base = (
-        "theorem1", "grid", "--r-min", "2", "--r-max", "3",
-        "--ell-min", "2", "--ell-max", "8", "--max-m", "10",
-    )
-    single = run_cli(*base, "--jobs", "1")
-    double = run_cli(*base, "--jobs", "2")
-    assert single.returncode == double.returncode == 0
-    assert single.stdout == double.stdout
-    payload = json.loads(single.stdout)
-    assert payload["result"]["all_passed"] is True
+def test_grid_jobs_1_is_the_serial_default():
+    base = ("theorem1", "grid", "--r-max", "3", "--ell-max", "8", "--max-m", "10")
+    serial = run_cli(*base, "--jobs", "1")
+    assert serial.returncode == 0
+    assert serial == run_cli(*base)
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("jobs", ["0", "-3", "2"])
 def test_grid_jobs_below_one_exits_2_with_one_line(jobs):
+    # 1 is the only value: the grid runs serially
     proc = run_cli("theorem1", "grid", "--r-max", "2", "--ell-max", "3", "--jobs", jobs)
     assert proc.returncode == 2
     assert proc.stdout == b""
-    assert proc.stderr == f"error: --jobs must be >= 1, got {jobs}\n".encode()
+    assert proc.stderr == f"error: --jobs must be 1, the grid runs serially; got {jobs}\n".encode()
+
+
+@pytest.mark.parametrize("action", ["construct --r 2 --ell 15", "grid"])
+def test_s_max_is_not_a_flag(action):
+    # the Case III search budget is the constant S_MAX
+    proc = run_cli("theorem1", *action.split(), "--s-max", "5")
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert b"unrecognized arguments: --s-max 5" in proc.stderr
 
 
 def run_traced(*args):
@@ -307,10 +311,10 @@ def test_grid_past_the_cell_cap_exits_2_before_any_cell(monkeypatch):
     assert empty.stdout == b""
     assert empty.stderr == b"error: the grid is empty: r in [300, 5], ell in [300, 50]\n"
 
-    def no_cell(cell):
-        raise CellRun(cell)
+    def no_cell(r, ell):
+        raise CellRun(r, ell)
 
-    monkeypatch.setattr(cli, "_grid_cell", no_cell)
+    monkeypatch.setattr(certificates, "construct_certificate", no_cell)
     with pytest.raises(CellRun):  # the cap itself passes the check
         run_cli("theorem1", "grid", "--r-max", "2", "--ell-max", str(cap + 1))
 
@@ -474,6 +478,19 @@ def test_closed_pipe_does_not_traceback():
     assert proc.returncode == 0  # head's status
     assert b"Traceback" not in proc.stderr
     assert len(proc.stdout.splitlines()) == 3
+
+
+@pytest.mark.skipif(not pathlib.Path("/dev/full").exists(), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["classify", "--n", "72"],
+    ["thm2", "verify", "--gamma", "3/2", "--j", "1", "--K", "10"],  # a failed verification
+])
+def test_unwritable_stdout_exits_2_with_one_line(argv):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(CLI + argv, stdout=full, stderr=subprocess.PIPE, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"error: cannot write the report: [Errno 28] ")
+    assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")
 
 
 # --- in-process: results past 4300 digits, malformed certificates ------------

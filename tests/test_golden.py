@@ -18,7 +18,7 @@ from collections import defaultdict
 
 import pytest
 
-from floorfull import classify, cli, floorseq, pset, skipverify
+from floorfull import certificates, classify, cli, floorseq, pset, skipverify
 from floorfull.cli import build_parser, dispatch
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
@@ -160,6 +160,7 @@ CONSTANT_READERS = {
     "sieve_cap": [(classify, "r_full_up_to"), (classify, "squarefull_via_a2b3")],
     "seq_cap": [(floorseq, "generate_terms"), (skipverify, "generate_terms")],
     "bitmap_cap": [(pset, "compute_pset")],
+    "s_max": [(certificates, "dirichlet_search")],
 }
 
 
