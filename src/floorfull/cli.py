@@ -86,7 +86,10 @@ def to_json(value):
     dict of its `_fields` in declaration order (the table and CSV formats
     print keys in that order).  Anything else is a TypeError.  Scalar list
     items skip the recursive call, because bitmap runs and sieve values
-    can number in the hundreds of thousands.
+    can number in the hundreds of thousands.  The one exception is a
+    record with `to_json_chunks`, the squares witness report: `_emit`
+    writes its JSON text from those chunks, byte-equal by test to
+    `json.dumps` of this form.
     """
     if isinstance(value, _JSON_SCALARS):
         return value
@@ -107,10 +110,19 @@ def to_json(value):
 def _emit(args: argparse.Namespace, result, out) -> None:
     """Render `result` in the format of `args`, with no digit limit."""
     with unlimited_int_digits():
-        config, result = to_json(_header(args)), to_json(result)
+        config = to_json(_header(args))
+        if args.format == "json" and hasattr(result, "to_json_chunks"):
+            out.write('{"config":' + json.dumps(config, sort_keys=True, separators=(",", ":"))
+                      + ',"result":')
+            for chunk in result.to_json_chunks():
+                out.write(chunk)
+            out.write("}\n")
+            return
+        result = to_json(result)
         if args.format == "json":
             payload = {"config": config, "result": result}
-            out.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+            out.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+            out.write("\n")
             return
         out.write("# " + " ".join(f"{key}={config[key]}" for key in sorted(config)) + "\n")
         from . import render  # only --format table or csv loads it

@@ -11,20 +11,23 @@ The squares witness shows that for the squares sequence the power targets
 2^0..2^m are all simultaneously reachable: with alpha = 1/(4*(2^m + 1)),
 each i <= m has an integer n_i with floor(alpha * n_i^2) = 2^i.  All the
 square-root inequalities involved are verified by cross-multiplied integer
-comparisons, keeping the check float-free.
+comparisons, keeping the check float-free.  The report grows like m^2, and
+its JSON text is written in time and memory linear in its bytes
+(`SquaresWitnessReport.to_json_chunks`).
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .defaults import BITMAP_CAP
 from .errors import WitnessFailure
 
 # Largest m a squares witness accepts: line i holds numbers of about m + i
-# bits, so the report grows like m^2 (13 MB of JSON at m = 3,000).
+# bits, so the report grows like m^2 (13 MB of JSON at m = 3,000); printing
+# it is linear in its bytes.
 WITNESS_M_CAP = 2 ** 12
 
 
@@ -168,6 +171,44 @@ class SquaresWitnessReport(NamedTuple):
     inv_alpha: int
     lines: tuple[SquaresWitnessLine, ...]
     all_passed: bool
+
+    def to_json_chunks(self) -> Iterator[str]:
+        """The compact, key-sorted JSON text of `cli.to_json(self)`, in chunks.
+
+        The head up to `"lines":[`, then one chunk per line, then the tail.
+        Python converts an int to decimal in time quadratic in its digits,
+        which would make printing the report cubic in m.  So every number
+        but n_i is written from its closed form 2^a + 2^b, with the digits of
+        exact decimal powers 2^0..2^(2m+2): inv_alpha = 2^(m+2) + 2^2,
+        target = 2^i, lower = 2^(m+i+2) + 2^(i+2), upper = lower + inv_alpha
+        and gap_rhs = 2^(i+2) + 2.  Each power and sum is linear in its
+        digits, and a Decimal step that would round raises.  A record whose
+        fields differ from those forms raises ValueError.
+        """
+        import decimal  # loaded already by fractions, which built alpha
+
+        exact = decimal.Context(prec=decimal.MAX_PREC, traps=[decimal.Inexact, decimal.Rounded])
+        m, inv_alpha = self.m, self.inv_alpha
+        if inv_alpha != 4 * (2 ** m + 1) or len(self.lines) != m + 1:
+            raise ValueError(f"not the squares witness report of m = {m}")
+        pow2 = [decimal.Decimal(1)]
+        for _ in range(2 * m + 2):
+            pow2.append(exact.add(pow2[-1], pow2[-1]))
+        inv_digits = exact.add(pow2[m + 2], pow2[2])
+        yield (f'{{"all_passed":{str(self.all_passed).lower()},"alpha":"1/{inv_digits}",'
+               f'"inv_alpha":{inv_digits},"lines":[')
+        for i, line in enumerate(self.lines):
+            lower = inv_alpha << i
+            if (line.i, line.target, line.lower, line.upper, line.gap_rhs) != (
+                i, 1 << i, lower, lower + inv_alpha, (1 << (i + 2)) + 2
+            ):
+                raise ValueError(f"line {i} is not the squares witness line of m = {m}")
+            lower_digits = exact.add(pow2[m + i + 2], pow2[i + 2])
+            yield (f'{"," if i else ""}{{"gap_ok":{str(line.gap_ok).lower()},'
+                   f'"gap_rhs":{exact.add(pow2[i + 2], 2)},"i":{i},"lower":{lower_digits},'
+                   f'"n_i":{line.n_i},"target":{pow2[i]},'
+                   f'"upper":{exact.add(lower_digits, inv_digits)}}}')
+        yield f'],"m":{m}}}'
 
 
 def verify_squares_witness(m: int) -> SquaresWitnessReport:

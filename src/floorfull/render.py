@@ -12,17 +12,11 @@ def render_table(value, out, indent: str = "") -> None:
     elif isinstance(value, list):
         if value and all(isinstance(item, dict) for item in value):
             keys = list(value[0].keys())
-            widths = {
-                k: max(len(str(k)), *(len(_cell(item.get(k))) for item in value))
-                for k in keys
-            }
-            out.write(indent + "  ".join(str(k).ljust(widths[k]) for k in keys) + "\n")
-            for item in value:
-                out.write(
-                    indent
-                    + "  ".join(_cell(item.get(k)).ljust(widths[k]) for k in keys)
-                    + "\n"
-                )
+            rows = [[_cell(item.get(k)) for k in keys] for item in value]  # each cell once
+            widths = [max(len(str(k)), *(len(row[c]) for row in rows)) for c, k in enumerate(keys)]
+            out.write(indent + "  ".join(str(k).ljust(w) for k, w in zip(keys, widths)) + "\n")
+            for row in rows:
+                out.write(indent + "  ".join(cell.ljust(w) for cell, w in zip(row, widths)) + "\n")
         else:
             for item in value:
                 out.write(f"{indent}{item}\n")

@@ -427,6 +427,24 @@ def test_pset_witness():
     assert [line["n_i"] for line in payload["result"]["lines"]] == [5, 7, 9]
 
 
+def test_witness_json_is_written_in_less_memory_than_its_bytes(tmp_path):
+    # 13 MB of JSON at m = 3000; json.dumps of the whole report peaked at 36 MB
+    path = tmp_path / "witness.json"
+    with open(path, "w", encoding="utf-8") as handle, redirect_stdout(handle):
+        tracemalloc.start()
+        try:
+            code = main(["pset", "witness", "--m", "3000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    size = path.stat().st_size
+    assert size > 13_000_000
+    assert peak < size
+    with unlimited_int_digits():
+        assert json.loads(path.read_bytes())["result"]["lines"][-1]["target"] == 2 ** 3000
+
+
 class LineBuilt(Exception):
     pass
 

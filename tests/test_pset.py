@@ -1,13 +1,17 @@
+import json
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from floorfull.cli import to_json
 from floorfull.pset import (
     BITMAP_CAP,
+    WITNESS_M_CAP,
     PSetBitmap,
     brown_criterion,
     complete_up_to,
@@ -194,6 +198,50 @@ def test_squares_witness_gap_rhs_closed_form_through_i3000():
     for line in report.lines:
         t = line.target
         assert line.gap_rhs == 2 ** (line.i + 1) + 2 + math.isqrt(4 * t * (t + 1))
+
+
+def assert_chunks_match_json_dumps(m: int) -> None:
+    report = verify_squares_witness(m)
+    chunks = list(report.to_json_chunks())
+    assert len(chunks) == m + 3  # head, one per line, tail
+    text = "".join(chunks)
+    assert text == json.dumps(to_json(report), sort_keys=True, separators=(",", ":"))
+    # every number is plain integer digits: JSON hands any number with a
+    # fraction or an exponent ("E", "e" or ".") to parse_float
+    payload = json.loads(text, parse_float=pytest.fail, parse_constant=pytest.fail)
+    assert re.fullmatch(r"1/[0-9]+", payload["alpha"])
+
+
+@pytest.mark.parametrize("m", range(65))
+def test_witness_json_chunks_match_json_dumps(m):
+    assert_chunks_match_json_dumps(m)
+
+
+@given(m=st.integers(0, 1_500))
+@settings(max_examples=15, deadline=None)
+def test_witness_json_chunks_match_json_dumps_drawn(m):
+    assert_chunks_match_json_dumps(m)
+
+
+def test_witness_json_chunks_match_json_dumps_at_the_cap():
+    assert_chunks_match_json_dumps(WITNESS_M_CAP)
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda r: r._replace(inv_alpha=r.inv_alpha + 1),
+        lambda r: r._replace(lines=r.lines[:-1]),
+        lambda r: r._replace(lines=r.lines[::-1]),
+        lambda r: r._replace(lines=(r.lines[0]._replace(upper=r.lines[0].upper + 1), *r.lines[1:])),
+        lambda r: r._replace(lines=(*r.lines[:-1], r.lines[-1]._replace(gap_rhs=7))),
+    ],
+    ids=["inv_alpha", "line_missing", "lines_reordered", "upper", "gap_rhs"],
+)
+def test_witness_json_chunks_refuse_a_record_off_its_closed_forms(tamper):
+    # the chunks print closed forms, so a record that does not hold them is refused
+    with pytest.raises(ValueError, match="squares witness"):
+        "".join(tamper(verify_squares_witness(5)).to_json_chunks())
 
 
 def test_bitmap_validation():

@@ -3,9 +3,12 @@
 Records compare and hash by field values, keep the `X(a=..., b=...)` repr,
 serialize through `cli.to_json` in `_fields` order (or through their own
 `to_json_dict`), and the five validating records check their fields
-whether they are given positionally or by keyword.
+whether they are given positionally or by keyword.  One record writes its
+own JSON text: `SquaresWitnessReport.to_json_chunks`, whose joined chunks
+equal the compact, key-sorted `json.dumps` of its `to_json` form.
 """
 
+import json
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -89,6 +92,14 @@ def test_to_json_keys_follow_fields(name):
         payload = to_json(record)
         assert list(payload) == list(record._fields)
         assert payload == {field: to_json(getattr(record, field)) for field in record._fields}
+
+
+def test_only_the_witness_report_writes_its_own_json_text():
+    chunked = [name for name, record in SAMPLES.items() if hasattr(record, "to_json_chunks")]
+    assert chunked == ["SquaresWitnessReport"]
+    record = SAMPLES["SquaresWitnessReport"]
+    text = json.dumps(to_json(record), sort_keys=True, separators=(",", ":"))
+    assert "".join(record.to_json_chunks()) == text
 
 
 def test_to_json_rejects_what_is_not_a_record():
