@@ -24,8 +24,7 @@ _EXPORTS = {
         "construct_certificate", "dirichlet_search", "validate_certificate", "verify_non_rfull",
     ),
     "errors": (
-        "FloorfullError", "NotFoundWithinBound", "SkipViolation",
-        "VerificationFailure", "WitnessFailure",
+        "FloorfullError", "NotFoundWithinBound", "VerificationFailure",
     ),
     "floorseq": (
         "Explicit", "FloorPower", "RatioReport", "SeqSpec", "Squares",

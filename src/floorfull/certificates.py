@@ -79,7 +79,7 @@ class Certificate(NamedTuple):
         """Parse untrusted JSON; a malformed payload raises ValueError."""
         if not isinstance(payload, dict):
             raise ValueError("certificate must be a JSON object")
-        witness = payload.get("witness") or {}
+        witness = {} if payload.get("witness") is None else payload["witness"]
         if not isinstance(witness, dict):
             raise ValueError("certificate witness must be a JSON object")
         for key in ("r", "ell", "k"):
@@ -140,7 +140,6 @@ def dirichlet_search(ell: int) -> tuple[int, int]:
             return s, candidate
     raise NotFoundWithinBound(
         f"no s <= S_MAX = {S_MAX} with {ell}*s - 1 prime",
-        bound=S_MAX,
     )
 
 
@@ -270,7 +269,7 @@ def check_non_rfull(cert: Certificate, max_m: int = DEFAULT_MAX_M) -> int:
         residue = (ell_m + k) % w2
         if residue % w or not residue:
             raise VerificationFailure(
-                f"witness {w} does not divide ell^{m} + k exactly once", m=m
+                f"witness {w} does not divide ell^{m} + k exactly once"
             )
         if power:
             value = power + k
@@ -278,7 +277,7 @@ def check_non_rfull(cert: Certificate, max_m: int = DEFAULT_MAX_M) -> int:
                 power = 0
             elif is_r_full(value, 2):
                 raise VerificationFailure(
-                    f"factorization says {value} is r-full, contradicting witness", m=m
+                    f"factorization says {value} is r-full, contradicting witness"
                 )
             else:
                 cross_checked_to = m

@@ -131,7 +131,7 @@ def _brent_rho(n: int, rng: random.Random) -> int:
         while g == 1:
             if spent + 2 * r > RHO_BUDGET:
                 message = f"no factor of {n} within {RHO_BUDGET} Brent rho squarings"
-                raise NotFoundWithinBound(message, bound=RHO_BUDGET)
+                raise NotFoundWithinBound(message)
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -260,8 +260,19 @@ def _integer_root(n: int, r: int) -> int:
         x = y
 
 
-def r_full_up_to(limit: int, r: int, *, cap: int = SIEVE_CAP) -> list[int]:
-    """All r-full integers in [1, limit], ascending.
+def r_full_up_to(limit: int, r: int) -> list[int]:
+    """All r-full integers in [1, limit], ascending; a limit above SIEVE_CAP is an error.
+
+    >>> r_full_up_to(100, 3)
+    [1, 8, 16, 27, 32, 64, 81]
+    """
+    if limit > SIEVE_CAP:
+        raise ValueError(f"limit {limit} exceeds the sieve cap SIEVE_CAP = {SIEVE_CAP}")
+    return _r_full_search(limit, r)
+
+
+def _r_full_search(limit: int, r: int) -> list[int]:
+    """All r-full integers in [1, limit], ascending, with no cap on limit.
 
     Depth-first search: from a product m it multiplies in p^e, e >= r, for
     each prime p <= limit^(1/r) above the primes of m, while the product
@@ -270,15 +281,8 @@ def r_full_up_to(limit: int, r: int, *, cap: int = SIEVE_CAP) -> list[int]:
     taking primes in increasing order, reaches it along exactly one path:
     each r-full n <= limit appears once, nothing else appears, and the work
     grows with the ~c*limit^(1/r) values (Ivic-Shiu, Illinois J. Math. 26).
-    A limit above `cap` (SIEVE_CAP unless given) is rejected before any work.
-
-    >>> r_full_up_to(100, 3)
-    [1, 8, 16, 27, 32, 64, 81]
     """
     _require_classify_args(limit, r)
-    if limit > cap:
-        named = "SIEVE_CAP = " if cap == SIEVE_CAP else ""
-        raise ValueError(f"limit {limit} exceeds the sieve cap {named}{cap}")
     primes = primes_up_to(_integer_root(limit, r))
     out = [1]
     stack = [(1, 0)]  # (product, index of the next prime it may take)
@@ -327,12 +331,12 @@ def r_free_integers(r: int) -> Iterator[int]:
 def r_full_integers(r: int) -> Iterator[int]:
     """The r-full integers 1, 4, 8, ... (for r = 2) in increasing order.
 
-    r_full_up_to on the limits 1024, 2048, ..., uncapped (the consumer
+    _r_full_search on the limits 1024, 2048, ..., uncapped (the consumer
     bounds the sequence), yielding the values above the previous limit.
     """
     previous, limit = 0, 1024
     while True:
-        yield from (n for n in r_full_up_to(limit, r, cap=limit) if n > previous)
+        yield from (n for n in _r_full_search(limit, r) if n > previous)
         previous, limit = limit, 2 * limit
 
 

@@ -40,12 +40,7 @@ from .defaults import (
     SEQ_CAP,
     SIEVE_CAP,
 )
-from .errors import (
-    NotFoundWithinBound,
-    SkipViolation,
-    VerificationFailure,
-    WitnessFailure,
-)
+from .errors import NotFoundWithinBound, VerificationFailure
 from .rationals import parse_rational, rat_str, unlimited_int_digits
 
 EXIT_OK = 0
@@ -111,19 +106,17 @@ def _emit(args: argparse.Namespace, result, out) -> None:
     """Render `result` in the format of `args`, with no digit limit."""
     with unlimited_int_digits():
         config = to_json(_header(args))
-        if args.format == "json" and hasattr(result, "to_json_chunks"):
+        if args.format == "json":  # "config" sorts before "result", as json.dumps would
             out.write('{"config":' + json.dumps(config, sort_keys=True, separators=(",", ":"))
                       + ',"result":')
-            for chunk in result.to_json_chunks():
-                out.write(chunk)
+            if hasattr(result, "to_json_chunks"):
+                for chunk in result.to_json_chunks():
+                    out.write(chunk)
+            else:
+                out.write(json.dumps(to_json(result), sort_keys=True, separators=(",", ":")))
             out.write("}\n")
             return
         result = to_json(result)
-        if args.format == "json":
-            payload = {"config": config, "result": result}
-            out.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-            out.write("\n")
-            return
         out.write("# " + " ".join(f"{key}={config[key]}" for key in sorted(config)) + "\n")
         from . import render  # only --format table or csv loads it
         if args.format == "csv":
@@ -226,7 +219,7 @@ def _load_certificate(cert, path: str):
 def _run_theorem1_validate(cert, args):
     result = cert.validate_certificate(_load_certificate(cert, args.cert))
     if not result.ok:
-        raise VerificationFailure(f"certificate invalid: {result.reason}", m=0)
+        raise VerificationFailure(f"certificate invalid: {result.reason}")
     return result
 
 
@@ -450,8 +443,8 @@ def dispatch(args: argparse.Namespace, out) -> int:
     module = importlib.import_module(f"{__package__}.{args.module}")
     try:
         result = args.handler(module, args)
-    except (SkipViolation, VerificationFailure, WitnessFailure) as exc:
-        if getattr(exc, "report", None) is not None:
+    except VerificationFailure as exc:
+        if exc.report is not None:
             _emit(args, exc.report, out)
         out.write(f"verification failed: {exc}\n")
         return EXIT_VERIFICATION_FAILED

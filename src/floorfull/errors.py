@@ -15,34 +15,15 @@ class NotFoundWithinBound(FloorfullError):
     RHO_BUDGET for a Brent-rho split), so no rerun can find it.
     """
 
-    def __init__(self, message: str, bound: int):
-        super().__init__(message)
-        self.bound = bound
-
 
 class VerificationFailure(FloorfullError):
-    """A certificate failed its numerical verification at some exponent m."""
+    """A verdict failed: the CLI exits 1, printing `report` first if given.
 
-    def __init__(self, message: str, m: int):
-        super().__init__(message)
-        self.m = m
-
-
-class SkipViolation(FloorfullError):
-    """The skip argument failed for some witness index k.
-
-    Carries the full report so the failing rows can be inspected.
+    Raised by a failed certificate check or validation, a failed skip row
+    (with the full SkipReport, so the failing rows can be inspected) and a
+    missed squares witness target.
     """
 
-    def __init__(self, message: str, k: int, report=None):
+    def __init__(self, message: str, report=None):
         super().__init__(message)
-        self.k = k
         self.report = report
-
-
-class WitnessFailure(FloorfullError):
-    """The squares witness construction failed for some target exponent i."""
-
-    def __init__(self, message: str, i: int):
-        super().__init__(message)
-        self.i = i

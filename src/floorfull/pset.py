@@ -23,7 +23,7 @@ import re
 from typing import Iterable, Iterator, NamedTuple
 
 from .defaults import BITMAP_CAP
-from .errors import WitnessFailure
+from .errors import VerificationFailure
 
 # Largest m a squares witness accepts: line i holds numbers of about m + i
 # bits, so the report grows like m^2 (13 MB of JSON at m = 3,000); printing
@@ -222,7 +222,7 @@ def verify_squares_witness(m: int) -> SquaresWitnessReport:
     inv_alpha >= 2^(i+1) + 2 + isqrt(4 * 2^i * (2^i + 1)), also checked.
     Its root has a closed form: with t = 2^i, 4t^2 <= 4t^2 + 4t < (2t + 1)^2,
     so isqrt(4t(t + 1)) = 2t and the right-hand side is 2^(i+2) + 2.
-    Raises WitnessFailure if any target is missed (none ever is), and
+    Raises VerificationFailure if any target is missed (none ever is), and
     ValueError for m above WITNESS_M_CAP, before any line is built.
     """
     if not 0 <= m <= WITNESS_M_CAP:
@@ -236,14 +236,14 @@ def verify_squares_witness(m: int) -> SquaresWitnessReport:
         upper = lower + inv_alpha
         n_i = math.isqrt(lower - 1) + 1   # ceil(sqrt(lower)), as lower >= 1
         if n_i * n_i >= upper:
-            raise WitnessFailure(
-                f"no integer square in [{lower}, {upper}) for target 2^{i}", i=i
+            raise VerificationFailure(
+                f"no integer square in [{lower}, {upper}) for target 2^{i}"
             )
         gap_rhs = (1 << (i + 2)) + 2
         gap_ok = inv_alpha >= gap_rhs
         if not gap_ok:
-            raise WitnessFailure(
-                f"gap inequality fails at i={i}: {inv_alpha} < {gap_rhs}", i=i
+            raise VerificationFailure(
+                f"gap inequality fails at i={i}: {inv_alpha} < {gap_rhs}"
             )
         lines.append(
             SquaresWitnessLine(

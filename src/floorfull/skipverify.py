@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .defaults import DEFAULT_K_MAX
-from .errors import SkipViolation
+from .errors import VerificationFailure
 from .floorseq import (
     FloorPower,
     SeqSpec,
@@ -109,7 +109,7 @@ def verify_skip_all_alpha(gamma: Fraction, j: int, k_max: int = DEFAULT_K_MAX) -
     starts at or above 1.  Every other I_k ends at or below 1 and is the
     row's window as it stands; the row passes when the exact floor extrema
     satisfy max at k+1 <= 2^(j+1) - 1 and min at k+2 >= 2^(j+1) + 1.
-    Raises SkipViolation (carrying the full report) if any row fails.
+    Raises VerificationFailure (carrying the full report) if any row fails.
     """
     _require_j(j)
     if k_max < 3:
@@ -154,7 +154,7 @@ def verify_skip_all_alpha(gamma: Fraction, j: int, k_max: int = DEFAULT_K_MAX) -
                 f"skip argument fails at k={row.k}: max_next={row.max_floor_next} "
                 f"(allowed <= {ceiling}), min_next2={row.min_floor_next2} (required >= {floor_min})"
             )
-        raise SkipViolation(message, k=row.k, report=report)
+        raise VerificationFailure(message, report=report)
     return report
 
 

@@ -23,6 +23,7 @@ from floorfull.classify import (
     squarefull_via_a2b3,
 )
 from floorfull.cli import main
+from floorfull.defaults import SIEVE_CAP
 from floorfull.errors import NotFoundWithinBound
 
 
@@ -160,9 +161,8 @@ def test_brent_rho_budget_raises_not_found(monkeypatch):
     p, q = 1_000_000_007, 1_000_000_009
     assert oracle_is_prime(p) and oracle_is_prime(q)
     monkeypatch.setattr(classify, "RHO_BUDGET", 1000)
-    with pytest.raises(NotFoundWithinBound, match=f"{p * q} within 1000 ") as info:
+    with pytest.raises(NotFoundWithinBound, match=f"{p * q} within 1000 "):
         factorize(p * q)
-    assert info.value.bound == 1000
     monkeypatch.undo()
     assert factorize(p * q).factors == ((p, 1), (q, 1))
 
@@ -302,8 +302,8 @@ def test_r_full_up_to_matches_per_element_classification():
 
 
 def test_r_full_up_to_memory_guard():
-    with pytest.raises(ValueError, match="cap"):
-        r_full_up_to(1000, 2, cap=100)
+    with pytest.raises(ValueError, match=f"exceeds the sieve cap SIEVE_CAP = {SIEVE_CAP}"):
+        r_full_up_to(SIEVE_CAP + 1, 2)
 
 
 @pytest.mark.parametrize("r", range(2, 9))
@@ -333,9 +333,9 @@ def test_r_full_up_to_prime_bound_just_below_and_at_prime_powers():
             limit = p**r
             assert classify._integer_root(limit - 1, r) == p - 1
             assert classify._integer_root(limit, r) == p
-            at = r_full_up_to(limit, r, cap=limit)
+            at = classify._r_full_search(limit, r)  # 13^8 is above SIEVE_CAP
             assert at[-1] == limit
-            assert r_full_up_to(limit - 1, r, cap=limit) == at[:-1]
+            assert classify._r_full_search(limit - 1, r) == at[:-1]
 
 
 _PER_ELEMENT_TOP = 70_000  # above the 500th square-full number, 66248

@@ -563,8 +563,12 @@ def test_series_partial_sum_past_4300_digits(fmt):
         "[1, 2]",
         '{"r": 2, "ell": 4, "case": "II", "k": 2, "witness": {"p": "2"}}',
         "[" * 100_000 + "]" * 100_000,  # json.load raises RecursionError
+        # valid Case I certificates but for a falsy non-object witness
+        *(f'{{"r": 2, "ell": 2, "case": "I", "k": 10, "witness": {w}}}'
+          for w in ("0", "false", '""', "[]")),
     ],
-    ids=["missing_k", "not_an_object", "string_witness", "nested_100000_deep"],
+    ids=["missing_k", "not_an_object", "string_witness", "nested_100000_deep",
+         "witness_0", "witness_false", "witness_empty_string", "witness_empty_list"],
 )
 def test_malformed_certificate_exits_2_with_one_line(tmp_path, capsys, payload):
     cert = tmp_path / "cert.json"

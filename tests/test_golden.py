@@ -182,8 +182,7 @@ def test_every_header_setting_is_read_by_the_run(monkeypatch):
 
     def recording(constant, function):
         def recorded(*args, **kwargs):
-            if "cap" not in kwargs:  # r_full_integers passes cap=limit, not SIEVE_CAP
-                reaching.add(constant)
+            reaching.add(constant)
             return function(*args, **kwargs)
         return recorded
 

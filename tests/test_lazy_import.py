@@ -41,8 +41,7 @@ HOMES = {
         "dirichlet_search", "validate_certificate", "verify_non_rfull",
     ],
     "errors": [
-        "FloorfullError", "NotFoundWithinBound", "SkipViolation",
-        "VerificationFailure", "WitnessFailure",
+        "FloorfullError", "NotFoundWithinBound", "VerificationFailure",
     ],
     "floorseq": [
         "Explicit", "FloorPower", "RatioReport", "SeqSpec", "Squares",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from floorfull.cli import to_json
-from floorfull.errors import SkipViolation
+from floorfull.errors import VerificationFailure
 from floorfull.floorseq import Explicit, FloorPower, Squares, generate_terms, s_alpha
 from floorfull.rationals import RatInterval, interval
 from floorfull.skipverify import (
@@ -117,9 +117,9 @@ def test_skip_verify_skips_small_indices():
 
 
 def test_skip_verify_j1_violates():
-    with pytest.raises(SkipViolation) as exc:
+    with pytest.raises(VerificationFailure) as exc:
         verify_skip_all_alpha(Fraction(3, 2), 1, 50)
-    assert exc.value.k == 3
+    assert str(exc.value).startswith("skip argument fails at k=3:")
     assert exc.value.report is not None
     assert not exc.value.report.overall
 
@@ -158,9 +158,9 @@ def _check_against_clipped_loop(gamma, j, k_max):
     if failure is None:
         assert verify_skip_all_alpha(gamma, j, k_max) == expected
         return
-    with pytest.raises(SkipViolation) as exc:
+    with pytest.raises(VerificationFailure) as exc:
         verify_skip_all_alpha(gamma, j, k_max)
-    assert (str(exc.value), exc.value.k) == failure
+    assert str(exc.value) == failure[0]
     assert exc.value.report == expected
 
 
@@ -187,10 +187,9 @@ def test_skip_violation_past_4300_digits_raises_skip_violation():
     # gamma = 10^4300, j = 3: row k = 1 has window [8, 9) / 10^4300, so its
     # extrema 9*10^4300 - 1 and 8*10^8600 have more digits than str() allows
     limit = sys.get_int_max_str_digits()
-    with pytest.raises(SkipViolation) as info:
+    with pytest.raises(VerificationFailure) as info:
         verify_skip_all_alpha(Fraction(10**4300), 3, 3)
     assert sys.get_int_max_str_digits() == limit
-    assert info.value.k == 1
     assert not info.value.report.overall
     row = info.value.report.rows[0]
     assert (row.max_floor_next, row.min_floor_next2) == (9 * 10**4300 - 1, 8 * 10**8600)
