@@ -21,7 +21,8 @@ _EXPORTS = {
     ),
     "certificates": (
         "Certificate", "NonRFullReport", "ValidationResult", "check_non_rfull",
-        "construct_certificate", "dirichlet_search", "validate_certificate", "verify_non_rfull",
+        "construct_certificate", "dirichlet_search", "require_valid", "validate_certificate",
+        "verify_non_rfull",
     ),
     "errors": (
         "FloorfullError", "NotFoundWithinBound", "VerificationFailure",

@@ -219,12 +219,18 @@ def validate_certificate(cert: Certificate) -> ValidationResult:
             return fail("q_star_not_prime")
         if cert.k != cert.ell * (cert.q_star - 1):
             return fail("k_formula_mismatch")
-        if (cert.q_star - 1) % cert.q == 0:
-            # would force q | ell*s - 2, i.e. q | 2: impossible for odd q
-            return fail("q_divides_q_star_minus_1")
+        # q odd, q | ell: q_star - 1 = ell*s - 2 is -2 mod q, never 0
         return ValidationResult(True)
 
     return fail("unknown_case")
+
+
+def require_valid(cert: Certificate) -> ValidationResult:
+    """validate_certificate's result, or VerificationFailure naming why it failed."""
+    validation = validate_certificate(cert)
+    if not validation:
+        raise VerificationFailure(f"certificate invalid: {validation.reason}")
+    return validation
 
 
 def _witness_prime(cert: Certificate, m: int) -> int:
@@ -238,27 +244,22 @@ def _witness_prime(cert: Certificate, m: int) -> int:
 def check_non_rfull(cert: Certificate, max_m: int = DEFAULT_MAX_M) -> int:
     """Confirm ell^m + k is not r-full for every m in [1, max_m].
 
-    Validates the certificate, then settles each m by the witness argument
-    alone: the case-prescribed prime w divides ell^m + k exactly once.
-    ell^m mod w^2 is carried from one m to the next and rebuilt with pow
-    only where w changes (only between m = 1 and m = 2).  Values up to
-    10^12 are also cross-checked by is_r_full(value, 2): for r >= 2 an
-    r-full value is 2-full, so this one test equals "r-full or 2-full".
-    ell^m + k increases with m, so the cross-checked m are a prefix [1, c];
-    returns c (0 if none).  Raises VerificationFailure on the first failing
-    m, which a valid certificate never produces, and ValueError for max_m
-    outside 1..MAX_M_CAP, before any m is checked.
+    Raises ValueError for max_m outside 1..MAX_M_CAP, then require_valid's
+    VerificationFailure, before any m is checked.  Then one loop per fact.
+    The first settles each m by the witness argument alone: the prime w
+    the case prescribes divides ell^m + k exactly once.  ell^m mod w^2 is
+    carried from one m to the next and rebuilt with pow only where w
+    changes (only between m = 1 and m = 2).  The second cross-checks
+    ell^m + k <= 10^12 by is_r_full(value, 2), which for r >= 2 equals
+    "r-full or 2-full"; ell^m + k increases with m, so it runs over a
+    prefix [1, c] and returns c (0 if none).  Either loop raises
+    VerificationFailure on its first failing m; a valid certificate has none.
     """
-    validation = validate_certificate(cert)
-    if not validation:
-        raise ValueError(f"certificate is structurally invalid: {validation.reason}")
     if not 1 <= max_m <= MAX_M_CAP:
         raise ValueError(f"max_m must be >= 1 and <= MAX_M_CAP = {MAX_M_CAP}, got {max_m}")
-
+    require_valid(cert)
     ell, k = cert.ell, cert.k
     w = ell_m = None  # ell_m = ell^m mod w^2
-    power = ell  # ell^m while ell^m + k is cross-checked, then 0
-    cross_checked_to = 0
     for m in range(1, max_m + 1):
         witness = _witness_prime(cert, m)
         if witness == w:
@@ -271,17 +272,14 @@ def check_non_rfull(cert: Certificate, max_m: int = DEFAULT_MAX_M) -> int:
             raise VerificationFailure(
                 f"witness {w} does not divide ell^{m} + k exactly once"
             )
-        if power:
-            value = power + k
-            if value > FACTOR_CROSSCHECK_BOUND:
-                power = 0
-            elif is_r_full(value, 2):
-                raise VerificationFailure(
-                    f"factorization says {value} is r-full, contradicting witness"
-                )
-            else:
-                cross_checked_to = m
-                power *= ell
+    power, cross_checked_to = ell, 0  # power = ell^(cross_checked_to + 1)
+    while cross_checked_to < max_m and power + k <= FACTOR_CROSSCHECK_BOUND:
+        if is_r_full(power + k, 2):
+            raise VerificationFailure(
+                f"factorization says {power + k} is r-full, contradicting witness"
+            )
+        cross_checked_to += 1
+        power *= ell
     return cross_checked_to
 
 

@@ -249,8 +249,8 @@ def _require_classify_args(n: int, r: int) -> None:
 
 def _integer_root(n: int, r: int) -> int:
     """The largest x with x**r <= n, for n >= 0 and r >= 2, in exact integers."""
-    if r == 2 or n < 2:
-        return math.isqrt(n)
+    if r == 2 or r >= n.bit_length():  # then n < 2^r, and Newton would build 2**(r - 1)
+        return math.isqrt(n) if r == 2 else min(n, 1)
     # Newton steps on ints from above the root fall strictly to its floor
     x = 1 << -(-n.bit_length() // r)  # 2^ceil(bits/r) > n^(1/r)
     while True:
@@ -328,14 +328,14 @@ def r_free_integers(r: int) -> Iterator[int]:
     return (n for n in itertools.count(1) if is_r_free(n, r))
 
 
-def r_full_integers(r: int) -> Iterator[int]:
+def r_full_integers(r: int, bound: int | None = None) -> Iterator[int]:
     """The r-full integers 1, 4, 8, ... (for r = 2) in increasing order.
 
-    _r_full_search on the limits 1024, 2048, ..., uncapped (the consumer
-    bounds the sequence), yielding the values above the previous limit.
+    _r_full_search on the limits 1024, 2048, ..., yielding the values above
+    the previous limit, and ending after the first limit >= bound, if given.
     """
     previous, limit = 0, 1024
-    while True:
+    while bound is None or previous < bound:
         yield from (n for n in _r_full_search(limit, r) if n > previous)
         previous, limit = limit, 2 * limit
 

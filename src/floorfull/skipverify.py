@@ -56,7 +56,8 @@ J_CAP = 2 ** 16
 
 def _require_gamma(gamma: Fraction) -> None:
     if not (GAMMA_LOW <= gamma < GAMMA_HIGH):
-        raise ValueError(f"gamma must lie in [3/2, 2), got {gamma}")
+        with unlimited_int_digits():  # gamma may exceed 4300 digits
+            raise ValueError(f"gamma must lie in [3/2, 2), got {gamma}")
 
 
 def _require_j(j: int) -> None:
@@ -109,8 +110,10 @@ def verify_skip_all_alpha(gamma: Fraction, j: int, k_max: int = DEFAULT_K_MAX) -
     starts at or above 1.  Every other I_k ends at or below 1 and is the
     row's window as it stands; the row passes when the exact floor extrema
     satisfy max at k+1 <= 2^(j+1) - 1 and min at k+2 >= 2^(j+1) + 1.
-    Raises VerificationFailure (carrying the full report) if any row fails.
+    Raises VerificationFailure (carrying the full report) if any row fails;
+    gamma < 2 keeps every number in it below 2^SEQ_CAP, which str() allows.
     """
+    _require_gamma(gamma)
     _require_j(j)
     if k_max < 3:
         raise ValueError(f"k_max must be >= 3, got {k_max}")
@@ -149,12 +152,11 @@ def verify_skip_all_alpha(gamma: Fraction, j: int, k_max: int = DEFAULT_K_MAX) -
     )
     if failures:
         row = failures[0]
-        with unlimited_int_digits():   # the extrema may exceed 4300 digits
-            message = (
-                f"skip argument fails at k={row.k}: max_next={row.max_floor_next} "
-                f"(allowed <= {ceiling}), min_next2={row.min_floor_next2} (required >= {floor_min})"
-            )
-        raise VerificationFailure(message, report=report)
+        raise VerificationFailure(
+            f"skip argument fails at k={row.k}: max_next={row.max_floor_next} "
+            f"(allowed <= {ceiling}), min_next2={row.min_floor_next2} (required >= {floor_min})",
+            report=report,
+        )
     return report
 
 

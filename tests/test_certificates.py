@@ -332,10 +332,35 @@ def test_check_is_exported_lazily():
 
 def test_check_rejects_invalid_certificate_like_verify():
     broken = Certificate(r=2, ell=6, case=CASE_II, k=3, p=3)
-    with pytest.raises(ValueError, match="structurally invalid: p_squared_does_not_divide_ell"):
+    with pytest.raises(VerificationFailure) as exc:
         check_non_rfull(broken, 5)
+    assert str(exc.value) == "certificate invalid: p_squared_does_not_divide_ell"
     with pytest.raises(ValueError, match="max_m must be >= 1"):
         check_non_rfull(construct_certificate(2, 2), 0)
+    with pytest.raises(ValueError, match="max_m must be >= 1"):  # checked before validity
+        check_non_rfull(broken, 0)
+
+
+def test_require_valid_calls_validate_through_its_module_binding(monkeypatch):
+    # the benchmark's tracer times validation by replacing this binding
+    calls = []
+
+    def counted(cert):
+        calls.append(cert)
+        return validate_certificate(cert)
+
+    monkeypatch.setattr(certificates, "validate_certificate", counted)
+    cert = construct_certificate(2, 15)
+    assert certificates.require_valid(cert) == (True, None)
+    check_non_rfull(cert, 3)
+    assert calls == [cert, cert]
+
+
+@pytest.mark.parametrize("bound, expected", [(2 ** 5 + 10, 5), (2 ** 5 + 9, 4)])
+def test_cross_check_bound_is_inclusive(monkeypatch, bound, expected):
+    # ell = 2, k = 10: ell^m + k reaches the bound at m = 5 and is checked there
+    monkeypatch.setattr(certificates, "FACTOR_CROSSCHECK_BOUND", bound)
+    assert check_non_rfull(construct_certificate(2, 2), 60) == expected
 
 
 def test_case_iii_shift_never_squarefull_by_factorization():
@@ -357,8 +382,9 @@ def test_grid_cross_checks_factorize_nothing_but_the_ells():
 
 def test_verify_rejects_invalid_certificate():
     broken = Certificate(r=2, ell=6, case=CASE_II, k=3, p=3)
-    with pytest.raises(ValueError, match="p_squared_does_not_divide_ell"):
+    with pytest.raises(VerificationFailure) as exc:
         verify_non_rfull(broken)
+    assert str(exc.value) == "certificate invalid: p_squared_does_not_divide_ell"
     with pytest.raises(ValueError):
         verify_non_rfull(construct_certificate(2, 2), max_m=0)
 

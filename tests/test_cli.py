@@ -95,6 +95,24 @@ def test_gamma_search_out_of_range_exits_2_with_one_line(gamma):
 
 
 @pytest.mark.parametrize(
+    "argv, gamma",
+    [
+        (["thm2", "verify", "--j", "3", "--K", "5"], "5/2"),
+        (["thm2", "verify", "--j", "3"], "1e300"),
+        (["thm2", "symbolic", "--j", "3"], "1e4300"),
+        (["thm2", "gamma-search"], "1e4300"),
+    ],
+    ids=["verify", "verify_huge", "symbolic_huge", "gamma_search_huge"],
+)
+def test_thm2_gamma_out_of_range_exits_2_with_one_line(argv, gamma):
+    proc = run_cli(*argv, "--gamma", gamma)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    with unlimited_int_digits():
+        expected = f"error: gamma must lie in [3/2, 2), got {Fraction(gamma)}\n"
+    assert proc.stderr == expected.encode()
+
+
+@pytest.mark.parametrize(
     "argv", [["thm2", "symbolic"], ["thm2", "verify", "--K", "3"]], ids=["symbolic", "verify"]
 )
 def test_thm2_j_past_the_cap_exits_2_with_one_line(argv):
@@ -389,6 +407,18 @@ def test_theorem1_certificate_file_pipeline(tmp_path):
     assert b"k_formula_mismatch" in proc.stdout
 
 
+@pytest.mark.parametrize("fmt", ["json", "table", "csv"])
+def test_every_theorem1_command_exits_1_on_an_invalid_certificate(fmt):
+    cert = str(INPUTS / "cert_broken_k.json")
+    expected = Run(1, b"verification failed: certificate invalid: k_formula_mismatch\n", b"")
+    assert run_cli("theorem1", "validate", "--cert", cert, "--format", fmt) == expected
+    assert run_cli("theorem1", "verify", "--cert", cert, "--format", fmt) == expected
+    # a usage error is checked first, and still exits 2
+    proc = run_cli("theorem1", "verify", "--cert", cert, "--max-m", "0", "--format", fmt)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"error: max_m must be >= 1 and <= MAX_M_CAP = 65536, got 0\n"
+
+
 def test_thm2_gamma_search():
     payload = run_json("thm2", "gamma-search", "--gamma", "8/5")
     assert payload["result"]["j"] == 3
@@ -602,25 +632,14 @@ def test_largest_allowed_decimal_exponent_is_exact():
 
 
 @pytest.mark.parametrize("fmt", ["json", "table", "csv"])
-def test_skip_violation_past_4300_digits_exits_1_with_its_report(fmt):
-    # row k = 1 fails with extrema 9*10^4300 - 1 and 8*10^8600
+def test_gamma_past_4300_digits_exits_2_with_one_line(fmt):
+    # the domain check runs before any term is built; its message prints
+    # all 4,301 digits of 10^4300 under a lifted, then restored, limit
     limit = sys.get_int_max_str_digits()
     proc = run_cli("thm2", "verify", "--gamma", "1e4300", "--j", "3", "--K", "3", "--format", fmt)
     assert sys.get_int_max_str_digits() == limit
-    assert proc.returncode == 1
-    assert proc.stderr == b""
-    lines = proc.stdout.decode().splitlines()
-    assert [line for line in lines if line.startswith("verification failed:")] == lines[-1:]
-    with unlimited_int_digits():
-        assert lines[-1] == (
-            f"verification failed: skip argument fails at k=1: max_next={9 * 10**4300 - 1} "
-            f"(allowed <= 15), min_next2={8 * 10**8600} (required >= 17)"
-        )
-        if fmt == "json":
-            report = json.loads(lines[0])["result"]
-            assert (report["overall"], report["skipped"], len(report["rows"])) == (False, [], 3)
-        else:
-            assert len(lines) > 2  # the report precedes the failure line
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"error: gamma must lie in [3/2, 2), got 1" + b"0" * 4300 + b"\n"
 
 
 def run_parser(parser, argv):

@@ -171,7 +171,9 @@ def test_skip_verify_j1_violation_matches_clipped_loop():
 
 
 @given(
-    gamma=st.fractions(min_value=Fraction(11, 10), max_value=4, max_denominator=12),
+    gamma=st.fractions(min_value=Fraction(3, 2), max_value=2, max_denominator=12).filter(
+        lambda gamma: gamma < 2
+    ),
     j=st.integers(1, 9),
     k_max=st.integers(3, 80),
 )
@@ -183,17 +185,20 @@ def test_skip_verify_matches_clipped_loop(gamma, j, k_max):
     _check_against_clipped_loop(gamma, j, k_max)
 
 
-def test_skip_violation_past_4300_digits_raises_skip_violation():
-    # gamma = 10^4300, j = 3: row k = 1 has window [8, 9) / 10^4300, so its
-    # extrema 9*10^4300 - 1 and 8*10^8600 have more digits than str() allows
+@pytest.mark.parametrize("gamma", ["11/10", "2", "5/2", "4"])
+def test_skip_verify_rejects_gamma_outside_its_domain(gamma):
+    with pytest.raises(ValueError, match=r"^gamma must lie in \[3/2, 2\), got " + gamma + "$"):
+        verify_skip_all_alpha(Fraction(gamma), 3, 5)
+
+
+def test_gamma_past_4300_digits_raises_value_error_naming_it():
+    # the domain check comes before any term is built, and its message
+    # prints all 4,301 digits of 10^4300 under a lifted, then restored, limit
     limit = sys.get_int_max_str_digits()
-    with pytest.raises(VerificationFailure) as info:
+    with pytest.raises(ValueError) as info:
         verify_skip_all_alpha(Fraction(10**4300), 3, 3)
     assert sys.get_int_max_str_digits() == limit
-    assert not info.value.report.overall
-    row = info.value.report.rows[0]
-    assert (row.max_floor_next, row.min_floor_next2) == (9 * 10**4300 - 1, 8 * 10**8600)
-    assert str(info.value).startswith("skip argument fails at k=1: max_next=8999")
+    assert str(info.value) == "gamma must lie in [3/2, 2), got 1" + "0" * 4300
 
 
 def test_skip_verify_validates_args():
