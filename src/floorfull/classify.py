@@ -328,14 +328,14 @@ def r_free_integers(r: int) -> Iterator[int]:
     return (n for n in itertools.count(1) if is_r_free(n, r))
 
 
-def r_full_integers(r: int, bound: int | None = None) -> Iterator[int]:
+def r_full_integers(r: int) -> Iterator[int]:
     """The r-full integers 1, 4, 8, ... (for r = 2) in increasing order.
 
-    _r_full_search on the limits 1024, 2048, ..., yielding the values above
-    the previous limit, and ending after the first limit >= bound, if given.
+    _r_full_search on the limits 1024, 2048, ..., uncapped (the consumer
+    bounds the sequence), yielding the values above the previous limit.
     """
     previous, limit = 0, 1024
-    while bound is None or previous < bound:
+    while True:
         yield from (n for n in _r_full_search(limit, r) if n > previous)
         previous, limit = limit, 2 * limit
 

@@ -169,7 +169,9 @@ def _series_terms(classify, args: argparse.Namespace):
     if kind in ("squarefree", "rfree"):
         return classify.r_free_integers(r)
     if kind in ("squarefull", "rfull"):
-        return classify.r_full_integers(r, classify.SERIES_BITS_CAP)  # larger terms fail its check
+        if args.terms > 1 and r >= classify.SERIES_BITS_CAP.bit_length():  # 2nd term is 2^r
+            raise ValueError(f"{args.ell} ** 2^{r} may exceed {classify.SERIES_BITS_CAP} bits")
+        return classify.r_full_integers(r)
     return (n * n for n in range(1, args.terms + 1))
 
 

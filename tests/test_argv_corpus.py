@@ -15,15 +15,16 @@ import pathlib
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from floorfull import cli
 
 GOLDEN_INPUTS = pathlib.Path(__file__).resolve().parent / "golden" / "inputs"
+GOLDEN_CERTS = {path.name: path.read_bytes() for path in sorted(GOLDEN_INPUTS.glob("cert_*.json"))}
 
-# Files the alphabet names, made once per module; a relative path is made
-# inside the module's directory, an absolute one is used as it stands.
+# Files the alphabet names by relative path.  Each example writes them
+# afresh into its own working directory, so a `pset compute --bit-out` that
+# overwrites one touches neither the repository nor a later example.
 FILES = {
     "empty": b"",
     "binary": bytes(range(256)),
@@ -33,16 +34,12 @@ FILES = {
     "bool_witness.json": json.dumps(
         {"r": 2, "ell": 12, "case": "II", "k": 2, "witness": {"p": True}}
     ).encode(),
+    **GOLDEN_CERTS,
 }
-PATHS = (
-    *(pathlib.PurePath(name) for name in FILES),
-    pathlib.PurePath("dir"),
-    pathlib.PurePath("no_such_dir", "missing"),  # stays missing: --bit-out cannot make it
-    *sorted(GOLDEN_INPUTS.glob("cert_*.json")),
-)
 ALPHABET = (
     "", "-1", "0", "1", "3", "abc", "1/0", "nan", "1e999999", "3/2", "7/5", "5/2",
-    "12345678901234567890", *PATHS,
+    "12345678901234567890", *FILES, "dir",
+    os.path.join("no_such_dir", "missing"),  # stays missing: --bit-out cannot make it
 )
 
 
@@ -61,29 +58,29 @@ def argvs(draw):
     return argv
 
 
-@pytest.fixture(scope="module")
-def corpus_dir(tmp_path_factory):
-    root = tmp_path_factory.mktemp("argv_corpus")
-    for name, content in FILES.items():
-        (root / name).write_bytes(content)
-    (root / "dir").mkdir()
-    return root
-
-
-def run_main(argv, cwd):
-    """(exit code, whether argparse exited, stderr) of main(argv) run in cwd."""
+def run_main(argv):
+    """(exit code, whether argparse exited, stderr) of main(argv), run in a
+    fresh directory that holds the FILES and an empty directory `dir`."""
     out, err = io.StringIO(), io.StringIO()
     previous = os.getcwd()
-    os.chdir(cwd)  # `pset compute --bit-out` writes where its value points
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code, by_argparse = cli.main(argv), False
-            except SystemExit as exc:
-                code, by_argparse = exc.code, True
-    finally:
-        os.chdir(previous)
+    with tempfile.TemporaryDirectory() as cwd:
+        for name, content in FILES.items():
+            pathlib.Path(cwd, name).write_bytes(content)
+        pathlib.Path(cwd, "dir").mkdir()
+        os.chdir(cwd)
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code, by_argparse = cli.main(argv), False
+                except SystemExit as exc:
+                    code, by_argparse = exc.code, True
+        finally:
+            os.chdir(previous)
     return code, by_argparse, err.getvalue()
+
+
+def golden_certs_now():
+    return {name: (GOLDEN_INPUTS / name).read_bytes() for name in GOLDEN_CERTS}
 
 
 @given(argv=argvs())
@@ -92,14 +89,15 @@ def run_main(argv, cwd):
 # the second searched ever larger limits for a second r-full integer
 @example(argv=["sieve", "--limit", "3", "--r", "12345678901234567890"])
 @example(argv=["series", "--kind", "rfull", "--r", "12345678901234567890", "--terms", "3"])
-def test_every_argv_exits_0_1_or_2_with_at_most_one_error_line(corpus_dir, argv):
-    argv = [str(corpus_dir / value) if isinstance(value, pathlib.PurePath) else value
-            for value in argv]
-    with tempfile.TemporaryDirectory() as cwd:
-        code, by_argparse, stderr = run_main(argv, cwd)
+# writes its bitmap over the working copy of a golden certificate's name
+@example(argv=["pset", "compute", "--terms", "empty", "--bound", "3",
+               "--bit-out", "cert_ell12.json"])
+def test_every_argv_exits_0_1_or_2_with_at_most_one_error_line(argv):
+    code, by_argparse, stderr = run_main(argv)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in stderr, argv
     if code == 2 and not by_argparse:
         assert stderr.endswith("\n") and stderr.count("\n") == 1, (argv, stderr)
     if code in (0, 1):
         assert stderr == "", (argv, stderr)
+    assert golden_certs_now() == GOLDEN_CERTS, argv

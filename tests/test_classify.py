@@ -566,8 +566,10 @@ def test_series_digits_horner_at_the_bit_bound():
         ["series", "--kind", "rfull", "--r", "5", "--terms", "500"],  # top term 3,125,000,000
         ["series", "--kind", "squares", "--terms", "100000"],  # top term 10^10
         ["series", "--terms", "10", "--digits", "524289"],  # one digit past 2^20 / 2
+        # the second term 2^r, refused before any search for it
+        ["series", "--kind", "rfull", "--r", "12345678901234567890", "--terms", "2"],
     ],
-    ids=["rfull_r5", "squares", "digits"],
+    ids=["rfull_r5", "squares", "digits", "rfull_huge_r"],
 )
 def test_series_past_the_bit_bound_exits_2(argv, capsys):
     tracemalloc.start()

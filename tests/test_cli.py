@@ -86,25 +86,20 @@ def test_gamma_search_near_two_exits_0():
     assert payload["result"]["j"] == 32
 
 
-@pytest.mark.parametrize("gamma", ["2", "7/5"])
-def test_gamma_search_out_of_range_exits_2_with_one_line(gamma):
-    proc = run_cli("thm2", "gamma-search", "--gamma", gamma)
-    assert proc.returncode == 2
-    assert proc.stdout == b""
-    assert proc.stderr == f"error: gamma must lie in [3/2, 2), got {gamma}\n".encode()
-
-
+# every thm2 subcommand that holds gamma to [3/2, 2), not gamma-search alone
 @pytest.mark.parametrize(
     "argv, gamma",
     [
         (["thm2", "verify", "--j", "3", "--K", "5"], "5/2"),
         (["thm2", "verify", "--j", "3"], "1e300"),
         (["thm2", "symbolic", "--j", "3"], "1e4300"),
+        (["thm2", "gamma-search"], "2"),
+        (["thm2", "gamma-search"], "7/5"),
         (["thm2", "gamma-search"], "1e4300"),
     ],
-    ids=["verify", "verify_huge", "symbolic_huge", "gamma_search_huge"],
+    ids=["verify", "verify_huge", "symbolic_huge", "2", "7/5", "gamma_search_huge"],
 )
-def test_thm2_gamma_out_of_range_exits_2_with_one_line(argv, gamma):
+def test_gamma_search_out_of_range_exits_2_with_one_line(argv, gamma):
     proc = run_cli(*argv, "--gamma", gamma)
     assert (proc.returncode, proc.stdout) == (2, b"")
     with unlimited_int_digits():
