@@ -11,12 +11,15 @@ from floorfull import Squares, s_alpha, squares_witness_alpha, verify_squares_wi
 
 for m in (0, 2, 5):
     alpha = squares_witness_alpha(m)
-    report = verify_squares_witness(m)
-    print(f"m = {m}: alpha = {alpha} (inverse {report.inv_alpha})")
-    for line in report.lines:
+    inv_alpha = alpha.denominator
+    report = verify_squares_witness(m)  # the record holds only the n_i it found
+    print(f"m = {m}: alpha = {alpha} (inverse {inv_alpha})")
+    for i, n_i in enumerate(report.lines):
+        target = 2 ** i
+        lower, upper = inv_alpha * target, inv_alpha * (target + 1)
         print(
-            f"   target 2^{line.i} = {line.target:4d}: n = {line.n_i:4d},"
-            f"  n^2 = {line.n_i ** 2} lies in [{line.lower}, {line.upper})"
+            f"   target 2^{i} = {target:4d}: n = {n_i:4d},"
+            f"  n^2 = {n_i ** 2} lies in [{lower}, {upper})"
         )
     print()
 
@@ -26,5 +29,5 @@ print("   -> contains 1, 2, 4 as promised")
 print()
 
 report = verify_squares_witness(12)
-print(f"m = 12: all {len(report.lines)} targets found, alpha = {report.alpha}")
-print(f"   largest witness square: n = {report.lines[-1].n_i}")
+print(f"m = 12: all {len(report.lines)} targets found, alpha = {squares_witness_alpha(12)}")
+print(f"   largest witness square: n = {report.lines[-1]}")

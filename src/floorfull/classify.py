@@ -10,7 +10,7 @@ Factorization strategy: trial division by the primes below 1000; a larger
 cofactor goes to a Miller-Rabin primality test that is deterministic for
 all inputs below 3,317,044,064,679,887,385,961,981 (comfortably above 2^64)
 and, if composite, to Brent rho on a fixed-seed RNG, so runs are
-reproducible, within a budget of RHO_BUDGET squarings per split.  One lazy
+reproducible, within a budget of RHO_BUDGET work units per split.  One lazy
 generator, _prime_powers, does this for factorize and for the r-free /
 r-full predicates, which stop at the first prime that decides them.
 
@@ -109,19 +109,22 @@ class Factorization(
         return super().__new__(cls, n, factors)
 
 
-RHO_BUDGET = 2 ** 22  # squarings per _brent_rho call, sized in its docstring
+RHO_BUDGET = 2 ** 22  # work units per _brent_rho call, sized in its docstring
 
 
 def _brent_rho(n: int, rng: random.Random) -> int:
     """A nontrivial factor of odd composite n with no prime factor below 1000.
 
     Rho needs about sqrt(p) squarings for the smallest prime factor p of n
-    (Brent, BIT 20, 1980), so a call spends at most RHO_BUDGET = 2^22 of
-    them, counted across retries, and raises NotFoundWithinBound before a
-    round that could pass it.  A014233(12) = 399165290221 * 798330580441
-    takes 409,854 squarings at the default seed (524,286 in whole rounds):
-    8-10x headroom.  A product of two primes near 10^15 gives up in seconds.
+    (Brent, BIT 20, 1980), each quadratic in the digits of n, so a call
+    charges ceil(n.bit_length() / 96)^2 units a squaring (1 up to 96 bits),
+    spends at most RHO_BUDGET = 2^22 units, counted across retries, and
+    raises NotFoundWithinBound before a round that could pass it.
+    A014233(12) = 399165290221 * 798330580441 takes 409,854 squarings at
+    the default seed (524,286 in whole rounds): 8-10x headroom.  A product
+    of two primes near 10^15 gives up in seconds.
     """
+    unit = ((n.bit_length() + 95) // 96) ** 2  # the charge for one squaring
     spent = 0
     while True:
         y = rng.randrange(1, n)
@@ -129,8 +132,9 @@ def _brent_rho(n: int, rng: random.Random) -> int:
         m = 128
         g = r = q = 1
         while g == 1:
-            if spent + 2 * r > RHO_BUDGET:
-                message = f"no factor of {n} within {RHO_BUDGET} Brent rho squarings"
+            if spent + 2 * r * unit > RHO_BUDGET:
+                message = (f"no factor of {n} within {RHO_BUDGET} units of Brent rho work"
+                           f" (one squaring costs {unit})")
                 raise NotFoundWithinBound(message)
             x = y
             for _ in range(r):
@@ -143,7 +147,7 @@ def _brent_rho(n: int, rng: random.Random) -> int:
                     q = q * abs(x - y) % n
                 g = math.gcd(q, n)
                 k += m
-            spent += r + min(k, r)
+            spent += (r + min(k, r)) * unit
             r *= 2
         if g == n:
             g = 1

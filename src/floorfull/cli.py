@@ -81,10 +81,11 @@ def to_json(value):
     dict of its `_fields` in declaration order (the table and CSV formats
     print keys in that order).  Anything else is a TypeError.  Scalar list
     items skip the recursive call, because bitmap runs and sieve values
-    can number in the hundreds of thousands.  The one exception is a
-    record with `to_json_chunks`, the squares witness report: `_emit`
-    writes its JSON text from those chunks, byte-equal by test to
-    `json.dumps` of this form.
+    can number in the hundreds of thousands.  A `to_json_dict` may hold
+    exact Decimals, whose str() is the digits of the int they equal: the
+    squares witness report's does, and `_emit` writes that report's JSON
+    text from its `to_json_chunks`, byte-equal by test to `json.dumps` of
+    this form with `default=int`.
     """
     if isinstance(value, _JSON_SCALARS):
         return value

@@ -11,9 +11,9 @@ The squares witness shows that for the squares sequence the power targets
 2^0..2^m are all simultaneously reachable: with alpha = 1/(4*(2^m + 1)),
 each i <= m has an integer n_i with floor(alpha * n_i^2) = 2^i.  All the
 square-root inequalities involved are verified by cross-multiplied integer
-comparisons, keeping the check float-free.  The report grows like m^2, and
-its JSON text is written in time and memory linear in its bytes
-(`SquaresWitnessReport.to_json_chunks`).
+comparisons, keeping the check float-free.  The report stores only the n_i;
+its `to_json_dict` holds every other number as an exact Decimal closed form,
+whose digits print in time linear in their count, unlike an int's.
 """
 
 from __future__ import annotations
@@ -153,62 +153,57 @@ def squares_witness_alpha(m: int) -> Fraction:
     return Fraction(1, 4 * (2 ** m + 1))
 
 
-class SquaresWitnessLine(NamedTuple):
-    """One target 2^i: the found n_i and the integer inequalities checked."""
-
-    i: int
-    target: int            # 2^i
-    n_i: int
-    lower: int             # inv_alpha * 2^i       (need n_i^2 >= lower)
-    upper: int             # inv_alpha * (2^i + 1) (need n_i^2 <  upper)
-    gap_rhs: int           # 2^(i+2) + 2 = 2^(i+1) + 2 + isqrt(4 * 2^i * (2^i + 1))
-    gap_ok: bool           # inv_alpha >= gap_rhs (window wider than 1)
-
-
 class SquaresWitnessReport(NamedTuple):
+    """The n_i found for the targets 2^0..2^m; `_forms` builds every other number."""
+
     m: int
-    alpha: Fraction
-    inv_alpha: int
-    lines: tuple[SquaresWitnessLine, ...]
-    all_passed: bool
+    lines: tuple[int, ...]  # n_i for i = 0..m
 
-    def to_json_chunks(self) -> Iterator[str]:
-        """The compact, key-sorted JSON text of `cli.to_json(self)`, in chunks.
+    def _forms(self) -> tuple[Decimal, Iterator[tuple]]:
+        """inv_alpha and a lazy generator of each line's fields, in table order.
 
-        The head up to `"lines":[`, then one chunk per line, then the tail.
         Python converts an int to decimal in time quadratic in its digits,
         which would make printing the report cubic in m.  So every number
-        but n_i is written from its closed form 2^a + 2^b, with the digits of
-        exact decimal powers 2^0..2^(2m+2): inv_alpha = 2^(m+2) + 2^2,
+        but n_i is built from its closed form 2^a + 2^b with exact decimal
+        powers 2^0..2^(2m+2): inv_alpha = 2^(m+2) + 2^2, and on line i
         target = 2^i, lower = 2^(m+i+2) + 2^(i+2), upper = lower + inv_alpha
-        and gap_rhs = 2^(i+2) + 2.  Each power and sum is linear in its
-        digits, and a Decimal step that would round raises.  A record whose
-        fields differ from those forms raises ValueError.
+        and gap_rhs = 2^(i+2) + 2 (see `verify_squares_witness`).  Each power
+        and sum is linear in its digits, a Decimal step that would round
+        raises, and str() of an exact Decimal prints the digits of the int.
+        gap_ok is always True, because a failed check raises instead.
         """
-        import decimal  # loaded already by fractions, which built alpha
+        import decimal
 
         exact = decimal.Context(prec=decimal.MAX_PREC, traps=[decimal.Inexact, decimal.Rounded])
-        m, inv_alpha = self.m, self.inv_alpha
-        if inv_alpha != 4 * (2 ** m + 1) or len(self.lines) != m + 1:
-            raise ValueError(f"not the squares witness report of m = {m}")
+        m = self.m
         pow2 = [decimal.Decimal(1)]
         for _ in range(2 * m + 2):
             pow2.append(exact.add(pow2[-1], pow2[-1]))
-        inv_digits = exact.add(pow2[m + 2], pow2[2])
-        yield (f'{{"all_passed":{str(self.all_passed).lower()},"alpha":"1/{inv_digits}",'
-               f'"inv_alpha":{inv_digits},"lines":[')
-        for i, line in enumerate(self.lines):
-            lower = inv_alpha << i
-            if (line.i, line.target, line.lower, line.upper, line.gap_rhs) != (
-                i, 1 << i, lower, lower + inv_alpha, (1 << (i + 2)) + 2
-            ):
-                raise ValueError(f"line {i} is not the squares witness line of m = {m}")
-            lower_digits = exact.add(pow2[m + i + 2], pow2[i + 2])
-            yield (f'{"," if i else ""}{{"gap_ok":{str(line.gap_ok).lower()},'
-                   f'"gap_rhs":{exact.add(pow2[i + 2], 2)},"i":{i},"lower":{lower_digits},'
-                   f'"n_i":{line.n_i},"target":{pow2[i]},'
-                   f'"upper":{exact.add(lower_digits, inv_digits)}}}')
-        yield f'],"m":{m}}}'
+        inv_alpha = exact.add(pow2[m + 2], pow2[2])
+
+        def lines():
+            for i, n_i in enumerate(self.lines):
+                lower = exact.add(pow2[m + i + 2], pow2[i + 2])
+                upper = exact.add(lower, inv_alpha)
+                yield i, pow2[i], n_i, lower, upper, exact.add(pow2[i + 2], 2), True
+
+        return inv_alpha, lines()
+
+    def to_json_dict(self) -> dict:
+        """The report's JSON form; its numbers but m, i and n_i are exact Decimals."""
+        inv_alpha, lines = self._forms()
+        keys = ("i", "target", "n_i", "lower", "upper", "gap_rhs", "gap_ok")
+        return {"m": self.m, "alpha": f"1/{inv_alpha}", "inv_alpha": inv_alpha,
+                "lines": [dict(zip(keys, line)) for line in lines], "all_passed": True}
+
+    def to_json_chunks(self) -> Iterator[str]:
+        """The compact, key-sorted JSON text of `to_json_dict`: head, one chunk per line, tail."""
+        inv_alpha, lines = self._forms()
+        yield f'{{"all_passed":true,"alpha":"1/{inv_alpha}","inv_alpha":{inv_alpha},"lines":['
+        for i, target, n_i, lower, upper, gap_rhs, _ in lines:
+            yield (f'{"," if i else ""}{{"gap_ok":true,"gap_rhs":{gap_rhs},"i":{i},"lower":{lower},'
+                   f'"n_i":{n_i},"target":{target},"upper":{upper}}}')
+        yield f'],"m":{self.m}}}'
 
 
 def verify_squares_witness(m: int) -> SquaresWitnessReport:
@@ -227,11 +222,9 @@ def verify_squares_witness(m: int) -> SquaresWitnessReport:
     """
     if not 0 <= m <= WITNESS_M_CAP:
         raise ValueError(f"m must lie in 0..WITNESS_M_CAP = {WITNESS_M_CAP}, got {m}")
-    alpha = squares_witness_alpha(m)
     inv_alpha = 4 * (2 ** m + 1)
     lines = []
     for i in range(m + 1):
-        target = 1 << i
         lower = inv_alpha << i
         upper = lower + inv_alpha
         n_i = math.isqrt(lower - 1) + 1   # ceil(sqrt(lower)), as lower >= 1
@@ -240,22 +233,9 @@ def verify_squares_witness(m: int) -> SquaresWitnessReport:
                 f"no integer square in [{lower}, {upper}) for target 2^{i}"
             )
         gap_rhs = (1 << (i + 2)) + 2
-        gap_ok = inv_alpha >= gap_rhs
-        if not gap_ok:
+        if inv_alpha < gap_rhs:
             raise VerificationFailure(
                 f"gap inequality fails at i={i}: {inv_alpha} < {gap_rhs}"
             )
-        lines.append(
-            SquaresWitnessLine(
-                i=i,
-                target=target,
-                n_i=n_i,
-                lower=lower,
-                upper=upper,
-                gap_rhs=gap_rhs,
-                gap_ok=gap_ok,
-            )
-        )
-    return SquaresWitnessReport(
-        m=m, alpha=alpha, inv_alpha=inv_alpha, lines=tuple(lines), all_passed=True
-    )
+        lines.append(n_i)
+    return SquaresWitnessReport(m=m, lines=tuple(lines))

@@ -95,10 +95,14 @@ def test_criterion_4_squares_witness():
             alpha = squares_witness_alpha(m)
             assert alpha == Fraction(1, 4 * (2 ** m + 1))
             report = verify_squares_witness(m)
-            assert report.all_passed
-            assert report.alpha == alpha
-            for line in report.lines:
-                assert math.floor(alpha * line.n_i ** 2) == line.target
+            assert report.m == m and len(report.lines) == m + 1
+            payload = report.to_json_dict()
+            assert payload["alpha"] == str(alpha) and payload["all_passed"] is True
+            inv_alpha = alpha.denominator
+            for i, (n_i, line) in enumerate(zip(report.lines, payload["lines"])):
+                assert math.floor(alpha * n_i ** 2) == 2 ** i
+                printed = [int(line[key]) for key in ("target", "n_i", "lower", "upper")]
+                assert printed == [2 ** i, n_i, inv_alpha * 2 ** i, inv_alpha * (2 ** i + 1)]
 
 
 def _enumerate_subset_sums(terms):

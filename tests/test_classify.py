@@ -177,6 +177,24 @@ def test_classify_exits_2_when_rho_budget_runs_out(monkeypatch, capsys):
     assert "10000000000000431000000000002257 within 1000 " in captured.err
 
 
+def test_validate_exits_2_on_a_case_iii_ell_with_two_60_digit_primes(tmp_path, capsys):
+    # the square-free check factors ell: each squaring mod a 399-bit ell is
+    # charged ceil(399 / 96)^2 = 25 units, so rho gives up 25 times sooner
+    p, q = 4 * 10**59 + 151, 6 * 10**59 + 367
+    assert is_prime(p) and is_prime(q)
+    ell, s = p * q, 2
+    cert = {"r": 2, "ell": ell, "case": "III", "k": ell * (ell * s - 2),
+            "witness": {"q": p, "s": s, "q_star": ell * s - 1}}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert main(["theorem1", "validate", "--cert", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"no factor of {ell} within {classify.RHO_BUDGET} units" in captured.err
+    assert "(one squaring costs 25)" in captured.err
+
+
 def test_factorization_type_validates():
     with pytest.raises(ValueError):
         Factorization(12, ((3, 1), (2, 2)))  # unsorted

@@ -13,6 +13,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import types
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from typing import NamedTuple
@@ -475,10 +476,10 @@ class LineBuilt(Exception):
 
 
 def test_witness_m_past_the_cap_exits_2_before_any_line(monkeypatch):
-    def no_line(**fields):
-        raise LineBuilt(fields["i"])
+    def isqrt(n):  # each line's n_i is the first isqrt a witness takes
+        raise LineBuilt(n)
 
-    monkeypatch.setattr(pset, "SquaresWitnessLine", no_line)
+    monkeypatch.setattr(pset, "math", types.SimpleNamespace(isqrt=isqrt))
     cap = pset.WITNESS_M_CAP
     assert cap >= 3_000  # the benchmark's enumerate workload runs m up to 3,000
     with pytest.raises(LineBuilt):

@@ -1,14 +1,17 @@
+import csv
+import io
 import json
 import math
 import random
 import re
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from floorfull.cli import to_json
+from floorfull.cli import main, to_json
 from floorfull.pset import (
     BITMAP_CAP,
     WITNESS_M_CAP,
@@ -143,10 +146,44 @@ def test_squares_witness_alpha_values():
         squares_witness_alpha(-1)
 
 
+def witness_forms(m: int) -> dict:
+    """The squares witness report's JSON form for m, from plain products and isqrt."""
+    inv_alpha = 4 * (2 ** m + 1)
+    lines = []
+    for i in range(m + 1):
+        target = 2 ** i
+        lower, upper = inv_alpha * target, inv_alpha * (target + 1)
+        n_i = math.isqrt(lower)
+        if n_i * n_i < lower:
+            n_i += 1
+        assert (n_i - 1) ** 2 < lower <= n_i ** 2 < upper
+        gap_rhs = 2 ** (i + 1) + 2 + math.isqrt(4 * target * (target + 1))
+        assert inv_alpha >= gap_rhs
+        lines.append({
+            "i": i, "target": target, "n_i": n_i, "lower": lower, "upper": upper,
+            "gap_rhs": gap_rhs, "gap_ok": True,
+        })
+    return {"m": m, "alpha": f"1/{inv_alpha}", "inv_alpha": inv_alpha, "lines": lines,
+            "all_passed": True}
+
+
+def as_ints(value):
+    """`value` with each exact Decimal made the int it prints as, and each dict
+    made its (key, value) pairs, so that a comparison also checks key order."""
+    if isinstance(value, dict):
+        return [(key, as_ints(inner)) for key, inner in value.items()]
+    if isinstance(value, list):
+        return [as_ints(inner) for inner in value]
+    if isinstance(value, Decimal):
+        assert str(value) == str(int(value))
+        return int(value)
+    return value
+
+
 def test_squares_witness_m2():
     report = verify_squares_witness(2)
-    assert [(line.i, line.n_i) for line in report.lines] == [(0, 5), (1, 7), (2, 9)]
-    alpha = report.alpha
+    assert report == (2, (5, 7, 9))
+    alpha = squares_witness_alpha(2)
     assert math.floor(alpha * 25) == 1
     assert math.floor(alpha * 49) == 2
     assert math.floor(alpha * 81) == 4
@@ -154,50 +191,60 @@ def test_squares_witness_m2():
 
 def test_squares_witness_m0():
     report = verify_squares_witness(0)
-    assert report.lines[0].n_i == 3
+    assert report.lines == (3,)
     assert math.floor(Fraction(9, 8)) == 1
 
 
 def test_squares_witness_through_m12():
     for m in range(13):
         report = verify_squares_witness(m)
-        assert report.all_passed
+        alpha = squares_witness_alpha(m)
         assert len(report.lines) == m + 1
-        for line in report.lines:
+        payload = report.to_json_dict()
+        assert payload["alpha"] == str(alpha) and payload["all_passed"] is True
+        for i, (n_i, line) in enumerate(zip(report.lines, payload["lines"])):
             # independent exact check of the floor identity
-            assert math.floor(report.alpha * line.n_i**2) == line.target
-            # window inequalities as recorded
-            assert line.lower <= line.n_i**2 < line.upper
-            assert report.inv_alpha >= line.gap_rhs
+            assert math.floor(alpha * n_i**2) == 2 ** i == line["target"]
+            # window inequalities as printed
+            assert line["n_i"] == n_i and line["lower"] <= n_i**2 < line["upper"]
+            assert payload["inv_alpha"] >= line["gap_rhs"] and line["gap_ok"] is True
 
 
 def test_squares_witness_lines_match_plain_products_through_m300():
     for m in range(301):
-        inv_alpha = 4 * (2 ** m + 1)
-        expected = []
-        for i in range(m + 1):
-            target = 2 ** i
-            lower, upper = inv_alpha * target, inv_alpha * (target + 1)
-            n_i = math.isqrt(lower)
-            if n_i * n_i < lower:
-                n_i += 1
-            assert (n_i - 1) ** 2 < lower <= n_i ** 2 < upper
-            gap_rhs = 2 ** (i + 1) + 2 + math.isqrt(4 * target * (target + 1))
-            expected.append({
-                "i": i, "target": target, "n_i": n_i, "lower": lower, "upper": upper,
-                "gap_rhs": gap_rhs, "gap_ok": inv_alpha >= gap_rhs,
-            })
+        expected = witness_forms(m)
         report = verify_squares_witness(m)
-        assert (report.m, report.inv_alpha, report.all_passed) == (m, inv_alpha, True)
-        assert [line._asdict() for line in report.lines] == expected
+        assert report == (m, tuple(line["n_i"] for line in expected["lines"]))
+        assert as_ints(report.to_json_dict()) == as_ints(expected)
 
 
 def test_squares_witness_gap_rhs_closed_form_through_i3000():
-    # the closed form 2^(i+2) + 2 against the isqrt it replaces, every i <= 3000
-    report = verify_squares_witness(3000)
-    for line in report.lines:
-        t = line.target
-        assert line.gap_rhs == 2 ** (line.i + 1) + 2 + math.isqrt(4 * t * (t + 1))
+    # the printed closed form 2^(i+2) + 2 against the isqrt it replaces, every i <= 3000
+    for line in verify_squares_witness(3000).to_json_dict()["lines"]:
+        t = 2 ** line["i"]
+        assert int(line["gap_rhs"]) == 2 ** (line["i"] + 1) + 2 + math.isqrt(4 * t * (t + 1))
+
+
+def test_witness_csv_and_table_print_the_plain_products(capsys):
+    m = 40
+    expected = witness_forms(m)
+    head = [[key, str(expected[key])] for key in ("m", "alpha", "inv_alpha")]
+    assert main(["pset", "witness", "--m", str(m), "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[1:] == [
+        *head,
+        *([f"lines[{i}].{key}", str(value)]
+          for i, line in enumerate(expected["lines"]) for key, value in line.items()),
+        ["all_passed", "True"],
+    ]
+    assert main(["pset", "witness", "--m", str(m), "--format", "table"]) == 0
+    text = capsys.readouterr().out.splitlines()
+    assert text[1:5] == [*(f"{key}: {value}" for key, value in head), "lines:"]
+    assert text[5].split() == list(expected["lines"][0])
+    assert [row.split() for row in text[6:-1]] == [
+        [str(value) for value in line.values()] for line in expected["lines"]
+    ]
+    assert text[-1] == "all_passed: True"
 
 
 def assert_chunks_match_json_dumps(m: int) -> None:
@@ -205,7 +252,7 @@ def assert_chunks_match_json_dumps(m: int) -> None:
     chunks = list(report.to_json_chunks())
     assert len(chunks) == m + 3  # head, one per line, tail
     text = "".join(chunks)
-    assert text == json.dumps(to_json(report), sort_keys=True, separators=(",", ":"))
+    assert text == json.dumps(to_json(report), sort_keys=True, separators=(",", ":"), default=int)
     # every number is plain integer digits: JSON hands any number with a
     # fraction or an exponent ("E", "e" or ".") to parse_float
     payload = json.loads(text, parse_float=pytest.fail, parse_constant=pytest.fail)
@@ -225,23 +272,6 @@ def test_witness_json_chunks_match_json_dumps_drawn(m):
 
 def test_witness_json_chunks_match_json_dumps_at_the_cap():
     assert_chunks_match_json_dumps(WITNESS_M_CAP)
-
-
-@pytest.mark.parametrize(
-    "tamper",
-    [
-        lambda r: r._replace(inv_alpha=r.inv_alpha + 1),
-        lambda r: r._replace(lines=r.lines[:-1]),
-        lambda r: r._replace(lines=r.lines[::-1]),
-        lambda r: r._replace(lines=(r.lines[0]._replace(upper=r.lines[0].upper + 1), *r.lines[1:])),
-        lambda r: r._replace(lines=(*r.lines[:-1], r.lines[-1]._replace(gap_rhs=7))),
-    ],
-    ids=["inv_alpha", "line_missing", "lines_reordered", "upper", "gap_rhs"],
-)
-def test_witness_json_chunks_refuse_a_record_off_its_closed_forms(tamper):
-    # the chunks print closed forms, so a record that does not hold them is refused
-    with pytest.raises(ValueError, match="squares witness"):
-        "".join(tamper(verify_squares_witness(5)).to_json_chunks())
 
 
 def test_bitmap_validation():

@@ -5,7 +5,8 @@ serialize through `cli.to_json` in `_fields` order (or through their own
 `to_json_dict`), and the five validating records check their fields
 whether they are given positionally or by keyword.  One record writes its
 own JSON text: `SquaresWitnessReport.to_json_chunks`, whose joined chunks
-equal the compact, key-sorted `json.dumps` of its `to_json` form.
+equal the compact, key-sorted `json.dumps` of its `to_json` form, with its
+exact Decimals written as ints.
 """
 
 import json
@@ -98,7 +99,7 @@ def test_only_the_witness_report_writes_its_own_json_text():
     chunked = [name for name, record in SAMPLES.items() if hasattr(record, "to_json_chunks")]
     assert chunked == ["SquaresWitnessReport"]
     record = SAMPLES["SquaresWitnessReport"]
-    text = json.dumps(to_json(record), sort_keys=True, separators=(",", ":"))
+    text = json.dumps(to_json(record), sort_keys=True, separators=(",", ":"), default=int)
     assert "".join(record.to_json_chunks()) == text
 
 
