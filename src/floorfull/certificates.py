@@ -17,15 +17,15 @@ r-full for every m, and the witness data splits into three cases:
             q | ell*s - 2, i.e. q | 2, impossible for odd q).
 
 A certificate stores (r, ell, case, k, witnesses); validity is a pure
-structural check, and the verification of any finite range of m uses only
-modular arithmetic with the case-prescribed witness prime, never a
-factorization of ell^m + k itself.  Failure of 2-fullness is what the
-witness exhibits (a prime of exponent exactly 1), and that implies failure
-of r-fullness for every r >= 2.
+structural check.  Verification proves every m >= 1 from three residues of
+the case-prescribed witness primes, one for m = 1 and one for all m >= 2,
+never from a factorization of ell^m + k itself.  Failure of 2-fullness is
+what the witness exhibits (a prime of exponent exactly 1), and that implies
+failure of r-fullness for every r >= 2.
 
-Checking is split from reporting: check_non_rfull runs the per-m checks,
-all that `theorem1 grid` needs; verify_non_rfull calls it, then builds the
-per-m WitnessLine report that `theorem1 verify` prints.
+Checking is split from reporting: check_non_rfull checks the residues and
+small values, all that `theorem1 grid` needs; verify_non_rfull calls it,
+then builds the per-m WitnessLine report that `theorem1 verify` prints.
 """
 
 from __future__ import annotations
@@ -169,8 +169,8 @@ def validate_certificate(cert: Certificate) -> ValidationResult:
     """Structural validity check; reports the first failed invariant.
 
     A valid structure is exactly what makes ell^m + k never r-full, so no
-    numerical sweep is needed for the conclusion (verify_non_rfull
-    confirms finite ranges independently anyway).
+    numerical sweep is needed for the conclusion (check_non_rfull checks
+    the residues the proof rests on anyway).
     """
     def fail(reason: str) -> ValidationResult:
         return ValidationResult(False, reason)
@@ -233,45 +233,42 @@ def require_valid(cert: Certificate) -> ValidationResult:
     return validation
 
 
-def _witness_prime(cert: Certificate, m: int) -> int:
+def _witnesses(cert: Certificate) -> tuple[int, int]:
+    """The witness prime for m = 1 and the one for every m >= 2."""
     if cert.case == CASE_I:
-        return 3 if m == 1 else 2
+        return 3, 2
     if cert.case == CASE_II:
-        return cert.p
-    return cert.q_star if m == 1 else cert.q
+        return cert.p, cert.p
+    return cert.q_star, cert.q
 
 
 def check_non_rfull(cert: Certificate, max_m: int = DEFAULT_MAX_M) -> int:
-    """Confirm ell^m + k is not r-full for every m in [1, max_m].
+    """Prove ell^m + k is not r-full for every m >= 1; cross-check m <= max_m.
 
     Raises ValueError for max_m outside 1..MAX_M_CAP, then require_valid's
-    VerificationFailure, before any m is checked.  Then one loop per fact.
-    The first settles each m by the witness argument alone: the prime w
-    the case prescribes divides ell^m + k exactly once.  ell^m mod w^2 is
-    carried from one m to the next and rebuilt with pow only where w
-    changes (only between m = 1 and m = 2).  The second cross-checks
-    ell^m + k <= 10^12 by is_r_full(value, 2), which for r >= 2 equals
-    "r-full or 2-full"; ell^m + k increases with m, so it runs over a
-    prefix [1, c] and returns c (0 if none).  Either loop raises
-    VerificationFailure on its first failing m; a valid certificate has none.
+    VerificationFailure, before anything is checked.  require_valid proved
+    both witnesses (first, rest) of _witnesses prime, and three residues
+    settle every m: first divides ell + k exactly once (m = 1); rest
+    divides ell, so for m >= 2 rest^2 | ell^m and ell^m + k = k (mod
+    rest^2); and rest divides k exactly once.  A prime of exponent 1
+    makes a value not 2-full, hence not r-full for any r >= 2.  Then one
+    loop cross-checks ell^m + k <= 10^12 by is_r_full(value, 2), which for
+    r >= 2 equals "r-full or 2-full"; ell^m + k increases with m, so it
+    runs over a prefix [1, c] of [1, max_m] and returns c (0 if none).  A
+    failed residue or cross-check raises VerificationFailure; a valid
+    certificate has none.
     """
     if not 1 <= max_m <= MAX_M_CAP:
         raise ValueError(f"max_m must be >= 1 and <= MAX_M_CAP = {MAX_M_CAP}, got {max_m}")
     require_valid(cert)
     ell, k = cert.ell, cert.k
-    w = ell_m = None  # ell_m = ell^m mod w^2
-    for m in range(1, max_m + 1):
-        witness = _witness_prime(cert, m)
-        if witness == w:
-            ell_m = ell_m * ell % w2
-        else:
-            w, w2 = witness, witness * witness
-            ell_m = pow(ell, m, w2)
-        residue = (ell_m + k) % w2
-        if residue % w or not residue:
-            raise VerificationFailure(
-                f"witness {w} does not divide ell^{m} + k exactly once"
-            )
+    first, rest = _witnesses(cert)
+    if (ell + k) % first or not (ell + k) % (first * first):
+        raise VerificationFailure(f"witness {first} does not divide ell^1 + k exactly once")
+    if ell % rest:
+        raise VerificationFailure(f"witness {rest} does not divide ell")
+    if k % rest or not k % (rest * rest):
+        raise VerificationFailure(f"witness {rest} does not divide k exactly once")
     power, cross_checked_to = ell, 0  # power = ell^(cross_checked_to + 1)
     while cross_checked_to < max_m and power + k <= FACTOR_CROSSCHECK_BOUND:
         if is_r_full(power + k, 2):
@@ -286,8 +283,9 @@ def check_non_rfull(cert: Certificate, max_m: int = DEFAULT_MAX_M) -> int:
 def verify_non_rfull(cert: Certificate, max_m: int = DEFAULT_MAX_M) -> NonRFullReport:
     """check_non_rfull, then one WitnessLine per m for `theorem1 verify` to print."""
     cross_checked_to = check_non_rfull(cert, max_m)
+    first, rest = _witnesses(cert)
     lines = tuple(
-        WitnessLine(m, _witness_prime(cert, m), True, True, m <= cross_checked_to)
+        WitnessLine(m, rest if m > 1 else first, True, True, m <= cross_checked_to)
         for m in range(1, max_m + 1)
     )
     return NonRFullReport(certificate=cert, max_m=max_m, lines=lines, all_passed=True)

@@ -251,19 +251,6 @@ def _require_classify_args(n: int, r: int) -> None:
         raise ValueError(f"r must be >= 2, got {r}")
 
 
-def _integer_root(n: int, r: int) -> int:
-    """The largest x with x**r <= n, for n >= 0 and r >= 2, in exact integers."""
-    if r == 2 or r >= n.bit_length():  # then n < 2^r, and Newton would build 2**(r - 1)
-        return math.isqrt(n) if r == 2 else min(n, 1)
-    # Newton steps on ints from above the root fall strictly to its floor
-    x = 1 << -(-n.bit_length() // r)  # 2^ceil(bits/r) > n^(1/r)
-    while True:
-        y = ((r - 1) * x + n // x ** (r - 1)) // r
-        if y >= x:
-            return x
-        x = y
-
-
 def r_full_up_to(limit: int, r: int) -> list[int]:
     """All r-full integers in [1, limit], ascending; a limit above SIEVE_CAP is an error.
 
@@ -279,15 +266,19 @@ def _r_full_search(limit: int, r: int) -> list[int]:
     """All r-full integers in [1, limit], ascending, with no cap on limit.
 
     Depth-first search: from a product m it multiplies in p^e, e >= r, for
-    each prime p <= limit^(1/r) above the primes of m, while the product
-    stays <= limit.  By unique factorization each r-full n > 1 is
-    p1^e1 * ... * pk^ek with p1 < ... < pk and all ei >= r, and the search,
-    taking primes in increasing order, reaches it along exactly one path:
-    each r-full n <= limit appears once, nothing else appears, and the work
-    grows with the ~c*limit^(1/r) values (Ivic-Shiu, Illinois J. Math. 26).
+    each prime p above the primes of m, while the product stays <= limit.
+    The primes come from a sieve to isqrt(limit), and the search breaks at
+    the first whose r-th power overshoots; when 2^r > limit, 1 is all.  By
+    unique factorization each r-full n > 1 is p1^e1 * ... * pk^ek with
+    p1 < ... < pk and all ei >= r, and the search, taking primes in
+    increasing order, reaches it along exactly one path: each r-full
+    n <= limit appears once, nothing else appears, and the search grows with
+    the ~c*limit^(1/r) values (Ivic-Shiu, Illinois J. Math. 26).
     """
     _require_classify_args(limit, r)
-    primes = primes_up_to(_integer_root(limit, r))
+    if r >= limit.bit_length():  # then 2^r > limit
+        return [1]
+    primes = primes_up_to(math.isqrt(limit))
     out = [1]
     stack = [(1, 0)]  # (product, index of the next prime it may take)
     while stack:

@@ -21,6 +21,12 @@ from typing import NamedTuple, Union
 from .defaults import SEQ_CAP
 from .rationals import RatInterval
 
+# Bit caps of floor(gamma^n), gamma = p/q: each term, whose int-to-str conversion
+# is quadratic in its size (gamma < 2 keeps it below 2^SEQ_CAP), and the q^n
+# carried, which p multiplies at every step (any q <= 64 passes SEQ_CAP steps).
+TERM_BITS_CAP = 2 ** 14
+CARRY_BITS_CAP = 2 ** 16
+
 
 class FloorPower(NamedTuple("FloorPower", [("gamma", Fraction)])):
     """Terms floor(gamma^n) for n = 1, 2, 3, ... with rational gamma > 1."""
@@ -66,6 +72,8 @@ def generate_terms(spec: SeqSpec, n_max: int) -> list[int]:
     with s_(n+1) = a + c.  As b < q and r_n < q^n the dividend is below
     (p + q)*q^n, so c < (p + q)/q: each step is linear in the size of the
     term, where floor(p^n/q^n) by long division has an n-digit quotient.
+    A term above TERM_BITS_CAP bits or a carried q^n above CARRY_BITS_CAP
+    bits raises ValueError before the next step.
 
     >>> generate_terms(FloorPower(Fraction(3, 2)), 10)
     [1, 2, 3, 5, 7, 11, 17, 25, 38, 57]
@@ -77,11 +85,15 @@ def generate_terms(spec: SeqSpec, n_max: int) -> list[int]:
     if isinstance(spec, FloorPower):
         p, q = spec.gamma.numerator, spec.gamma.denominator
         s, r, q_n, terms = 1, 0, 1, []
-        for _ in range(n_max):
+        for n in range(1, n_max + 1):
             a, b = divmod(p * s, q)
             dividend, q_n = b * q_n + p * r, q_n * q
             c, r = divmod(dividend, q_n)
             s = a + c
+            if s.bit_length() > TERM_BITS_CAP:
+                raise ValueError(f"term {n} exceeds the term bit cap TERM_BITS_CAP = {TERM_BITS_CAP}")
+            if q_n.bit_length() > CARRY_BITS_CAP:
+                raise ValueError(f"q^{n} exceeds the carry bit cap CARRY_BITS_CAP = {CARRY_BITS_CAP}")
             terms.append(s)
     elif isinstance(spec, Squares):
         terms = [n * n for n in range(1, n_max + 1)]

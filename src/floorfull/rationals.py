@@ -47,17 +47,15 @@ def rat_str(q: Fraction) -> str:
 
 @contextmanager
 def unlimited_int_digits():
-    """Lift the int-to-str digit limit for the block (a no-op before 3.10.7).
+    """Lift the int-to-str digit limit for the block.
 
     Exact results may exceed 4300 digits; input parsing keeps the limit."""
-    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if digit_limit:
-        sys.set_int_max_str_digits(0)
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         yield
     finally:
-        if digit_limit:
-            sys.set_int_max_str_digits(digit_limit)
+        sys.set_int_max_str_digits(digit_limit)
 
 
 class RatInterval(NamedTuple("RatInterval", [("lo", "Fraction"), ("hi", "Fraction")])):

@@ -89,6 +89,10 @@ def golden_certs_now():
 # the second searched ever larger limits for a second r-full integer
 @example(argv=["sieve", "--limit", "3", "--r", "12345678901234567890"])
 @example(argv=["series", "--kind", "rfull", "--r", "12345678901234567890", "--terms", "3"])
+# each once ran in time that grew without bound in n: the first printed ever
+# larger terms, the second carried ever larger powers q^n of a 4,300-digit q
+@example(argv=["seq", "gen", "--gamma", "1000000", "--n", "2000"])
+@example(argv=["thm2", "verify", "--gamma", f"{15 * 10**4298 + 1}/{10**4299}", "--j", "3"])
 # writes its bitmap over the working copy of a golden certificate's name
 @example(argv=["pset", "compute", "--terms", "empty", "--bound", "3",
                "--bit-out", "cert_ell12.json"])

@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from floorfull import certificates
 from floorfull.certificates import (
@@ -13,7 +13,7 @@ from floorfull.certificates import (
     Certificate,
     NonRFullReport,
     WitnessLine,
-    _witness_prime,
+    _witnesses,
     check_non_rfull,
     construct_certificate,
     dirichlet_search,
@@ -178,7 +178,7 @@ def test_verify_case_ii_witness():
 
 def test_verify_witness_skeleton_directly():
     # recompute the divisibility pattern on the full integers, independent of
-    # the modular-pow route used inside verify_non_rfull
+    # the residue proof inside check_non_rfull
     for ell in (2, 3, 4, 6, 15, 18):
         cert = construct_certificate(2, ell)
         report = verify_non_rfull(cert, max_m=12)
@@ -197,8 +197,9 @@ def test_verify_crosschecks_small_values():
 def _per_m_report(cert: Certificate, max_m: int) -> NonRFullReport:
     """The verifier as it was: ell**m + k built in full at every m."""
     lines = []
+    first, rest = _witnesses(cert)
     for m in range(1, max_m + 1):
-        w = _witness_prime(cert, m)
+        w = rest if m > 1 else first
         value = cert.ell ** m + cert.k
         assert value % w == 0 and value % (w * w) != 0
         cross_checked = value <= FACTOR_CROSSCHECK_BOUND
@@ -239,6 +240,25 @@ def test_check_and_verify_match_per_m_oracle(r, max_m, ell):
     flags = [line.cross_checked for line in oracle.lines]
     assert check_non_rfull(cert, max_m) == sum(flags)
     assert flags == sorted(flags, reverse=True)  # the cross-checked m are a prefix
+
+
+@settings(max_examples=200, deadline=None)
+@given(rest=st.sampled_from([2, 3, 5, 7, 11, 101, 65537]),
+       a=st.integers(1, 10**6), c=st.integers(1, 10**6))
+def test_three_residues_settle_every_exponent(rest, a, c):
+    """check_non_rfull's proof on plain integers, with no Certificate: if
+    first divides ell + k exactly once, rest divides ell and rest divides k
+    exactly once, then first settles m = 1 and rest every m >= 2."""
+    assume(c % rest)
+    ell, k = rest * a, rest * c
+    n = ell + k
+    first = next((f for f in range(2, 1000)
+                  if oracle_is_prime(f) and n % f == 0 and n % (f * f)), None)
+    assume(first is not None)
+    for m in range(1, 61):
+        w = rest if m > 1 else first
+        value = ell**m + k
+        assert value % w == 0 and value % (w * w) != 0, (ell, k, m, w)
 
 
 def _old_grid_cell(r, ell, max_m):
@@ -285,35 +305,41 @@ def test_verify_builds_one_line_per_exponent(built_lines, ell):
     assert len(built_lines) == 57 and list(report.lines) == built_lines
 
 
-def _patch_witness(monkeypatch, wrong_from: int, wrong: int):
-    def witness(cert, m):
-        return wrong if m >= wrong_from else _witness_prime(cert, m)
+def _patch_witnesses(monkeypatch, first=None, rest=None):
+    def witnesses(cert, real=_witnesses):
+        real_first, real_rest = real(cert)
+        return first or real_first, rest or real_rest
 
-    monkeypatch.setattr(certificates, "_witness_prime", witness)
+    monkeypatch.setattr(certificates, "_witnesses", witnesses)
 
 
 def test_wrong_witness_at_first_exponent_fails_there(monkeypatch):
-    _patch_witness(monkeypatch, wrong_from=1, wrong=7)  # 3 + 12 = 15 = 3 * 5
+    _patch_witnesses(monkeypatch, first=7)  # 3 + 12 = 15 = 3 * 5
     with pytest.raises(VerificationFailure, match="witness 7") as exc:
         check_non_rfull(construct_certificate(2, 3), 10)
     assert str(exc.value) == "witness 7 does not divide ell^1 + k exactly once"
+    _patch_witnesses(monkeypatch, first=2)  # 2 + 10 = 12 = 2^2 * 3
+    with pytest.raises(VerificationFailure) as exc:
+        check_non_rfull(construct_certificate(2, 2), 10)
+    assert str(exc.value) == "witness 2 does not divide ell^1 + k exactly once"
 
 
 @pytest.mark.parametrize("ell,wrong", [(2, 5), (4, 5), (15, 7)])
-def test_wrong_witness_from_third_exponent_fails_there(monkeypatch, ell, wrong):
-    _patch_witness(monkeypatch, wrong_from=3, wrong=wrong)
+def test_wrong_later_witness_that_misses_ell_fails(monkeypatch, ell, wrong):
+    _patch_witnesses(monkeypatch, rest=wrong)
     with pytest.raises(VerificationFailure, match=f"witness {wrong}") as exc:
-        verify_non_rfull(construct_certificate(2, ell), 10)
-    assert str(exc.value) == f"witness {wrong} does not divide ell^3 + k exactly once"
+        verify_non_rfull(construct_certificate(2, ell), 1)  # the proof covers every m
+    assert str(exc.value) == f"witness {wrong} does not divide ell"
 
 
-def test_carried_residue_catches_a_witness_that_stops_dividing(monkeypatch):
-    # 7 divides 2^2 + 10 = 14 exactly once but not 2^3 + 10 = 18; the witness
-    # stays 7 from m = 2 on, so only the residue carried from m = 2 sees it
-    _patch_witness(monkeypatch, wrong_from=2, wrong=7)
-    with pytest.raises(VerificationFailure, match="witness 7") as exc:
-        check_non_rfull(construct_certificate(2, 2), 10)
-    assert str(exc.value) == "witness 7 does not divide ell^3 + k exactly once"
+@pytest.mark.parametrize("ell,wrong", [(6, 2), (12, 3)])
+def test_later_witness_dividing_k_twice_or_not_at_all_fails(monkeypatch, ell, wrong):
+    # ell = 6: k = 6 * (11 - 1) = 60 = 2^2 * 15, which is why Case III takes q odd;
+    # ell = 12: k = p = 2, which 3 does not divide
+    _patch_witnesses(monkeypatch, rest=wrong)
+    with pytest.raises(VerificationFailure, match=f"witness {wrong}") as exc:
+        check_non_rfull(construct_certificate(2, ell), 10)
+    assert str(exc.value) == f"witness {wrong} does not divide k exactly once"
 
 
 def test_cross_check_failure_names_first_exponent(monkeypatch):

@@ -324,33 +324,11 @@ def test_r_full_up_to_memory_guard():
         r_full_up_to(SIEVE_CAP + 1, 2)
 
 
-@pytest.mark.parametrize("r", range(2, 9))
-def test_integer_root_at_and_beside_exact_powers(r):
-    float_wrong = 0
-    for k in (1, 2, 3, 10, 2**26 + 1, 10**9 + 7, 3**40, 10**20 - 1, 10**20):
-        for n, want in ((k**r - 1, k - 1), (k**r, k), (k**r + 1, k)):
-            assert classify._integer_root(n, r) == want, (n, r)
-            float_wrong += int(n ** (1 / r)) != want
-    assert float_wrong  # these inputs reach where a float root goes wrong
-    assert classify._integer_root(1, r) == 1
-    assert classify._integer_root(0, r) == 0
-
-
-@given(k=st.integers(1, 10**20), r=st.integers(2, 8))
-def test_integer_root_brackets(k, r):
-    assert classify._integer_root(k**r - 1, r) == k - 1
-    assert classify._integer_root(k**r, r) == k
-    assert classify._integer_root(k**r + 1, r) == k
-
-
 def test_r_full_up_to_prime_bound_just_below_and_at_prime_powers():
-    # the search takes primes up to the integer r-th root of the limit:
-    # one short would lose p^r at limit = p^r
+    # the search must reach p^r at limit = p^r and stop just short of it
     for r in range(2, 9):
         for p in primes_up_to(30 if r <= 4 else 13):
             limit = p**r
-            assert classify._integer_root(limit - 1, r) == p - 1
-            assert classify._integer_root(limit, r) == p
             at = classify._r_full_search(limit, r)  # 13^8 is above SIEVE_CAP
             assert at[-1] == limit
             assert classify._r_full_search(limit - 1, r) == at[:-1]

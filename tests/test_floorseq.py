@@ -4,8 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from floorfull.cli import main
 from floorfull.floorseq import (
+    CARRY_BITS_CAP,
     SEQ_CAP,
+    TERM_BITS_CAP,
     Explicit,
     FloorPower,
     Squares,
@@ -59,6 +62,35 @@ def test_generate_terms_cap_and_bounds():
     assert len(generate_terms(Squares(), SEQ_CAP)) == SEQ_CAP
     with pytest.raises(ValueError, match=f"sequence cap SEQ_CAP = {SEQ_CAP}"):
         generate_terms(POW32, SEQ_CAP + 1)  # rejected before any term is built
+
+
+def test_generate_terms_bit_caps_at_their_boundaries():
+    # floor(4^n) = 4^n has 2n + 1 bits; 128^n has 7n + 1
+    assert generate_terms(FloorPower(Fraction(4)), 8191)[-1].bit_length() == TERM_BITS_CAP - 1
+    with pytest.raises(ValueError, match=f"term 8192 exceeds the term bit cap TERM_BITS_CAP = {TERM_BITS_CAP}"):
+        generate_terms(FloorPower(Fraction(4)), 8192)
+    assert len(generate_terms(FloorPower(Fraction(257, 128)), 9362)) == 9362
+    with pytest.raises(ValueError, match=f"q\\^9363 exceeds the carry bit cap CARRY_BITS_CAP = {CARRY_BITS_CAP}"):
+        generate_terms(FloorPower(Fraction(257, 128)), 9363)
+
+
+# 4,300 digits over 4,300, inside [3/2, 2): tiny terms, but q^n grows by 14,284 bits a step
+HUGE_DIGIT_GAMMA = f"{15 * 10**4298 + 1}/{10**4299}"
+
+
+@pytest.mark.parametrize("argv,message", [
+    # terms of up to 40,000 bits, each printed by a quadratic int-to-str conversion
+    (["seq", "gen", "--gamma", "1000000", "--n", "2000"],
+     f"term 823 exceeds the term bit cap TERM_BITS_CAP = {TERM_BITS_CAP}"),
+    # the default K = 300 carried q^302, p multiplying it at every step
+    (["thm2", "verify", "--gamma", HUGE_DIGIT_GAMMA, "--j", "3"],
+     f"q^5 exceeds the carry bit cap CARRY_BITS_CAP = {CARRY_BITS_CAP}"),
+], ids=["large_terms", "large_carry"])
+def test_runs_past_a_bit_cap_exit_2_with_one_line(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def _fraction_power_terms(gamma, n_max):
