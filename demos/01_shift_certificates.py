@@ -14,7 +14,7 @@ print("base ell | case | shift k | witness data")
 print("-" * 60)
 for ell in (2, 3, 4, 6, 12, 15, 21, 30, 49):
     cert = construct_certificate(2, ell)
-    assert validate_certificate(cert).ok
+    validate_certificate(cert)  # raises VerificationFailure unless valid
     print(f"{ell:8d} | {cert.case:4s} | {cert.k:7d} | {cert.witness_dict()}")
 
 print()

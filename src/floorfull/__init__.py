@@ -20,9 +20,8 @@ _EXPORTS = {
         "series_digits", "squarefull_via_a2b3",
     ),
     "certificates": (
-        "Certificate", "NonRFullReport", "ValidationResult", "check_non_rfull",
-        "construct_certificate", "dirichlet_search", "require_valid", "validate_certificate",
-        "verify_non_rfull",
+        "Certificate", "NonRFullReport", "check_non_rfull", "construct_certificate",
+        "dirichlet_search", "validate_certificate", "verify_non_rfull",
     ),
     "errors": (
         "FloorfullError", "NotFoundWithinBound", "VerificationFailure",

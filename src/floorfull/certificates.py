@@ -96,14 +96,6 @@ class Certificate(NamedTuple):
         )
 
 
-class ValidationResult(NamedTuple):
-    ok: bool
-    reason: Optional[str] = None  # machine-readable code for the first failed check
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 class WitnessLine(NamedTuple):
     """One verified exponent: w | ell^m + k but w^2 does not divide it."""
 
@@ -165,72 +157,60 @@ def construct_certificate(r: int, ell: int) -> Certificate:
     )
 
 
-def validate_certificate(cert: Certificate) -> ValidationResult:
-    """Structural validity check; reports the first failed invariant.
+def validate_certificate(cert: Certificate) -> None:
+    """Structural validity check; raises at the first failed invariant.
 
-    A valid structure is exactly what makes ell^m + k never r-full, so no
-    numerical sweep is needed for the conclusion (check_non_rfull checks
-    the residues the proof rests on anyway).
+    The VerificationFailure reads "certificate invalid: <reason>", with a
+    machine-readable reason code.  A valid structure is exactly what makes
+    ell^m + k never r-full, so no numerical sweep is needed for the
+    conclusion (check_non_rfull checks the residues the proof rests on
+    anyway).
     """
-    def fail(reason: str) -> ValidationResult:
-        return ValidationResult(False, reason)
+    def invalid(reason: str) -> VerificationFailure:
+        return VerificationFailure(f"certificate invalid: {reason}")
 
     if cert.r < 2:
-        return fail("r_below_2")
+        raise invalid("r_below_2")
     if cert.ell < 2:
-        return fail("ell_below_2")
+        raise invalid("ell_below_2")
     if cert.k < 1:
-        return fail("k_not_positive")
-
+        raise invalid("k_not_positive")
     if cert.case == CASE_I:
         if cert.ell != 2:
-            return fail("case1_requires_ell_2")
+            raise invalid("case1_requires_ell_2")
         if cert.k != 10:
-            return fail("case1_requires_k_10")
-        return ValidationResult(True)
-
-    if cert.case == CASE_II:
+            raise invalid("case1_requires_k_10")
+    elif cert.case == CASE_II:
         if cert.p is None:
-            return fail("missing_p")
+            raise invalid("missing_p")
         if not is_prime(cert.p):
-            return fail("p_not_prime")
+            raise invalid("p_not_prime")
         if cert.ell % (cert.p * cert.p) != 0:
-            return fail("p_squared_does_not_divide_ell")
+            raise invalid("p_squared_does_not_divide_ell")
         if cert.k != cert.p:
-            return fail("k_must_equal_p")
-        return ValidationResult(True)
-
-    if cert.case == CASE_III:
+            raise invalid("k_must_equal_p")
+    elif cert.case == CASE_III:
         if cert.q is None or cert.s is None or cert.q_star is None:
-            return fail("missing_case3_witness")
+            raise invalid("missing_case3_witness")
         if cert.q % 2 == 0:
-            return fail("q_must_be_odd")
+            raise invalid("q_must_be_odd")
         if not is_prime(cert.q):
-            return fail("q_not_prime")
+            raise invalid("q_not_prime")
         if cert.ell % cert.q != 0:
-            return fail("q_does_not_divide_ell")
+            raise invalid("q_does_not_divide_ell")
         if not is_r_free(cert.ell, 2):
-            return fail("ell_not_squarefree")
+            raise invalid("ell_not_squarefree")
         if cert.s < 2:
-            return fail("s_below_2")
+            raise invalid("s_below_2")
         if cert.q_star != cert.ell * cert.s - 1:
-            return fail("q_star_mismatch")
+            raise invalid("q_star_mismatch")
         if not is_prime(cert.q_star):
-            return fail("q_star_not_prime")
+            raise invalid("q_star_not_prime")
         if cert.k != cert.ell * (cert.q_star - 1):
-            return fail("k_formula_mismatch")
+            raise invalid("k_formula_mismatch")
         # q odd, q | ell: q_star - 1 = ell*s - 2 is -2 mod q, never 0
-        return ValidationResult(True)
-
-    return fail("unknown_case")
-
-
-def require_valid(cert: Certificate) -> ValidationResult:
-    """validate_certificate's result, or VerificationFailure naming why it failed."""
-    validation = validate_certificate(cert)
-    if not validation:
-        raise VerificationFailure(f"certificate invalid: {validation.reason}")
-    return validation
+    else:
+        raise invalid("unknown_case")
 
 
 def _witnesses(cert: Certificate) -> tuple[int, int]:
@@ -245,22 +225,22 @@ def _witnesses(cert: Certificate) -> tuple[int, int]:
 def check_non_rfull(cert: Certificate, max_m: int = DEFAULT_MAX_M) -> int:
     """Prove ell^m + k is not r-full for every m >= 1; cross-check m <= max_m.
 
-    Raises ValueError for max_m outside 1..MAX_M_CAP, then require_valid's
-    VerificationFailure, before anything is checked.  require_valid proved
-    both witnesses (first, rest) of _witnesses prime, and three residues
-    settle every m: first divides ell + k exactly once (m = 1); rest
-    divides ell, so for m >= 2 rest^2 | ell^m and ell^m + k = k (mod
-    rest^2); and rest divides k exactly once.  A prime of exponent 1
-    makes a value not 2-full, hence not r-full for any r >= 2.  Then one
-    loop cross-checks ell^m + k <= 10^12 by is_r_full(value, 2), which for
-    r >= 2 equals "r-full or 2-full"; ell^m + k increases with m, so it
-    runs over a prefix [1, c] of [1, max_m] and returns c (0 if none).  A
-    failed residue or cross-check raises VerificationFailure; a valid
-    certificate has none.
+    Raises ValueError for max_m outside 1..MAX_M_CAP, then
+    validate_certificate's VerificationFailure, before anything is checked.
+    validate_certificate proved both witnesses (first, rest) of _witnesses
+    prime, and three residues settle every m: first divides ell + k
+    exactly once (m = 1); rest divides ell, so for m >= 2 rest^2 | ell^m
+    and ell^m + k = k (mod rest^2); and rest divides k exactly once.  A
+    prime of exponent 1 makes a value not 2-full, hence not r-full for any
+    r >= 2.  Then one loop cross-checks ell^m + k <= 10^12 by
+    is_r_full(value, 2), which for r >= 2 equals "r-full or 2-full";
+    ell^m + k increases with m, so it runs over a prefix [1, c] of
+    [1, max_m] and returns c (0 if none).  A failed residue or cross-check
+    raises VerificationFailure; a valid certificate has none.
     """
     if not 1 <= max_m <= MAX_M_CAP:
         raise ValueError(f"max_m must be >= 1 and <= MAX_M_CAP = {MAX_M_CAP}, got {max_m}")
-    require_valid(cert)
+    validate_certificate(cert)
     ell, k = cert.ell, cert.k
     first, rest = _witnesses(cert)
     if (ell + k) % first or not (ell + k) % (first * first):

@@ -373,9 +373,9 @@ def series_digits(
     if len(taken) < n_terms:
         raise ValueError(f"sequence yielded only {len(taken)} of {n_terms} terms")
     numerator = previous = 0
-    for a in taken:
+    for n, a in enumerate(taken, start=1):
         if a <= previous:
-            raise ValueError(f"terms must be strictly increasing positive, got {taken}")
+            raise ValueError(f"terms must be strictly increasing positive, got term {n} = {a}")
         # Horner: ends as sum(a * base**(top - a)) over the terms, top the last
         numerator = numerator * base ** (a - previous) + a
         previous = a

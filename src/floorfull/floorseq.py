@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple, Union
 
 from .defaults import SEQ_CAP
-from .rationals import RatInterval
+from .rationals import RatInterval, unlimited_int_digits
 
 # Bit caps of floor(gamma^n), gamma = p/q: each term, whose int-to-str conversion
 # is quadratic in its size (gamma < 2 keeps it below 2^SEQ_CAP), and the q^n
@@ -35,7 +35,8 @@ class FloorPower(NamedTuple("FloorPower", [("gamma", Fraction)])):
 
     def __new__(cls, gamma: Fraction):
         if gamma <= 1:
-            raise ValueError(f"gamma must exceed 1, got {gamma}")
+            with unlimited_int_digits():  # gamma may exceed 4300 digits
+                raise ValueError(f"gamma must exceed 1, got {gamma}")
         return super().__new__(cls, gamma)
 
 
@@ -50,10 +51,10 @@ class Explicit(NamedTuple("Explicit", [("terms", tuple[int, ...])])):
 
     def __new__(cls, terms: tuple[int, ...]):
         previous = 0
-        for t in terms:
-            if t <= previous:
+        for n, t in enumerate(terms, start=1):
+            if t <= previous:  # name the term, not the list, which may be long
                 raise ValueError(
-                    f"explicit terms must be strictly increasing positive, got {terms}"
+                    f"explicit terms must be strictly increasing positive, got term {n} = {t}"
                 )
             previous = t
         return super().__new__(cls, terms)
@@ -120,7 +121,8 @@ def s_alpha(spec: SeqSpec, alpha: Fraction, n_max: int) -> list[int]:
     [0, 1, 1, 2, 3, 5, 8]
     """
     if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+        with unlimited_int_digits():  # alpha may exceed 4300 digits
+            raise ValueError(f"alpha must be positive, got {alpha}")
     return [alpha.numerator * s // alpha.denominator for s in generate_terms(spec, n_max)]
 
 

@@ -12,11 +12,13 @@ def render_table(value, out, indent: str = "") -> None:
     elif isinstance(value, list):
         if value and all(isinstance(item, dict) for item in value):
             keys = list(value[0].keys())
-            rows = [[_cell(item.get(k)) for k in keys] for item in value]  # each cell once
-            widths = [max(len(str(k)), *(len(row[c]) for row in rows)) for c, k in enumerate(keys)]
+            widths = [len(str(k)) for k in keys]
+            for item in value:  # size the columns first, holding one cell string at a time
+                widths = [max(w, len(_cell(item.get(k)))) for k, w in zip(keys, widths)]
             out.write(indent + "  ".join(str(k).ljust(w) for k, w in zip(keys, widths)) + "\n")
-            for row in rows:
-                out.write(indent + "  ".join(cell.ljust(w) for cell, w in zip(row, widths)) + "\n")
+            for item in value:
+                out.write(indent + "  ".join(_cell(item.get(k)).ljust(w) for k, w in zip(keys, widths))
+                          + "\n")
         else:
             for item in value:
                 out.write(f"{indent}{item}\n")

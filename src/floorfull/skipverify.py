@@ -176,9 +176,6 @@ class SymbolicCheck(NamedTuple):
     def ok(self) -> bool:
         return self.growth_ok and self.gap_ok
 
-    def __bool__(self) -> bool:
-        return self.ok
-
     def to_json_dict(self) -> dict:
         return {
             "gamma": rat_str(self.gamma),

@@ -71,19 +71,19 @@ def test_dirichlet_search_rejects_bad_args(monkeypatch):
 def test_construct_case_i():
     cert = construct_certificate(2, 2)
     assert (cert.case, cert.k) == (CASE_I, 10)
-    assert validate_certificate(cert).ok
+    validate_certificate(cert)
 
 
 def test_construct_case_ii():
     cert = construct_certificate(2, 4)
     assert (cert.case, cert.p, cert.k) == (CASE_II, 2, 2)
-    assert validate_certificate(cert).ok
+    validate_certificate(cert)
 
 
 def test_construct_case_iii():
     cert = construct_certificate(2, 3)
     assert (cert.case, cert.q, cert.s, cert.q_star, cert.k) == (CASE_III, 3, 2, 5, 12)
-    assert validate_certificate(cert).ok
+    validate_certificate(cert)
 
 
 def test_construct_case_selection_partition():
@@ -96,7 +96,7 @@ def test_construct_case_selection_partition():
             assert cert.case == CASE_II
         else:
             assert cert.case == CASE_III
-        assert validate_certificate(cert).ok, (ell, cert)
+        validate_certificate(cert)
 
 
 def test_construct_is_deterministic_and_r_independent():
@@ -114,34 +114,48 @@ def test_construct_rejects_bad_args():
 
 # --- validation -------------------------------------------------------------
 
-def test_validate_reports_reason_codes():
-    base3 = construct_certificate(2, 3)
+def _invalid(code, witness=None, **fields):
+    """A row: construct_certificate(2, 3)'s JSON with fields replaced, and the
+    one line `theorem1 validate` prints for it."""
+    payload = {"r": 2, "ell": 3, "case": CASE_III, "k": 12, "witness": {"q": 3, "s": 2, "q_star": 5}}
+    payload.update(fields)
+    if witness is not None:
+        payload["witness"] = witness
+    expected = (1, f"verification failed: certificate invalid: {code}\n", "")
+    return pytest.param(payload, expected, id=code)
 
-    tampered = base3._replace(q=2)
-    result = validate_certificate(tampered)
-    assert not result.ok and result.reason == "q_must_be_odd"
 
-    bad_case2 = Certificate(r=2, ell=6, case=CASE_II, k=3, p=3)
-    result = validate_certificate(bad_case2)
-    assert not result.ok and result.reason == "p_squared_does_not_divide_ell"
-
-    result = validate_certificate(base3._replace(k=13))
-    assert not result.ok and result.reason == "k_formula_mismatch"
-
-    result = validate_certificate(base3._replace(s=3, q_star=8, k=3 * 7))
-    assert not result.ok and result.reason == "q_star_not_prime"
-
-    not_squarefree = Certificate(
-        r=2, ell=12, case=CASE_III, k=12 * 22, q=3, s=2, q_star=23
-    )
-    result = validate_certificate(not_squarefree)
-    assert not result.ok and result.reason == "ell_not_squarefree"
-
-    wrong_case1 = Certificate(r=2, ell=3, case=CASE_I, k=10)
-    assert validate_certificate(wrong_case1).reason == "case1_requires_ell_2"
-
-    unknown = Certificate(r=2, ell=3, case="IV", k=10)
-    assert validate_certificate(unknown).reason == "unknown_case"
+# one crafted certificate per reason code, in validate_certificate's checking order
+@pytest.mark.parametrize("payload, expected", [
+    _invalid("r_below_2", r=1),
+    _invalid("ell_below_2", ell=1),
+    _invalid("k_not_positive", k=0),
+    _invalid("case1_requires_ell_2", case=CASE_I, k=10, witness={}),
+    _invalid("case1_requires_k_10", case=CASE_I, ell=2, k=11, witness={}),
+    _invalid("missing_p", case=CASE_II, ell=4, k=2, witness={}),
+    _invalid("p_not_prime", case=CASE_II, ell=16, k=4, witness={"p": 4}),
+    _invalid("p_squared_does_not_divide_ell", case=CASE_II, ell=6, k=3, witness={"p": 3}),
+    _invalid("k_must_equal_p", case=CASE_II, ell=4, k=3, witness={"p": 2}),
+    _invalid("missing_case3_witness", witness={"q": 3, "s": 2}),
+    _invalid("q_must_be_odd", witness={"q": 2, "s": 2, "q_star": 5}),
+    _invalid("q_not_prime", ell=15, k=15 * 28, witness={"q": 15, "s": 2, "q_star": 29}),
+    _invalid("q_does_not_divide_ell", witness={"q": 5, "s": 2, "q_star": 5}),
+    _invalid("ell_not_squarefree", ell=12, k=12 * 22, witness={"q": 3, "s": 2, "q_star": 23}),
+    _invalid("s_below_2", k=3, witness={"q": 3, "s": 1, "q_star": 2}),
+    _invalid("q_star_mismatch", k=18, witness={"q": 3, "s": 2, "q_star": 7}),
+    _invalid("q_star_not_prime", k=21, witness={"q": 3, "s": 3, "q_star": 8}),
+    _invalid("k_formula_mismatch", k=13),
+    _invalid("unknown_case", case="IV", k=10),
+    pytest.param({"r": 2, "ell": 3, "case": 3, "k": 12},
+                 (2, "", "error: certificate field 'case' must be a string\n"),
+                 id="case_not_a_string"),
+])
+def test_validate_names_the_first_failed_invariant(tmp_path, capsys, payload, expected):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(payload))
+    code = main(["theorem1", "validate", "--cert", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == expected
 
 
 def test_certificate_json_round_trip():
@@ -264,9 +278,9 @@ def test_three_residues_settle_every_exponent(rest, a, c):
 def _old_grid_cell(r, ell, max_m):
     """`theorem1 grid`'s cell as it was: construct, validate, full report."""
     cert = construct_certificate(r, ell)
-    ok = bool(validate_certificate(cert))
+    validate_certificate(cert)  # raises unless valid
     report = verify_non_rfull(cert, max_m=max_m)
-    return {"r": r, "ell": ell, "case": cert.case, "k": cert.k, "valid": ok, "verified_to": report.max_m}
+    return {"r": r, "ell": ell, "case": cert.case, "k": cert.k, "valid": True, "verified_to": report.max_m}
 
 
 def test_grid_rows_match_per_cell_reports(capsys):
@@ -367,7 +381,7 @@ def test_check_rejects_invalid_certificate_like_verify():
         check_non_rfull(broken, 0)
 
 
-def test_require_valid_calls_validate_through_its_module_binding(monkeypatch):
+def test_checks_call_validate_through_its_module_binding(monkeypatch, tmp_path, capsys):
     # the benchmark's tracer times validation by replacing this binding
     calls = []
 
@@ -377,7 +391,10 @@ def test_require_valid_calls_validate_through_its_module_binding(monkeypatch):
 
     monkeypatch.setattr(certificates, "validate_certificate", counted)
     cert = construct_certificate(2, 15)
-    assert certificates.require_valid(cert) == (True, None)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(to_json(cert)))
+    assert main(["theorem1", "validate", "--cert", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == {"ok": True, "reason": None}
     check_non_rfull(cert, 3)
     assert calls == [cert, cert]
 
@@ -419,7 +436,7 @@ def test_small_grid_constructs_validates_verifies():
     for r in (2, 3):
         for ell in range(2, 13):
             cert = construct_certificate(r, ell)
-            assert validate_certificate(cert).ok
+            validate_certificate(cert)
             assert verify_non_rfull(cert, max_m=20).all_passed
 
 

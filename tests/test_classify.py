@@ -469,7 +469,7 @@ def test_series_digits_base_above_ten_uses_commas():
 
 
 def test_series_digits_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="increasing positive, got term 2 = 2$"):
         series_digits([2, 2, 3], 2, 3, 4)  # not strictly increasing
     with pytest.raises(ValueError):
         series_digits([1, 2], 2, 5, 4)  # too few terms

@@ -471,6 +471,25 @@ def test_witness_json_is_written_in_less_memory_than_its_bytes(tmp_path):
         assert json.loads(path.read_bytes())["result"]["lines"][-1]["target"] == 2 ** 3000
 
 
+def test_witness_table_is_written_in_less_memory_than_its_bytes(tmp_path):
+    # 19 MB of table at m = 3000; holding every cell string to size the columns peaked at 22 MB
+    path = tmp_path / "witness.table"
+    with open(path, "w", encoding="utf-8") as handle, redirect_stdout(handle):
+        tracemalloc.start()
+        try:
+            code = main(["pset", "witness", "--m", "3000", "--format", "table"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    size = path.stat().st_size
+    assert size > 19_000_000
+    assert peak < size
+    with open(path, encoding="utf-8") as handle:
+        assert next(handle).startswith("# format=table")
+        assert len(handle.readlines()) == 3001 + 6  # one row per i, a header row and 5 fields
+
+
 class LineBuilt(Exception):
     pass
 
@@ -636,6 +655,36 @@ def test_gamma_past_4300_digits_exits_2_with_one_line(fmt):
     assert sys.get_int_max_str_digits() == limit
     assert (proc.returncode, proc.stdout) == (2, b"")
     assert proc.stderr == b"error: gamma must lie in [3/2, 2), got 1" + b"0" * 4300 + b"\n"
+
+
+TINY = "1/1" + "0" * 4300  # 1e-4300, whose denominator has 4,301 digits
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["seq", "gen", "--gamma", "1e-4300", "--n", "3"], f"gamma must exceed 1, got {TINY}"),
+    (["seq", "ratio", "--gamma", "1e-4300", "--n", "3"], f"gamma must exceed 1, got {TINY}"),
+    (["thm2", "scan", "--gamma", "1e-4300", "--t1", "1", "--t2", "2"],
+     f"gamma must exceed 1, got {TINY}"),
+    (["seq", "salpha", "--alpha=-1e-4300", "--n", "3"], f"alpha must be positive, got -{TINY}"),
+], ids=["seq_gen", "seq_ratio", "thm2_scan", "seq_salpha"])
+def test_a_rational_past_4300_digits_is_named_in_its_message(argv, message):
+    limit = sys.get_int_max_str_digits()
+    assert run_cli(*argv) == Run(2, b"", f"error: {message}\n".encode())
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("argv", [
+    ["seq", "gen", "--kind", "file", "--n", "3"],
+    ["thm2", "scan", "--kind", "file", "--t1", "1", "--t2", "2"],
+], ids=["seq_gen", "thm2_scan"])
+def test_a_misordered_term_file_is_named_by_its_first_bad_term(tmp_path, argv):
+    path = tmp_path / "terms.txt"
+    path.write_text("".join(f"{7 * n}\n" for n in range(1, 200_000)) + "5\n")
+    proc = run_cli(*argv, "--file", str(path))
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == (b"error: explicit terms must be strictly increasing positive, "
+                           b"got term 200000 = 5\n")
+    assert len(proc.stderr) < 200
 
 
 def run_parser(parser, argv):

@@ -37,7 +37,7 @@ HOMES = {
         "series_digits", "squarefull_via_a2b3",
     ],
     "certificates": [
-        "Certificate", "NonRFullReport", "ValidationResult", "construct_certificate",
+        "Certificate", "NonRFullReport", "construct_certificate",
         "dirichlet_search", "validate_certificate", "verify_non_rfull",
     ],
     "errors": [
