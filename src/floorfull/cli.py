@@ -20,7 +20,8 @@ A cold run builds, imports and compiles only what its subcommand runs.
 its argv names.  Each group names the library module its handlers use,
 and `dispatch` imports that module and hands it to the handler.
 `fractions` loads only with code that builds a Fraction, and the table
-and CSV renderers of `render` only for those formats.
+and CSV renderers of `render` only for those formats.  `write_json`
+streams a JSON report, so no run holds its whole text.
 """
 
 from __future__ import annotations
@@ -82,10 +83,9 @@ def to_json(value):
     print keys in that order).  Anything else is a TypeError.  Scalar list
     items skip the recursive call, because bitmap runs and sieve values
     can number in the hundreds of thousands.  A `to_json_dict` may hold
-    exact Decimals, whose str() is the digits of the int they equal: the
-    squares witness report's does, and `_emit` writes that report's JSON
-    text from its `to_json_chunks`, byte-equal by test to `json.dumps` of
-    this form with `default=int`.
+    exact Decimals, whose str() is the digits of the int they equal, and
+    lazy sequence views: the squares witness report's holds both, and
+    `write_json` writes them without building this form whole.
     """
     if isinstance(value, _JSON_SCALARS):
         return value
@@ -103,20 +103,72 @@ def to_json(value):
     raise TypeError(f"no JSON form for {type(value).__name__}")
 
 
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _scalar_text(value) -> str | None:
+    """The JSON text of a scalar or an exact Decimal, else None; an int, a bool
+    and None skip the encoder, whose set-up costs more than their text."""
+    decimal = sys.modules.get("decimal")  # no Decimal exists until it loads
+    if type(value) is int or decimal and type(value) is decimal.Decimal:
+        return str(value)
+    if value is None or type(value) is bool:
+        return "null" if value is None else "true" if value else "false"
+    return _ENCODE(value) if isinstance(value, str) else None
+
+
+def write_json(value, write, converted: bool = False) -> None:
+    """Write json.dumps(to_json(value), sort_keys=True, separators=(",", ":")) through `write`.
+
+    The one JSON writer; it walks `value`, never holding the whole form or
+    text.  A dict or record goes in sorted key order, in one write up to
+    each member that is not a scalar, so a dict of scalars is one write.  A
+    list is encoded in slices of 256 items (one encode per item doubled a
+    large sieve's time), each converted by `to_json` as it is written,
+    unless a `to_json_dict` made it and it is `converted`.  An exact Decimal
+    is its str().  Any other iterable is a lazy view, such as the squares
+    witness's lines, walked item by item.
+    """
+    text = _scalar_text(value)
+    if text is not None:
+        write(text)
+    elif isinstance(value, list) or type(value) is tuple:
+        write("[")
+        for start in range(0, len(value), 256):
+            chunk = value[start:start + 256]
+            write(("," if start else "") + _ENCODE(chunk if converted else to_json(chunk))[1:-1])
+        write("]")
+    elif isinstance(value, dict) or hasattr(value, "_fields"):
+        if not isinstance(value, dict):
+            converted = hasattr(value, "to_json_dict")
+            value = value.to_json_dict() if converted else dict(zip(value._fields, value))
+        held = "{"
+        for i, key in enumerate(sorted(value)):
+            text = _scalar_text(value[key])
+            held += ("," if i else "") + _ENCODE(key) + ":" + (text or "")
+            if text is None:  # write what is held, then walk the member
+                write(held)
+                write_json(value[key], write, converted)
+                held = ""
+        write(held + "}")
+    elif hasattr(value, "__iter__"):
+        write("[")
+        for i, item in enumerate(value):
+            write("," if i else "")
+            write_json(item, write, converted)
+        write("]")
+    else:
+        write(_ENCODE(to_json(value)))
+
+
 def _emit(args: argparse.Namespace, result, out) -> None:
     """Render `result` in the format of `args`, with no digit limit."""
     with unlimited_int_digits():
-        config = to_json(_header(args))
-        if args.format == "json":  # "config" sorts before "result", as json.dumps would
-            out.write('{"config":' + json.dumps(config, sort_keys=True, separators=(",", ":"))
-                      + ',"result":')
-            if hasattr(result, "to_json_chunks"):
-                for chunk in result.to_json_chunks():
-                    out.write(chunk)
-            else:
-                out.write(json.dumps(to_json(result), sort_keys=True, separators=(",", ":")))
-            out.write("}\n")
+        if args.format == "json":
+            write_json({"config": _header(args), "result": result}, out.write)
+            out.write("\n")
             return
+        config = to_json(_header(args))
         result = to_json(result)
         out.write("# " + " ".join(f"{key}={config[key]}" for key in sorted(config)) + "\n")
         from . import render  # only --format table or csv loads it

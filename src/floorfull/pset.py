@@ -13,14 +13,16 @@ each i <= m has an integer n_i with floor(alpha * n_i^2) = 2^i.  All the
 square-root inequalities involved are verified by cross-multiplied integer
 comparisons, keeping the check float-free.  The report stores only the n_i;
 its `to_json_dict` holds every other number as an exact Decimal closed form,
-whose digits print in time linear in their count, unlike an int's.
+whose digits print in time linear in their count, unlike an int's, and its
+lines as a view that builds each line only when it is read.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Iterator, NamedTuple
+from collections.abc import Iterable, Sequence
+from typing import NamedTuple
 
 from .defaults import BITMAP_CAP
 from .errors import VerificationFailure
@@ -154,56 +156,53 @@ def squares_witness_alpha(m: int) -> Fraction:
 
 
 class SquaresWitnessReport(NamedTuple):
-    """The n_i found for the targets 2^0..2^m; `_forms` builds every other number."""
+    """The n_i found for the targets 2^0..2^m; `_WitnessLines` builds every other number."""
 
     m: int
     lines: tuple[int, ...]  # n_i for i = 0..m
 
-    def _forms(self) -> tuple[Decimal, Iterator[tuple]]:
-        """inv_alpha and a lazy generator of each line's fields, in table order.
-
-        Python converts an int to decimal in time quadratic in its digits,
-        which would make printing the report cubic in m.  So every number
-        but n_i is built from its closed form 2^a + 2^b with exact decimal
-        powers 2^0..2^(2m+2): inv_alpha = 2^(m+2) + 2^2, and on line i
-        target = 2^i, lower = 2^(m+i+2) + 2^(i+2), upper = lower + inv_alpha
-        and gap_rhs = 2^(i+2) + 2 (see `verify_squares_witness`).  Each power
-        and sum is linear in its digits, a Decimal step that would round
-        raises, and str() of an exact Decimal prints the digits of the int.
-        gap_ok is always True, because a failed check raises instead.
-        """
-        import decimal
-
-        exact = decimal.Context(prec=decimal.MAX_PREC, traps=[decimal.Inexact, decimal.Rounded])
-        m = self.m
-        pow2 = [decimal.Decimal(1)]
-        for _ in range(2 * m + 2):
-            pow2.append(exact.add(pow2[-1], pow2[-1]))
-        inv_alpha = exact.add(pow2[m + 2], pow2[2])
-
-        def lines():
-            for i, n_i in enumerate(self.lines):
-                lower = exact.add(pow2[m + i + 2], pow2[i + 2])
-                upper = exact.add(lower, inv_alpha)
-                yield i, pow2[i], n_i, lower, upper, exact.add(pow2[i + 2], 2), True
-
-        return inv_alpha, lines()
-
     def to_json_dict(self) -> dict:
         """The report's JSON form; its numbers but m, i and n_i are exact Decimals."""
-        inv_alpha, lines = self._forms()
-        keys = ("i", "target", "n_i", "lower", "upper", "gap_rhs", "gap_ok")
-        return {"m": self.m, "alpha": f"1/{inv_alpha}", "inv_alpha": inv_alpha,
-                "lines": [dict(zip(keys, line)) for line in lines], "all_passed": True}
+        lines = _WitnessLines(self.lines)
+        return {"m": self.m, "alpha": f"1/{lines.inv_alpha}", "inv_alpha": lines.inv_alpha,
+                "lines": lines, "all_passed": True}
 
-    def to_json_chunks(self) -> Iterator[str]:
-        """The compact, key-sorted JSON text of `to_json_dict`: head, one chunk per line, tail."""
-        inv_alpha, lines = self._forms()
-        yield f'{{"all_passed":true,"alpha":"1/{inv_alpha}","inv_alpha":{inv_alpha},"lines":['
-        for i, target, n_i, lower, upper, gap_rhs, _ in lines:
-            yield (f'{"," if i else ""}{{"gap_ok":true,"gap_rhs":{gap_rhs},"i":{i},"lower":{lower},'
-                   f'"n_i":{n_i},"target":{target},"upper":{upper}}}')
-        yield f'],"m":{self.m}}}'
+
+class _WitnessLines(Sequence):
+    """A lazy view of a witness report's lines: line i's dict is built when it is read.
+
+    Python converts an int to decimal in time quadratic in its digits,
+    which would make printing the report cubic in m.  So every number but
+    n_i is built from its closed form 2^a + 2^b with exact decimal powers
+    2^0..2^(2m+2): inv_alpha = 2^(m+2) + 2^2, and on line i target = 2^i,
+    lower = 2^(m+i+2) + 2^(i+2), upper = lower + inv_alpha and
+    gap_rhs = 2^(i+2) + 2 (see `verify_squares_witness`).  Each power and
+    sum is linear in its digits, a Decimal step that would round raises,
+    and str() of an exact Decimal prints the digits of the int.  gap_ok is
+    always True, because a failed check raises instead.
+    """
+
+    def __init__(self, n: tuple[int, ...]) -> None:
+        import decimal
+
+        self._add = decimal.Context(prec=decimal.MAX_PREC, traps=[decimal.Inexact, decimal.Rounded]).add
+        self._n, self._pow2, m = n, [decimal.Decimal(1)], len(n) - 1
+        for _ in range(2 * m + 2):
+            self._pow2.append(self._add(self._pow2[-1], self._pow2[-1]))
+        self.inv_alpha = self._add(self._pow2[m + 2], self._pow2[2])
+
+    def __len__(self) -> int:
+        return len(self._n)
+
+    def __getitem__(self, i: int) -> dict:
+        i = range(len(self._n))[i]  # IndexError past either end, as a list's
+        add, pow2, m = self._add, self._pow2, len(self._n) - 1
+        lower = add(pow2[m + i + 2], pow2[i + 2])
+        return {"i": i, "target": pow2[i], "n_i": self._n[i], "lower": lower,
+                "upper": add(lower, self.inv_alpha), "gap_rhs": add(pow2[i + 2], 2), "gap_ok": True}
+
+    def __eq__(self, other) -> bool:  # a view equals the list it reads as
+        return isinstance(other, Sequence) and list(self) == list(other)
 
 
 def verify_squares_witness(m: int) -> SquaresWitnessReport:
@@ -217,8 +216,14 @@ def verify_squares_witness(m: int) -> SquaresWitnessReport:
     inv_alpha >= 2^(i+1) + 2 + isqrt(4 * 2^i * (2^i + 1)), also checked.
     Its root has a closed form: with t = 2^i, 4t^2 <= 4t^2 + 4t < (2t + 1)^2,
     so isqrt(4t(t + 1)) = 2t and the right-hand side is 2^(i+2) + 2.
-    Raises VerificationFailure if any target is missed (none ever is), and
-    ValueError for m above WITNESS_M_CAP, before any line is built.
+
+    No target is ever missed, for any m.  Let L = inv_alpha and
+    N = 2^i * L.  As 4 * 2^m = L - 4, 4N <= 4 * 2^m * L = L^2 - 4L < (L - 1)^2,
+    so 2 * sqrt(N) < L - 1, and n_i = ceil(sqrt(N)) < sqrt(N) + 1 gives
+    n_i^2 < N + 2 * sqrt(N) + 1 < N + L.  So N <= n_i^2 < N + L, and
+    alpha = 1/L puts every 2^i into the image.  The checks below only
+    display this; they raise VerificationFailure if a target were missed,
+    and ValueError for m above WITNESS_M_CAP, before any line is built.
     """
     if not 0 <= m <= WITNESS_M_CAP:
         raise ValueError(f"m must lie in 0..WITNESS_M_CAP = {WITNESS_M_CAP}, got {m}")

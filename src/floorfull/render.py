@@ -1,15 +1,19 @@
 """The table and CSV formats of a report's JSON form; a JSON run never loads them."""
 
 
+def _nested(value) -> bool:  # a dict, a list or a lazy view, such as the witness's lines
+    return hasattr(value, "__iter__") and not isinstance(value, str)
+
+
 def render_table(value, out, indent: str = "") -> None:
     if isinstance(value, dict):
         for key, inner in value.items():
-            if isinstance(inner, (dict, list)):
+            if _nested(inner):
                 out.write(f"{indent}{key}:\n")
                 render_table(inner, out, indent + "  ")
             else:
                 out.write(f"{indent}{key}: {inner}\n")
-    elif isinstance(value, list):
+    elif _nested(value):
         if value and all(isinstance(item, dict) for item in value):
             keys = list(value[0].keys())
             widths = [len(str(k)) for k in keys]
@@ -47,11 +51,11 @@ def _flat_csv(value, writer, prefix: str) -> None:
     if isinstance(value, dict):
         for key, inner in value.items():
             path = f"{prefix}.{key}" if prefix else str(key)
-            if isinstance(inner, (dict, list)):
+            if _nested(inner):
                 _flat_csv(inner, writer, path)
             else:
                 writer.writerow([path, inner])
-    elif isinstance(value, list):
+    elif _nested(value):
         for idx, inner in enumerate(value):
             _flat_csv(inner, writer, f"{prefix}[{idx}]")
     else:

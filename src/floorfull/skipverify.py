@@ -22,9 +22,9 @@ no single alpha in (0, 1) puts both 2^j and 2^(j+1) into the image
   (2^j + 2) * gamma <= 2^(j+1)  and  2^j * (gamma^2 - 2) >= 2,
   which are slightly conservative but independent of k: when they hold,
   the skip happens at every witness index simultaneously.  Both are
-  monotone in j, so the smallest passing j is a closed form
-  (gamma_exception_search): (c - 1).bit_length() with
-  c = ceil(max(2*gamma/(2 - gamma), 2/(gamma^2 - 2))).
+  monotone in j, and the second holds for every j >= 3 on [3/2, 2), so the
+  smallest passing j is a closed form (gamma_exception_search):
+  (c - 1).bit_length() with c = ceil(2*gamma/(2 - gamma)) >= 6.
 
 counterexample_scan is an oracle independent of both: a sorted sweep that
 intersects the two targets' preimage intervals directly, in O(n + hits).
@@ -224,21 +224,21 @@ def symbolic_condition_check(gamma: Fraction, j: int) -> SymbolicCheck:
 def gamma_exception_search(gamma: Fraction) -> int:
     """Smallest j passing both symbolic conditions, in closed form.
 
-    For gamma = p/q in [3/2, 2), 2 - gamma > 0 and gamma^2 - 2 >= 1/4, so
-    the growth condition (2^j + 2) * gamma <= 2^(j+1) holds iff
-    2^j >= 2p/(2q - p), and the gap condition iff 2^j >= 2q^2/(p^2 - 2q^2).
-    Both hold iff the integer 2^j is at least c, the ceiling of the larger
-    bound, i.e. iff 2^j > c - 1, so the smallest such j is
-    (c - 1).bit_length().  The growth bound is 6 at gamma = 3/2 and rises
-    with gamma, so c >= 6 and j >= 3.  No search bound is needed; j is
-    returned once symbolic_condition_check passes at j and fails at j - 1.
+    For gamma = p/q in [3/2, 2), 2 - gamma > 0, so the growth condition
+    (2^j + 2) * gamma <= 2^(j+1) holds iff the integer 2^j is at least
+    c = ceil(2p/(2q - p)), i.e. iff 2^j > c - 1: the smallest such j is
+    (c - 1).bit_length(), and c >= 6 (at gamma = 3/2) gives j >= 3.  The
+    gap condition never binds: gamma^2 - 2 >= 1/4 makes its bound
+    ceil(2q^2/(p^2 - 2q^2)) at most 8, which every j >= 3 meets.  No search
+    bound is needed; j is returned once symbolic_condition_check passes at
+    j and fails at j - 1.
 
     >>> gamma_exception_search(Fraction(1999999999, 1000000000))
     32
     """
     _require_gamma(gamma)
     p, q = gamma.numerator, gamma.denominator
-    c = max(-(-2 * p // (2 * q - p)), -(-2 * q * q // (p * p - 2 * q * q)))
+    c = -(-2 * p // (2 * q - p))
     j = (c - 1).bit_length()
     if not symbolic_condition_check(gamma, j).ok or symbolic_condition_check(gamma, j - 1).ok:
         raise ArithmeticError(f"closed-form j={j} is not the smallest passing j for gamma={gamma}")

@@ -114,7 +114,7 @@ def test_construct_rejects_bad_args():
 
 # --- validation -------------------------------------------------------------
 
-def _invalid(code, witness=None, **fields):
+def _invalid(code, witness=None, test_id=None, **fields):
     """A row: construct_certificate(2, 3)'s JSON with fields replaced, and the
     one line `theorem1 validate` prints for it."""
     payload = {"r": 2, "ell": 3, "case": CASE_III, "k": 12, "witness": {"q": 3, "s": 2, "q_star": 5}}
@@ -122,7 +122,7 @@ def _invalid(code, witness=None, **fields):
     if witness is not None:
         payload["witness"] = witness
     expected = (1, f"verification failed: certificate invalid: {code}\n", "")
-    return pytest.param(payload, expected, id=code)
+    return pytest.param(payload, expected, id=test_id or code)
 
 
 # one crafted certificate per reason code, in validate_certificate's checking order
@@ -145,6 +145,7 @@ def _invalid(code, witness=None, **fields):
     _invalid("q_star_mismatch", k=18, witness={"q": 3, "s": 2, "q_star": 7}),
     _invalid("q_star_not_prime", k=21, witness={"q": 3, "s": 3, "q_star": 8}),
     _invalid("k_formula_mismatch", k=13),
+    _invalid("k_formula_mismatch", k=1, test_id="k_1_is_positive"),  # k >= 1 is allowed
     _invalid("unknown_case", case="IV", k=10),
     pytest.param({"r": 2, "ell": 3, "case": 3, "k": 12},
                  (2, "", "error: certificate field 'case' must be a string\n"),
@@ -336,6 +337,10 @@ def test_wrong_witness_at_first_exponent_fails_there(monkeypatch):
     with pytest.raises(VerificationFailure) as exc:
         check_non_rfull(construct_certificate(2, 2), 10)
     assert str(exc.value) == "witness 2 does not divide ell^1 + k exactly once"
+    _patch_witnesses(monkeypatch, first=3)  # 16 + 2 = 18 = 2 * 3^2, but 9 does not divide 16 - 2
+    with pytest.raises(VerificationFailure) as exc:
+        check_non_rfull(construct_certificate(2, 16), 10)
+    assert str(exc.value) == "witness 3 does not divide ell^1 + k exactly once"
 
 
 @pytest.mark.parametrize("ell,wrong", [(2, 5), (4, 5), (15, 7)])

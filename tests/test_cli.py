@@ -242,8 +242,9 @@ def test_gamma_domain_error_exits_2():
 
 
 def test_byte_identical_reruns():
-    args = ("thm2", "verify", "--gamma", "3/2", "--j", "3", "--K", "40")
-    assert run_cli(*args).stdout == run_cli(*args).stdout
+    for k_max in ("40", "3000"):  # 3000 rows are written in 12 slices
+        args = ("thm2", "verify", "--gamma", "3/2", "--j", "3", "--K", k_max)
+        assert run_cli(*args).stdout == run_cli(*args).stdout
 
 
 def test_grid_jobs_1_is_the_serial_default():
@@ -453,16 +454,22 @@ def test_pset_witness():
     assert [line["n_i"] for line in payload["result"]["lines"]] == [5, 7, 9]
 
 
-def test_witness_json_is_written_in_less_memory_than_its_bytes(tmp_path):
-    # 13 MB of JSON at m = 3000; json.dumps of the whole report peaked at 36 MB
-    path = tmp_path / "witness.json"
+def main_traced(path, argv):
+    """main(argv) with stdout written to `path`: its exit code and the peak it allocated."""
     with open(path, "w", encoding="utf-8") as handle, redirect_stdout(handle):
         tracemalloc.start()
         try:
-            code = main(["pset", "witness", "--m", "3000"])
+            code = main(argv)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+    return code, peak
+
+
+def test_witness_json_is_written_in_less_memory_than_its_bytes(tmp_path):
+    # 13 MB of JSON at m = 3000; json.dumps of the whole report peaked at 36 MB
+    path = tmp_path / "witness.json"
+    code, peak = main_traced(path, ["pset", "witness", "--m", "3000"])
     assert code == 0
     size = path.stat().st_size
     assert size > 13_000_000
@@ -474,13 +481,7 @@ def test_witness_json_is_written_in_less_memory_than_its_bytes(tmp_path):
 def test_witness_table_is_written_in_less_memory_than_its_bytes(tmp_path):
     # 19 MB of table at m = 3000; holding every cell string to size the columns peaked at 22 MB
     path = tmp_path / "witness.table"
-    with open(path, "w", encoding="utf-8") as handle, redirect_stdout(handle):
-        tracemalloc.start()
-        try:
-            code = main(["pset", "witness", "--m", "3000", "--format", "table"])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+    code, peak = main_traced(path, ["pset", "witness", "--m", "3000", "--format", "table"])
     assert code == 0
     size = path.stat().st_size
     assert size > 19_000_000
@@ -488,6 +489,22 @@ def test_witness_table_is_written_in_less_memory_than_its_bytes(tmp_path):
     with open(path, encoding="utf-8") as handle:
         assert next(handle).startswith("# format=table")
         assert len(handle.readlines()) == 3001 + 6  # one row per i, a header row and 5 fields
+
+
+@pytest.mark.parametrize(
+    "argv, least",
+    [(["thm2", "verify", "--gamma", "3/2", "--j", "3", "--K", "9998"], 18_000_000),
+     (["seq", "gen", "--gamma", "195/64", "--n", "3000"], 2_000_000)],
+    ids=["thm2_verify", "seq_gen"],
+)
+def test_large_json_report_is_written_in_less_memory_than_its_bytes(tmp_path, argv, least):
+    # json.dumps of the whole report peaked at 3.8 (thm2 verify) and 2.7 (seq gen) times its bytes
+    path = tmp_path / "report.json"
+    code, peak = main_traced(path, argv)
+    assert code == 0
+    size = path.stat().st_size
+    assert size > least
+    assert peak < size
 
 
 class LineBuilt(Exception):

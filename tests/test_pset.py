@@ -5,13 +5,14 @@ import math
 import random
 import re
 import tracemalloc
+from collections.abc import Sequence
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from floorfull.cli import main, to_json
+from floorfull.cli import main, to_json, write_json
 from floorfull.pset import (
     BITMAP_CAP,
     WITNESS_M_CAP,
@@ -168,11 +169,12 @@ def witness_forms(m: int) -> dict:
 
 
 def as_ints(value):
-    """`value` with each exact Decimal made the int it prints as, and each dict
-    made its (key, value) pairs, so that a comparison also checks key order."""
+    """`value` with each exact Decimal made the int it prints as, each dict
+    made its (key, value) pairs, so that a comparison also checks key order,
+    and each list or lazy view of lines made a list."""
     if isinstance(value, dict):
         return [(key, as_ints(inner)) for key, inner in value.items()]
-    if isinstance(value, list):
+    if isinstance(value, Sequence) and not isinstance(value, str):
         return [as_ints(inner) for inner in value]
     if isinstance(value, Decimal):
         assert str(value) == str(int(value))
@@ -247,12 +249,17 @@ def test_witness_csv_and_table_print_the_plain_products(capsys):
     assert text[-1] == "all_passed: True"
 
 
-def assert_chunks_match_json_dumps(m: int) -> None:
+def assert_json_chunks_match_json_dumps(m: int) -> None:
+    """`write_json` writes the report in chunks, one per line, whose text is json.dumps's."""
     report = verify_squares_witness(m)
-    chunks = list(report.to_json_chunks())
-    assert len(chunks) == m + 3  # head, one per line, tail
+    chunks = []
+    write_json(report, chunks.append)
     text = "".join(chunks)
-    assert text == json.dumps(to_json(report), sort_keys=True, separators=(",", ":"), default=int)
+    form = to_json(report)
+    form["lines"] = list(form["lines"])  # the lazy view reads as this list
+    assert text == json.dumps(form, sort_keys=True, separators=(",", ":"), default=int)
+    lines = [chunk for chunk in chunks if chunk.startswith(("{", ",{")) and chunk.endswith("}")]
+    assert len(lines) == m + 1
     # every number is plain integer digits: JSON hands any number with a
     # fraction or an exponent ("E", "e" or ".") to parse_float
     payload = json.loads(text, parse_float=pytest.fail, parse_constant=pytest.fail)
@@ -261,17 +268,17 @@ def assert_chunks_match_json_dumps(m: int) -> None:
 
 @pytest.mark.parametrize("m", range(65))
 def test_witness_json_chunks_match_json_dumps(m):
-    assert_chunks_match_json_dumps(m)
+    assert_json_chunks_match_json_dumps(m)
 
 
 @given(m=st.integers(0, 1_500))
 @settings(max_examples=15, deadline=None)
 def test_witness_json_chunks_match_json_dumps_drawn(m):
-    assert_chunks_match_json_dumps(m)
+    assert_json_chunks_match_json_dumps(m)
 
 
 def test_witness_json_chunks_match_json_dumps_at_the_cap():
-    assert_chunks_match_json_dumps(WITNESS_M_CAP)
+    assert_json_chunks_match_json_dumps(WITNESS_M_CAP)
 
 
 def test_bitmap_validation():

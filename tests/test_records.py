@@ -3,17 +3,19 @@
 Records compare and hash by field values, keep the `X(a=..., b=...)` repr,
 serialize through `cli.to_json` in `_fields` order (or through their own
 `to_json_dict`), and the five validating records check their fields
-whether they are given positionally or by keyword.  One record writes its
-own JSON text: `SquaresWitnessReport.to_json_chunks`, whose joined chunks
-equal the compact, key-sorted `json.dumps` of its `to_json` form, with its
-exact Decimals written as ints.
+whether they are given positionally or by keyword.  No record writes its
+own JSON text: `cli.write_json` writes every one, equal to the compact,
+key-sorted `json.dumps` of its `to_json` form, with an exact Decimal
+written as the int it equals and a lazy view as the list it reads as.
 """
 
 import json
+from collections.abc import Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import floorfull
 from floorfull.classify import Factorization, factorize
@@ -21,7 +23,8 @@ from floorfull.certificates import (
     construct_certificate,
     verify_non_rfull,
 )
-from floorfull.cli import to_json
+from floorfull import cli
+from floorfull.cli import to_json, write_json
 from floorfull.floorseq import Explicit, FloorPower, Squares, ratio_condition_check
 from floorfull.pset import PSetBitmap, compute_pset, verify_squares_witness
 from floorfull.rationals import RatInterval, interval
@@ -92,12 +95,36 @@ def test_to_json_keys_follow_fields(name):
         assert payload == {field: to_json(getattr(record, field)) for field in record._fields}
 
 
-def test_only_the_witness_report_writes_its_own_json_text():
-    chunked = [name for name, record in SAMPLES.items() if hasattr(record, "to_json_chunks")]
-    assert chunked == ["SquaresWitnessReport"]
-    record = SAMPLES["SquaresWitnessReport"]
-    text = json.dumps(to_json(record), sort_keys=True, separators=(",", ":"), default=int)
-    assert "".join(record.to_json_chunks()) == text
+def dumps(value) -> str:
+    """The oracle of `write_json`: json.dumps of the `to_json` form."""
+    def plain(inner):  # a lazy view reads as a list, an exact Decimal as its int
+        return list(inner) if isinstance(inner, Sequence) else int(inner)
+
+    return json.dumps(to_json(value), sort_keys=True, separators=(",", ":"), default=plain)
+
+
+def written(value) -> str:
+    writes = []
+    write_json(value, writes.append)
+    return "".join(writes)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_write_json_matches_json_dumps(name):
+    assert not hasattr(SAMPLES[name], "to_json_chunks")  # one JSON writer
+    assert written(SAMPLES[name]) == dumps(SAMPLES[name])
+
+
+def test_write_json_encodes_a_to_json_dict_as_it_is(monkeypatch):
+    # a bitmap's runs are in their JSON form already: converting them again
+    # cost `pset compute` on 32,000 runs ~15 ms
+    def to_json_again(value):
+        raise AssertionError(f"to_json({value!r}) converts a JSON form again")
+
+    bitmap = compute_pset([10 * 21 ** k // 10 ** k for k in range(10)], 40_000)  # 1,024 runs
+    text = dumps(bitmap)
+    monkeypatch.setattr(cli, "to_json", to_json_again)
+    assert written(bitmap) == text
 
 
 def test_to_json_rejects_what_is_not_a_record():
@@ -109,6 +136,36 @@ def test_to_json_rejects_what_is_not_a_record():
 class Holder(NamedTuple):
     alpha: Fraction
     rows: list
+
+
+# list lengths on both sides of 64 items and of each 256-item slice
+LENGTHS = (0, 64, 65, 255, 256, 257, 513)
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=3), st.fractions())
+FLAT_DICTS = st.dictionaries(st.text(max_size=3), SCALARS, max_size=3)
+ITEMS = st.one_of(SCALARS, FLAT_DICTS, st.tuples(SCALARS, SCALARS),
+                  st.builds(Holder, st.fractions(), st.lists(SCALARS, max_size=2)))
+
+
+def long_lists(items):
+    """Lists of each length in LENGTHS, cycling through a few drawn items."""
+    def cycle(pool, n):
+        return [pool[i % len(pool)] for i in range(n)]
+
+    return st.builds(cycle, st.lists(items, min_size=1, max_size=5), st.sampled_from(LENGTHS))
+
+
+NESTED = st.dictionaries(
+    st.text(max_size=3),
+    st.one_of(SCALARS, FLAT_DICTS, long_lists(SCALARS), long_lists(FLAT_DICTS), long_lists(ITEMS),
+              st.builds(Holder, st.fractions(), long_lists(ITEMS))),
+    max_size=4,
+)
+
+
+@given(value=st.one_of(NESTED, long_lists(ITEMS)))
+@settings(max_examples=60, deadline=None)
+def test_write_json_matches_json_dumps_on_nested_values(value):
+    assert written(value) == dumps(value)
 
 
 def test_to_json_renders_every_nested_fraction_as_num_den():
