@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import itertools
 import json
 import os
 import sys
@@ -201,16 +202,22 @@ def _spec_from_args(args: argparse.Namespace):
         return floorseq.Squares()
     if not args.file:
         raise ValueError("--file is required with --kind file")
-    return floorseq.Explicit(tuple(_read_int_file(args.file)))
+    # each run that takes a spec uses its first --n terms, and an --n past SEQ_CAP raises
+    return floorseq.Explicit(tuple(_read_int_file(args.file, max(0, min(args.n, SEQ_CAP)))))
 
 
-def _read_int_file(path: str) -> list[int]:
-    values = []
+def _read_int_file(path: str, most: int, cap: str = "") -> list[int]:
+    """The integers of a term file's first `most` lines that are not blank or `#`.
+
+    The file is read no further.  With `cap`, the name of the constant
+    that `most` is, one more such line is an error instead.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                values.append(int(line))
+        lines = (line.strip() for line in handle)
+        numbers = (int(line) for line in lines if line and not line.startswith("#"))
+        values = list(itertools.islice(numbers, most + 1 if cap else most))
+    if len(values) > most:
+        raise ValueError(f"the term file holds more than {cap} = {most} terms")
     return values
 
 
@@ -358,7 +365,7 @@ def _run_thm2_scan(skip, args):
 
 
 def _run_pset_compute(pset, args):
-    terms = _read_int_file(args.terms)
+    terms = _read_int_file(args.terms, pset.TERMS_CAP, "TERMS_CAP")
     bitmap = pset.compute_pset(terms, args.bound)
     if args.bit_out:
         with open(args.bit_out, "wb") as handle:
@@ -367,13 +374,13 @@ def _run_pset_compute(pset, args):
 
 
 def _run_pset_complete(pset, args):
-    terms = _read_int_file(args.terms)
+    terms = _read_int_file(args.terms, pset.TERMS_CAP, "TERMS_CAP")
     threshold = pset.complete_up_to(terms, args.bound)
     return {"bound": args.bound, "threshold": threshold, "covered": threshold is not None}
 
 
 def _run_pset_brown(pset, args):
-    terms = _read_int_file(args.terms)
+    terms = _read_int_file(args.terms, pset.TERMS_CAP, "TERMS_CAP")
     return {"terms": len(terms), "brown": pset.brown_criterion(terms)}
 
 

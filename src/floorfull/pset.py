@@ -31,6 +31,10 @@ from .errors import VerificationFailure
 # bits, so the report grows like m^2 (13 MB of JSON at m = 3,000); printing
 # it is linear in its bytes.
 WITNESS_M_CAP = 2 ** 12
+# Most terms a pset run reads from its file, checked before the next is
+# kept: the bitmap is shifted once per term, and lists in use hold a few
+# thousand.
+TERMS_CAP = 2 ** 16
 
 
 class PSetBitmap(NamedTuple("PSetBitmap", [("bound", int), ("bits", int)])):

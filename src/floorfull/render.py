@@ -14,8 +14,9 @@ def render_table(value, out, indent: str = "") -> None:
             else:
                 out.write(f"{indent}{key}: {inner}\n")
     elif _nested(value):
-        if value and all(isinstance(item, dict) for item in value):
-            keys = list(value[0].keys())
+        first = next(iter(value), None)  # a report's list holds one kind of item
+        if isinstance(first, dict):
+            keys = list(first.keys())
             widths = [len(str(k)) for k in keys]
             for item in value:  # size the columns first, holding one cell string at a time
                 widths = [max(w, len(_cell(item.get(k)))) for k, w in zip(keys, widths)]

@@ -8,8 +8,10 @@ no single alpha in (0, 1) puts both 2^j and 2^(j+1) into the image
   k, then alpha lies in I_k = [2^j/s_k, (2^j+1)/s_k), which meets (0, 1)
   only when s_k > 2^j and then lies inside it whole.  Over that half-open
   interval the exact extrema of floor(alpha*s_{k+1}) and floor(alpha*s_{k+2})
-  are computable from the endpoints alone, by one integer division each
-  (the terms come from floorseq's integer recurrence); showing
+  are computable from the endpoints alone, by one integer division each on
+  the terms of floorseq's integer recurrence: with t = 2^j and s = s_k
+  they are ceil((t+1)*s_{k+1}/s) - 1 and floor(t*s_{k+2}/s), so no
+  rational is built while the rows are checked.  Showing
   max <= 2^(j+1)-1 at k+1 and min >= 2^(j+1)+1 at k+2 pins 2^(j+1)
   between two achieved values it can never equal, because the image is
   nondecreasing in n.
@@ -32,6 +34,9 @@ intersects the two targets' preimage intervals directly, in O(n + hits).
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
+from collections.abc import Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -94,24 +99,110 @@ class SkipRow(NamedTuple):
     passed: bool
 
 
+def _check_row(terms: list[int], t: int, k: int) -> tuple[int, int, bool]:
+    """Row k's (max_floor_next, min_floor_next2, passed), with t = 2^j < s = s_k.
+
+    These are interval_extrema_of_floor(preimage_interval(t, s), x) at
+    x = s_{k+1} and x = s_{k+2}, in integers alone: floor(a*x/b) and
+    ceil(a*x/b) depend only on the value a/b, so the reduced endpoints
+    t/s and (t+1)/s give floor(t*x/s) = t*x // s and
+    ceil((t+1)*x/s) - 1 = -(-(t+1)*x // s) - 1, as their unreduced forms
+    do.  The row passes when max <= 2t - 1 and min >= 2t + 1.
+    """
+    s = terms[k - 1]
+    max_next = -(-(t + 1) * terms[k] // s) - 1
+    min_next2 = t * terms[k + 1] // s
+    return max_next, min_next2, max_next < 2 * t < min_next2
+
+
+def _window_json(t: int, s: int) -> dict:
+    """preimage_interval(t, s).to_json_dict(), from integers reduced by gcd.
+
+    The text is rat_str's of the two Fractions.  Converting s to decimal
+    is most of a row's cost, so the denominator is converted once when
+    both ends share it: when gcd(t, s) = gcd(t + 1, s) = 1, that is unless
+    s is even or shares a factor with t + 1.
+    """
+    g, h = math.gcd(t, s), math.gcd(t + 1, s)
+    lo_den = str(s // g)
+    hi_den = lo_den if h == g else str(s // h)
+    return {"lo": f"{t // g}/{lo_den}", "hi": f"{(t + 1) // h}/{hi_den}", "closed_open": True}
+
+
+class _SkipRows(Sequence):
+    """A read-only view of a report's rows k = k0..K: row k is built when it is read.
+
+    The view holds the terms s_1..s_(K+2) and no row; reading row k runs
+    `_check_row` again.  It reads as the tuple of its rows: it compares,
+    hashes and prints as that tuple, and a slice of it is one.  `as_json`
+    gives the same view over the rows' JSON forms, whose windows
+    `_window_json` builds from integers.
+    """
+
+    def __init__(self, terms: list[int], t: int, k0: int, as_json: bool = False) -> None:
+        self._terms, self._t, self._k0, self._as_json = terms, t, k0, as_json
+
+    def as_json(self) -> _SkipRows:
+        return _SkipRows(self._terms, self._t, self._k0, as_json=True)
+
+    def _ks(self) -> range:
+        return range(self._k0, len(self._terms) - 1)  # rows k0..K, from K + 2 terms
+
+    def __len__(self) -> int:
+        return len(self._ks())
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._row, self._ks()[i]))
+        return self._row(self._ks()[i])  # IndexError past either end, as a tuple's
+
+    def __iter__(self):
+        return map(self._row, self._ks())
+
+    def _row(self, k: int):
+        t, s = self._t, self._terms[k - 1]
+        max_next, min_next2, passed = _check_row(self._terms, t, k)
+        if not self._as_json:
+            return SkipRow(k, preimage_interval(t, s), max_next, min_next2, passed)
+        return {"k": k, "interval": _window_json(t, s), "max_floor_next": max_next,
+                "min_floor_next2": min_next2, "passed": passed}
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 class SkipReport(NamedTuple):
     gamma: Fraction
     j: int
     k_max: int
-    rows: tuple[SkipRow, ...]
+    rows: Sequence[SkipRow]    # a view: each row is built when it is read
     skipped: tuple[int, ...]   # k with s_k <= 2^j: no alpha in (0, 1) hits 2^j there
     overall: bool
+
+    def to_json_dict(self) -> dict:
+        """The report's JSON form; its rows are a view, built when read as the rows are."""
+        return {"gamma": rat_str(self.gamma), "j": self.j, "k_max": self.k_max,
+                "rows": self.rows.as_json(), "skipped": self.skipped, "overall": self.overall}
 
 
 def verify_skip_all_alpha(gamma: Fraction, j: int, k_max: int = DEFAULT_K_MAX) -> SkipReport:
     """Certify 2^(j+1) misses the image whenever 2^j is hit at index <= k_max.
 
     Each k with s_k <= 2^j is skipped: I_k = [2^j/s_k, (2^j+1)/s_k) then
-    starts at or above 1.  Every other I_k ends at or below 1 and is the
-    row's window as it stands; the row passes when the exact floor extrema
-    satisfy max at k+1 <= 2^(j+1) - 1 and min at k+2 >= 2^(j+1) + 1.
-    Raises VerificationFailure (carrying the full report) if any row fails;
-    gamma < 2 keeps every number in it below 2^SEQ_CAP, which str() allows.
+    starts at or above 1.  The terms increase, so these k are a prefix
+    1..k0 - 1.  Every other I_k ends at or below 1 and is the row's window
+    as it stands; the row passes when the exact floor extrema satisfy
+    max at k+1 <= 2^(j+1) - 1 and min at k+2 >= 2^(j+1) + 1.  Each row is
+    checked in integers by `_check_row`, and the report's rows are a view
+    that builds a row only when it is read.  Raises VerificationFailure
+    (carrying the full report) at the first row that fails; gamma < 2
+    keeps every number in it below 2^SEQ_CAP, which str() allows.
     """
     _require_gamma(gamma)
     _require_j(j)
@@ -119,44 +210,16 @@ def verify_skip_all_alpha(gamma: Fraction, j: int, k_max: int = DEFAULT_K_MAX) -
         raise ValueError(f"k_max must be >= 3, got {k_max}")
     terms = generate_terms(FloorPower(gamma), k_max + 2)
     target = 2 ** j
-    ceiling = 2 ** (j + 1) - 1   # largest value allowed at index k+1
-    floor_min = 2 ** (j + 1) + 1  # smallest value allowed at index k+2
-
-    rows = []
-    skipped = []
-    for k in range(1, k_max + 1):
-        s_k = terms[k - 1]
-        if s_k <= target:
-            skipped.append(k)
-            continue
-        window = preimage_interval(target, s_k)
-        _, max_next = interval_extrema_of_floor(window, terms[k])
-        min_next2, _ = interval_extrema_of_floor(window, terms[k + 1])
-        rows.append(
-            SkipRow(
-                k=k,
-                interval=window,
-                max_floor_next=max_next,
-                min_floor_next2=min_next2,
-                passed=max_next <= ceiling and min_next2 >= floor_min,
+    k0 = bisect_right(terms, target, 0, k_max) + 1
+    report = SkipReport(gamma, j, k_max, _SkipRows(terms, target, k0), tuple(range(1, k0)), True)
+    for k in range(k0, k_max + 1):
+        max_next, min_next2, passed = _check_row(terms, target, k)
+        if not passed:
+            raise VerificationFailure(
+                f"skip argument fails at k={k}: max_next={max_next} (allowed <= {2 * target - 1}), "
+                f"min_next2={min_next2} (required >= {2 * target + 1})",
+                report=report._replace(overall=False),
             )
-        )
-    failures = [row for row in rows if not row.passed]
-    report = SkipReport(
-        gamma=gamma,
-        j=j,
-        k_max=k_max,
-        rows=tuple(rows),
-        skipped=tuple(skipped),
-        overall=not failures,
-    )
-    if failures:
-        row = failures[0]
-        raise VerificationFailure(
-            f"skip argument fails at k={row.k}: max_next={row.max_floor_next} "
-            f"(allowed <= {ceiling}), min_next2={row.min_floor_next2} (required >= {floor_min})",
-            report=report,
-        )
     return report
 
 

@@ -36,6 +36,10 @@ FILES = {
     ).encode(),
     **GOLDEN_CERTS,
 }
+# Written only into the directory of an example that names it, and not
+# drawn: 2,000,000 increasing terms (15 MB), which `seq gen --n 3` and
+# `pset brown` once read whole (1.2 s and 107 MiB each).
+LONG_FILE = "long_terms.txt"
 ALPHABET = (
     "", "-1", "0", "1", "3", "abc", "1/0", "nan", "1e999999", "3/2", "7/5", "5/2",
     "12345678901234567890", *FILES, "dir",
@@ -67,6 +71,9 @@ def run_main(argv):
         for name, content in FILES.items():
             pathlib.Path(cwd, name).write_bytes(content)
         pathlib.Path(cwd, "dir").mkdir()
+        if LONG_FILE in argv:
+            with open(pathlib.Path(cwd, LONG_FILE), "w", encoding="utf-8") as handle:
+                handle.writelines(f"{n}\n" for n in range(1, 2_000_001))
         os.chdir(cwd)
         try:
             with redirect_stdout(out), redirect_stderr(err):
@@ -93,6 +100,9 @@ def golden_certs_now():
 # larger terms, the second carried ever larger powers q^n of a 4,300-digit q
 @example(argv=["seq", "gen", "--gamma", "1000000", "--n", "2000"])
 @example(argv=["thm2", "verify", "--gamma", f"{15 * 10**4298 + 1}/{10**4299}", "--j", "3"])
+# each read only as far as it uses: the first n lines, at most TERMS_CAP + 1 terms
+@example(argv=["seq", "gen", "--kind", "file", "--file", LONG_FILE, "--n", "3"])
+@example(argv=["pset", "brown", "--terms", LONG_FILE])
 # writes its bitmap over the working copy of a golden certificate's name
 @example(argv=["pset", "compute", "--terms", "empty", "--bound", "3",
                "--bit-out", "cert_ell12.json"])

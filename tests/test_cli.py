@@ -10,10 +10,12 @@ import io
 import json
 import math
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
 import types
+from collections.abc import Sequence
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from typing import NamedTuple
@@ -80,6 +82,23 @@ def test_thm2_verify_passes_and_fails_by_exit_code():
     report = json.loads(first_line)
     assert report["result"]["overall"] is False
     assert any(not row["passed"] for row in report["result"]["rows"])
+
+
+@pytest.mark.parametrize("fmt", ["json", "table", "csv"])
+def test_a_failing_report_prints_every_row(fmt):
+    # the check stops at the first failing row, k = 3; the report still holds k = 3..50
+    proc = run_cli("thm2", "verify", "--gamma", "3/2", "--j", "1", "--K", "50", "--format", fmt)
+    assert proc.returncode == 1
+    *report, verdict = proc.stdout.decode().splitlines()
+    assert verdict == ("verification failed: skip argument fails at k=3: max_next=4 "
+                       "(allowed <= 3), min_next2=4 (required >= 5)")
+    if fmt == "json":
+        ks = [row["k"] for row in json.loads(report[0])["result"]["rows"]]
+    elif fmt == "csv":
+        ks = [int(line.split(",")[1]) for line in report if re.match(r"rows\[\d+\]\.k,", line)]
+    else:
+        ks = [int(line.split()[0]) for line in report if re.match(r"  \d+ +\[", line)]
+    assert ks == list(range(3, 51))
 
 
 def test_gamma_search_near_two_exits_0():
@@ -242,9 +261,10 @@ def test_gamma_domain_error_exits_2():
 
 
 def test_byte_identical_reruns():
-    for k_max in ("40", "3000"):  # 3000 rows are written in 12 slices
-        args = ("thm2", "verify", "--gamma", "3/2", "--j", "3", "--K", k_max)
-        assert run_cli(*args).stdout == run_cli(*args).stdout
+    for k_max in ("40", "3000"):
+        for fmt in ("json", "table", "csv"):  # each reads the rows view, built row by row
+            args = ("thm2", "verify", "--gamma", "3/2", "--j", "3", "--K", k_max, "--format", fmt)
+            assert run_cli(*args).stdout == run_cli(*args).stdout
 
 
 def test_grid_jobs_1_is_the_serial_default():
@@ -507,6 +527,40 @@ def test_large_json_report_is_written_in_less_memory_than_its_bytes(tmp_path, ar
     assert peak < size
 
 
+@pytest.mark.parametrize("fmt", ["json", "table", "csv"])
+def test_thm2_verify_holds_none_of_its_rows(tmp_path, fmt):
+    # 18.8 (JSON) to 35.8 MB (table) out; holding every row and, for table
+    # and CSV, its to_json form peaked at 15.9, 33.3 and 33.3 MiB
+    path = tmp_path / "report"
+    code, peak = main_traced(path, ["thm2", "verify", "--gamma", "3/2", "--j", "3", "--K", "9998",
+                                    "--format", fmt])
+    assert code == 0
+    assert path.stat().st_size > 18_000_000
+    assert peak < 8 * 2**20
+
+
+def test_sieve_peak_stays_small(tmp_path):
+    # 13 kB of JSON; the sieve and its values peaked at 0.9-1.6 MiB
+    code, peak = main_traced(tmp_path / "sieve.json", ["sieve", "--limit", "1000000", "--r", "2"])
+    assert code == 0
+    assert peak < 4 * 2**20
+
+
+# the benchmark's enumerate workload's sparse list for seed 1: 24,745 runs at bound 130,000
+SPARSE = [3, 5, 9, 14, 24, 49, 86, 177, 385, 649, 1427, 2458, 4732, 7914, 16782, 32568, 49865]
+
+
+def test_pset_compute_peak_stays_small(tmp_path):
+    # 0.25 MB of JSON; the bitmap, its runs and their JSON form peaked at 4.4-5.0 MiB
+    terms = tmp_path / "sparse.txt"
+    terms.write_text("".join(f"{t}\n" for t in SPARSE))
+    path = tmp_path / "pset.json"
+    code, peak = main_traced(path, ["pset", "compute", "--terms", str(terms), "--bound", "130000"])
+    assert code == 0
+    assert path.stat().st_size > 240_000
+    assert peak < 8 * 2**20
+
+
 class LineBuilt(Exception):
     pass
 
@@ -691,17 +745,67 @@ def test_a_rational_past_4300_digits_is_named_in_its_message(argv, message):
 
 
 @pytest.mark.parametrize("argv", [
-    ["seq", "gen", "--kind", "file", "--n", "3"],
-    ["thm2", "scan", "--kind", "file", "--t1", "1", "--t2", "2"],
+    ["seq", "gen", "--kind", "file", "--n", "10000"],
+    ["thm2", "scan", "--kind", "file", "--t1", "1", "--t2", "2", "--n", "10000"],
 ], ids=["seq_gen", "thm2_scan"])
 def test_a_misordered_term_file_is_named_by_its_first_bad_term(tmp_path, argv):
-    path = tmp_path / "terms.txt"
-    path.write_text("".join(f"{7 * n}\n" for n in range(1, 200_000)) + "5\n")
+    path = tmp_path / "terms.txt"  # its last line, the only bad one, is the last the run reads
+    path.write_text("".join(f"{7 * n}\n" for n in range(1, 10_000)) + "5\n")
     proc = run_cli(*argv, "--file", str(path))
     assert (proc.returncode, proc.stdout) == (2, b"")
     assert proc.stderr == (b"error: explicit terms must be strictly increasing positive, "
-                           b"got term 200000 = 5\n")
+                           b"got term 10000 = 5\n")
     assert len(proc.stderr) < 200
+
+
+def test_a_seq_run_reads_no_line_past_those_it_uses(tmp_path):
+    path = tmp_path / "terms.txt"
+    path.write_text("1\n# a comment\n\n2\n3\nnot a number\n")
+    argv = ("seq", "gen", "--kind", "file", "--file", str(path), "--n")
+    assert run_json(*argv, "3")["result"]["values"] == [1, 2, 3]
+    assert run_cli(*argv, "4") == Run(
+        2, b"", b"error: invalid literal for int() with base 10: 'not a number'\n")
+
+
+@pytest.mark.parametrize("action", ["compute --bound 10", "complete --bound 10", "brown"])
+def test_a_pset_term_file_past_terms_cap_exits_2_naming_it(tmp_path, action):
+    cap = pset.TERMS_CAP
+    path = tmp_path / "terms.txt"
+    path.write_text("".join(f"{n}\n" for n in range(1, cap + 1)))
+    argv = ("pset", *action.split(), "--terms", str(path))
+    assert run_cli(*argv).returncode == 0
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(f"# a comment\n\n{cap + 1}\nnot a number\n")  # the last line is never read
+    assert run_cli(*argv) == Run(
+        2, b"", f"error: the term file holds more than TERMS_CAP = {cap} terms\n".encode())
+
+
+class CountedRows(Sequence):
+    """A view of `n` dict rows that counts how often each row is built."""
+
+    def __init__(self, n):
+        self.n, self.built = n, 0
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        i = range(self.n)[i]
+        self.built += 1
+        return {"i": i, "square": i * i}
+
+
+def test_render_table_reads_a_view_twice():
+    # once to size the columns and once to write them, and the first row once more
+    from floorfull import render
+
+    rows = CountedRows(300)
+    out = io.StringIO()
+    render.render_table({"rows": rows}, out)
+    assert rows.built == 2 * 300 + 1
+    lines = out.getvalue().splitlines()
+    assert lines[:3] == ["rows:", "  i    square", "  0    0     "]
+    assert lines[-1] == "  299  89401 "
 
 
 def run_parser(parser, argv):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from floorfull import skipverify
 from floorfull.cli import to_json
 from floorfull.errors import VerificationFailure
 from floorfull.floorseq import Explicit, FloorPower, Squares, generate_terms, s_alpha
@@ -214,6 +215,67 @@ def test_skip_report_json_rows():
     assert payload["overall"] is True
     assert payload["rows"][0]["k"] == 6
     assert payload["rows"][0]["interval"]["closed_open"] is True
+
+
+@given(
+    j=st.integers(0, 12),
+    s_extra=st.integers(1, 10**30),
+    x=st.integers(1, 10**40),
+    x2=st.integers(1, 10**40),
+)
+@example(j=3, s_extra=9, x=25, x2=38)  # row k = 7 of gamma = 3/2: s_7 = 17
+@example(j=3, s_extra=1, x=18, x2=27)  # s = 9 = t + 1: hi = 9/9 reduces to 1/1
+@example(j=3, s_extra=64, x=100, x2=150)  # s = 72: lo = 8/72 = 1/9 and hi = 9/72 = 1/8
+def test_integer_row_check_equals_the_windows_extrema(j, s_extra, x, x2):
+    t = 2 ** j
+    s = t + s_extra
+    window = skipverify.preimage_interval(t, s)
+    max_next, min_next2, passed = skipverify._check_row([s, x, x2], t, 1)
+    assert max_next == interval_extrema_of_floor(window, x)[1]
+    assert min_next2 == interval_extrema_of_floor(window, x2)[0]
+    assert passed == (max_next <= 2 * t - 1 and min_next2 >= 2 * t + 1)
+    assert skipverify._window_json(t, s) == to_json(window)
+
+
+def test_rows_are_checked_without_building_a_window(monkeypatch):
+    def no_window(*args):
+        raise AssertionError("a row built a rational window while the rows were checked")
+
+    monkeypatch.setattr(skipverify, "preimage_interval", no_window)
+    monkeypatch.setattr(skipverify, "interval_extrema_of_floor", no_window)
+    report = verify_skip_all_alpha(Fraction(3, 2), 3, 300)
+    assert len(report.rows) == 295
+    assert to_json(report)["rows"][0]["interval"] == {"lo": "8/11", "hi": "9/11", "closed_open": True}
+    with pytest.raises(AssertionError):
+        report.rows[0]  # a SkipRow holds its window as a RatInterval
+
+
+def test_rows_view_reads_as_the_tuple_of_its_rows():
+    report = verify_skip_all_alpha(Fraction(3, 2), 3, 40)
+    rows = report.rows
+    expected, _ = _clipped_skip_loop(Fraction(3, 2), 3, 40)
+    as_tuple = expected.rows
+    assert len(rows) == len(as_tuple) == 35  # k = 6..40
+    assert list(rows) == list(as_tuple)
+    for i in (0, 1, 34, -1, -35):
+        assert rows[i] == as_tuple[i]
+    for i in (35, -36):
+        with pytest.raises(IndexError):
+            rows[i]
+    for cut in (slice(None, 6), slice(-3, None), slice(1, 30, 7), slice(40, 50), slice(None, None, -1)):
+        assert rows[cut] == as_tuple[cut] and type(rows[cut]) is tuple
+    assert rows == as_tuple and as_tuple == rows
+    assert rows != as_tuple[:-1] and rows != "not rows"
+    assert hash(rows) == hash(as_tuple)
+    assert repr(rows) == repr(as_tuple)
+    assert report == expected and hash(report) == hash(expected) and repr(report) == repr(expected)
+
+
+def test_rows_view_is_empty_when_every_index_is_skipped():
+    report = verify_skip_all_alpha(Fraction(3, 2), 20, 10)  # s_10 = 57 < 2^20
+    assert report.skipped == tuple(range(1, 11))
+    assert len(report.rows) == 0 and list(report.rows) == [] and report.rows == ()
+    assert to_json(report)["rows"] == []
 
 
 # --- symbolic conditions ----------------------------------------------------
