@@ -21,13 +21,16 @@ its argv names.  Each group names the library module its handlers use,
 and `dispatch` imports that module and hands it to the handler.
 `fractions` loads only with code that builds a Fraction, and the table
 and CSV renderers of `render` only for those formats.  `write_json`
-streams a JSON report, so no run holds its whole text.
+streams a JSON report, so no run holds its whole text, and hands its
+lists and lazy views, such as a `thm2 verify` report's rows, to json's C
+encoder a slice at a time, so no row or cell costs a Python call.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
+import io
 import itertools
 import json
 import os
@@ -97,14 +100,27 @@ def to_json(value):
     fractions = sys.modules.get("fractions")  # no Fraction exists until it loads
     if fractions is not None and isinstance(value, fractions.Fraction):
         return rat_str(value)
-    if hasattr(value, "to_json_dict"):
-        return value.to_json_dict()
     if hasattr(value, "_fields"):
-        return {name: to_json(inner) for name, inner in zip(value._fields, value)}
+        members, converted = _record_dict(value)
+        return members if converted else to_json(members)
     raise TypeError(f"no JSON form for {type(value).__name__}")
 
 
+def _record_dict(record) -> tuple[dict, bool]:
+    """A record's members by name, and whether they are in JSON form already:
+    its `to_json_dict` if it has one, else its `_fields` and values."""
+    if hasattr(record, "to_json_dict"):
+        return record.to_json_dict(), True
+    return dict(zip(record._fields, record)), False
+
+
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+# Items of a list or lazy view that `write_json` reads and encodes at once.
+# One encode per item doubled a large sieve's time.  A slice's rows are
+# held with their text, so `thm2 verify --K 9998` peaked 0.85 MiB higher in
+# max-RSS with 64 rows a slice than with 32, which encode as fast.
+_SLICE = 32
 
 
 def _scalar_text(value) -> str | None:
@@ -124,25 +140,19 @@ def write_json(value, write, converted: bool = False) -> None:
     The one JSON writer; it walks `value`, never holding the whole form or
     text.  A dict or record goes in sorted key order, in one write up to
     each member that is not a scalar, so a dict of scalars is one write.  A
-    list is encoded in slices of 256 items (one encode per item doubled a
-    large sieve's time), each converted by `to_json` as it is written,
-    unless a `to_json_dict` made it and it is `converted`.  An exact Decimal
-    is its str().  Any other iterable is a lazy view, such as the squares
-    witness's lines, walked item by item.
+    list, tuple or lazy view, such as a `thm2 verify` report's rows, is
+    read `_SLICE` items at a time, and json's C encoder writes each slice,
+    converted by `to_json` unless a `to_json_dict` made it and it is
+    `converted`.  An exact Decimal is its str(), which the encoder refuses:
+    from the first slice it refuses, such as the squares witness's first,
+    the items are walked one by one.
     """
     text = _scalar_text(value)
     if text is not None:
         write(text)
-    elif isinstance(value, list) or type(value) is tuple:
-        write("[")
-        for start in range(0, len(value), 256):
-            chunk = value[start:start + 256]
-            write(("," if start else "") + _ENCODE(chunk if converted else to_json(chunk))[1:-1])
-        write("]")
     elif isinstance(value, dict) or hasattr(value, "_fields"):
         if not isinstance(value, dict):
-            converted = hasattr(value, "to_json_dict")
-            value = value.to_json_dict() if converted else dict(zip(value._fields, value))
+            value, converted = _record_dict(value)
         held = "{"
         for i, key in enumerate(sorted(value)):
             text = _scalar_text(value[key])
@@ -153,10 +163,20 @@ def write_json(value, write, converted: bool = False) -> None:
                 held = ""
         write(held + "}")
     elif hasattr(value, "__iter__"):
+        items, comma = iter(value), ""
         write("[")
-        for i, item in enumerate(value):
-            write("," if i else "")
-            write_json(item, write, converted)
+        while chunk := list(itertools.islice(items, _SLICE)):
+            try:
+                text = _ENCODE(chunk if converted else to_json(chunk))[1:-1]
+            except TypeError:  # an exact Decimal or a nested view
+                for item in itertools.chain(chunk, items):
+                    write(comma)
+                    write_json(item, write, converted)
+                    comma = ","
+                break
+            write(comma)
+            write(text)  # comma + text would copy the slice's text once more
+            comma = ","
         write("]")
     else:
         write(_ENCODE(to_json(value)))
@@ -206,6 +226,27 @@ def _spec_from_args(args: argparse.Namespace):
     return floorseq.Explicit(tuple(_read_int_file(args.file, max(0, min(args.n, SEQ_CAP)))))
 
 
+# Most characters of a term-file line, its newline not counted.  A term
+# int() accepts has at most 4,300 digits: 8,600 characters with a "_"
+# between each two.
+TERM_LINE_CAP = 2 ** 16
+
+
+def _term_lines(handle):
+    """A term file's lines, read in blocks: a line of more than TERM_LINE_CAP
+    characters raises before it is held whole, and a line costs no Python
+    call to read, as it would through `readline`."""
+    tail = ""
+    while block := handle.read(io.DEFAULT_BUFFER_SIZE):
+        lines = (tail + block).split("\n")
+        tail = lines.pop()  # only lines[0] and tail can span blocks
+        if len(tail) > TERM_LINE_CAP or lines and len(lines[0]) > TERM_LINE_CAP:
+            raise ValueError(f"the term file has a line longer than "
+                             f"TERM_LINE_CAP = {TERM_LINE_CAP} characters")
+        yield from lines
+    yield tail
+
+
 def _read_int_file(path: str, most: int, cap: str = "") -> list[int]:
     """The integers of a term file's first `most` lines that are not blank or `#`.
 
@@ -213,7 +254,7 @@ def _read_int_file(path: str, most: int, cap: str = "") -> list[int]:
     that `most` is, one more such line is an error instead.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        lines = (line.strip() for line in handle)
+        lines = (line.strip() for line in _term_lines(handle))
         numbers = (int(line) for line in lines if line and not line.startswith("#"))
         values = list(itertools.islice(numbers, most + 1 if cap else most))
     if len(values) > most:

@@ -183,7 +183,8 @@ class _WitnessLines(Sequence):
     gap_rhs = 2^(i+2) + 2 (see `verify_squares_witness`).  Each power and
     sum is linear in its digits, a Decimal step that would round raises,
     and str() of an exact Decimal prints the digits of the int.  gap_ok is
-    always True, because a failed check raises instead.
+    always True, because a failed check raises instead.  A slice of the
+    view is the tuple of its lines' dicts.
     """
 
     def __init__(self, n: tuple[int, ...]) -> None:
@@ -198,7 +199,9 @@ class _WitnessLines(Sequence):
     def __len__(self) -> int:
         return len(self._n)
 
-    def __getitem__(self, i: int) -> dict:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self._n))[i]))
         i = range(len(self._n))[i]  # IndexError past either end, as a list's
         add, pow2, m = self._add, self._pow2, len(self._n) - 1
         lower = add(pow2[m + i + 2], pow2[i + 2])

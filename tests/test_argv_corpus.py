@@ -38,8 +38,11 @@ FILES = {
 }
 # Written only into the directory of an example that names it, and not
 # drawn: 2,000,000 increasing terms (15 MB), which `seq gen --n 3` and
-# `pset brown` once read whole (1.2 s and 107 MiB each).
+# `pset brown` once read whole (1.2 s and 107 MiB each); and one line of
+# 20,000,000 digits (20 MB), which both once read whole (53 MiB) before
+# int() refused it.
 LONG_FILE = "long_terms.txt"
+LONG_LINE = "long_line.txt"
 ALPHABET = (
     "", "-1", "0", "1", "3", "abc", "1/0", "nan", "1e999999", "3/2", "7/5", "5/2",
     "12345678901234567890", *FILES, "dir",
@@ -74,6 +77,9 @@ def run_main(argv):
         if LONG_FILE in argv:
             with open(pathlib.Path(cwd, LONG_FILE), "w", encoding="utf-8") as handle:
                 handle.writelines(f"{n}\n" for n in range(1, 2_000_001))
+        if LONG_LINE in argv:
+            with open(pathlib.Path(cwd, LONG_LINE), "w", encoding="utf-8") as handle:
+                handle.writelines("9" * 10**6 for _ in range(20))
         os.chdir(cwd)
         try:
             with redirect_stdout(out), redirect_stderr(err):
@@ -103,6 +109,9 @@ def golden_certs_now():
 # each read only as far as it uses: the first n lines, at most TERMS_CAP + 1 terms
 @example(argv=["seq", "gen", "--kind", "file", "--file", LONG_FILE, "--n", "3"])
 @example(argv=["pset", "brown", "--terms", LONG_FILE])
+# each holds at most TERM_LINE_CAP characters and one block of a line
+@example(argv=["seq", "gen", "--kind", "file", "--file", LONG_LINE, "--n", "3"])
+@example(argv=["pset", "brown", "--terms", LONG_LINE])
 # writes its bitmap over the working copy of a golden certificate's name
 @example(argv=["pset", "compute", "--terms", "empty", "--bound", "3",
                "--bit-out", "cert_ell12.json"])

@@ -780,6 +780,36 @@ def test_a_pset_term_file_past_terms_cap_exits_2_naming_it(tmp_path, action):
         2, b"", f"error: the term file holds more than TERMS_CAP = {cap} terms\n".encode())
 
 
+TOO_LONG = (f"error: the term file has a line longer than TERM_LINE_CAP = "
+            f"{cli.TERM_LINE_CAP} characters\n").encode()
+
+
+def test_a_term_file_line_may_hold_term_line_cap_characters(tmp_path):
+    cap = cli.TERM_LINE_CAP
+    path = tmp_path / "terms.txt"
+    widest = "_".join("9" * 4300)  # the widest term int() accepts
+    path.write_text(f"{' ' * (cap - 1)}1\n{widest}\n")  # the first line is cap characters
+    argv = ("seq", "gen", "--kind", "file", "--file", str(path), "--n", "2")
+    assert len(widest) < cap
+    assert run_json(*argv)["result"]["values"] == [1, 10 ** 4300 - 1]
+    for text in (f"{' ' * cap}1\n", f"{' ' * cap}1", f"1\n{' ' * cap}1\n2\n"):
+        path.write_text(text)
+        assert run_cli(*argv) == Run(2, b"", TOO_LONG)
+
+
+@pytest.mark.parametrize("argv", [["seq", "gen", "--kind", "file", "--n", "3", "--file"],
+                                  ["pset", "brown", "--terms"]], ids=["seq_gen", "pset_brown"])
+def test_a_long_term_file_line_is_rejected_before_it_is_held(tmp_path, capsys, argv):
+    # one 20,000,000-digit line: read whole, it peaked at 53 MiB of max-RSS
+    path = tmp_path / "terms.txt"
+    with open(path, "w", encoding="utf-8") as handle:
+        for _ in range(20):
+            handle.write("9" * 10 ** 6)
+    code, peak = main_traced(tmp_path / "out", [*argv, str(path)])
+    assert (code, capsys.readouterr().err.encode()) == (2, TOO_LONG)
+    assert peak < 4 * 2**20
+
+
 class CountedRows(Sequence):
     """A view of `n` dict rows that counts how often each row is built."""
 

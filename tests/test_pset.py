@@ -220,6 +220,18 @@ def test_squares_witness_lines_match_plain_products_through_m300():
         assert as_ints(report.to_json_dict()) == as_ints(expected)
 
 
+def test_witness_lines_view_slices_as_the_tuple_of_its_lines():
+    view = verify_squares_witness(5).to_json_dict()["lines"]
+    lines = tuple(view)
+    assert len(lines) == 6
+    for cut in (slice(1, 3), slice(None, 4), slice(-2, None), slice(-5, -1), slice(0, 6, 2),
+                slice(None, None, -1), slice(4, 0, -3), slice(7, 9)):
+        assert view[cut] == lines[cut] and type(view[cut]) is tuple
+    for i in (6, -7):
+        with pytest.raises(IndexError):
+            view[i]
+
+
 def test_squares_witness_gap_rhs_closed_form_through_i3000():
     # the printed closed form 2^(i+2) + 2 against the isqrt it replaces, every i <= 3000
     for line in verify_squares_witness(3000).to_json_dict()["lines"]:

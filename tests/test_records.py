@@ -9,8 +9,11 @@ key-sorted `json.dumps` of its `to_json` form, with an exact Decimal
 written as the int it equals and a lazy view as the list it reads as.
 """
 
+import io
 import json
 from collections.abc import Sequence
+from contextlib import redirect_stdout
+from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -138,8 +141,9 @@ class Holder(NamedTuple):
     rows: list
 
 
-# list lengths on both sides of 64 items and of each 256-item slice
-LENGTHS = (0, 64, 65, 255, 256, 257, 513)
+# lengths on both sides of one and two `write_json` slices
+S = cli._SLICE
+LENGTHS = (0, 1, S - 1, S, S + 1, 2 * S, 2 * S + 1, 4 * S + 3)
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=3), st.fractions())
 FLAT_DICTS = st.dictionaries(st.text(max_size=3), SCALARS, max_size=3)
 ITEMS = st.one_of(SCALARS, FLAT_DICTS, st.tuples(SCALARS, SCALARS),
@@ -154,10 +158,46 @@ def long_lists(items):
     return st.builds(cycle, st.lists(items, min_size=1, max_size=5), st.sampled_from(LENGTHS))
 
 
+class View(Sequence):
+    """A minimal lazy view: a Sequence over its items that is not a list."""
+
+    def __init__(self, items):
+        self._items = items
+
+    def __len__(self):
+        return len(self._items)
+
+    def __getitem__(self, i):
+        return self._items[i]
+
+
+class Lazy(NamedTuple):
+    """A record whose JSON form holds lazy views, as the squares witness report's does."""
+
+    form: dict
+
+    def to_json_dict(self):
+        return self.form
+
+
+# JSON forms, as a `to_json_dict` returns them; an exact Decimal reads as its int
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=3))
+DECIMALS = st.integers().map(Decimal)
+JSON_ITEMS = st.one_of(
+    JSON_SCALARS, DECIMALS, st.dictionaries(st.text(max_size=3), st.one_of(JSON_SCALARS, DECIMALS)),
+    st.lists(JSON_SCALARS, max_size=3).map(View),
+)
+# plain items first, and half the time items that may hold a Decimal or a
+# view from an index on either side of a slice's end
+VIEWS = st.builds(lambda head, tail: View(head + tail),
+                  long_lists(st.one_of(JSON_SCALARS, st.dictionaries(st.text(max_size=3), JSON_SCALARS))),
+                  st.one_of(st.just([]), long_lists(JSON_ITEMS)))
+LAZY = st.builds(Lazy, st.dictionaries(st.text(max_size=3), st.one_of(JSON_ITEMS, VIEWS), max_size=4))
+
 NESTED = st.dictionaries(
     st.text(max_size=3),
     st.one_of(SCALARS, FLAT_DICTS, long_lists(SCALARS), long_lists(FLAT_DICTS), long_lists(ITEMS),
-              st.builds(Holder, st.fractions(), long_lists(ITEMS))),
+              st.builds(Holder, st.fractions(), long_lists(ITEMS)), LAZY, long_lists(LAZY)),
     max_size=4,
 )
 
@@ -166,6 +206,29 @@ NESTED = st.dictionaries(
 @settings(max_examples=60, deadline=None)
 def test_write_json_matches_json_dumps_on_nested_values(value):
     assert written(value) == dumps(value)
+
+
+@given(view=VIEWS)
+@settings(max_examples=60, deadline=None)
+def test_write_json_matches_json_dumps_on_lazy_views(view):
+    value = Lazy({"lines": view, "n": len(view)})
+    assert written(value) == dumps(value)
+
+
+@pytest.mark.parametrize("k_max", [300, 3000])
+def test_write_json_writes_a_thm2_verify_report_in_a_few_calls(monkeypatch, k_max):
+    # the rows view is encoded a slice at a time, not walked row by row or cell by cell
+    calls = []
+    write_json_once = cli.write_json
+
+    def counted(value, write, converted=False):
+        calls.append(type(value).__name__)
+        write_json_once(value, write, converted)
+
+    monkeypatch.setattr(cli, "write_json", counted)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["thm2", "verify", "--gamma", "3/2", "--j", "3", "--K", str(k_max)]) == 0
+    assert calls == ["dict", "dict", "SkipReport", "_SkipRows", "tuple"]  # config, result, rows, skipped
 
 
 def test_to_json_renders_every_nested_fraction_as_num_den():
