@@ -5,20 +5,24 @@ value obtainable as a sum of distinct term occurrences (each occurrence
 usable at most once; equal values in A count separately), with 0 always a
 member (the empty sum).  Membership up to a bound N is computed by a
 shifted-OR bitset DP: one arbitrary-precision integer serves as the
-bitmap, and each occurrence a contributes `bits |= bits << a`.
+bitmap, and each occurrence a contributes `bits |= bits << a`.  A bitmap's
+`to_json_dict` holds its runs as a view that scans the bitmap again on each
+read, so printing a report holds one run at a time.
 
 The squares witness shows that for the squares sequence the power targets
 2^0..2^m are all simultaneously reachable: with alpha = 1/(4*(2^m + 1)),
 each i <= m has an integer n_i with floor(alpha * n_i^2) = 2^i.  All the
 square-root inequalities involved are verified by cross-multiplied integer
-comparisons, keeping the check float-free.  The report stores only the n_i;
-its `to_json_dict` holds every other number as an exact Decimal closed form,
+comparisons, keeping the check float-free, and every n_i comes from one of
+two integer square roots.  The report stores only the n_i; its
+`to_json_dict` holds every other number as an exact Decimal closed form,
 whose digits print in time linear in their count, unlike an int's, and its
 lines as a view that builds each line only when it is read.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from collections.abc import Iterable, Sequence
@@ -61,22 +65,51 @@ class PSetBitmap(NamedTuple("PSetBitmap", [("bound", int), ("bits", int)])):
         return self.bits.bit_count()
 
     def runs(self) -> list[tuple[int, int]]:
-        """Maximal runs of consecutive members as (start, length) pairs.
-
-        One pass over bin(bits), whose "1" block ending at string index e
-        starts at bit len(text) - e; blocks come highest first.
-        """
-        text = bin(self.bits)
-        return [(len(text) - m.end(), m.end() - m.start()) for m in re.finditer("1+", text)][::-1]
+        """Maximal runs of consecutive members as (start, length) pairs, ascending."""
+        return [(start, end - start) for start, end in _spans(self.bits)]
 
     def to_json_dict(self) -> dict:
-        return {"bound": self.bound, "runs": [[s, n] for s, n in self.runs()]}
+        return {"bound": self.bound, "runs": _Runs(self.bits)}
 
     def to_bit_bytes(self) -> bytes:
         """Raw export: 8-byte little-endian bit count, then the bitmap bits."""
         n_bits = self.bound + 1
         body = self.bits.to_bytes((n_bits + 7) // 8, "little")
         return n_bits.to_bytes(8, "little") + body
+
+
+def _spans(bits: int):
+    """(start, end) of each maximal run of set bits, ascending: one pass over
+    bin(bits) reversed, whose index i holds bit i."""
+    return (match.span() for match in re.finditer("1+", bin(bits)[:1:-1]))
+
+
+class _Runs(Sequence):
+    """A read-only view of a bitmap's runs as [start, length] lists, ascending.
+
+    Each read scans the bitmap again, so printing a report holds one run at
+    a time, not the list `runs()` builds.  It reads as the list of its runs;
+    a slice of it is the tuple of its runs, and indexing reads the runs up
+    to the index.
+    """
+
+    def __init__(self, bits: int) -> None:
+        self._bits = bits
+
+    def __len__(self) -> int:  # a run starts at each member m with m - 1 not one
+        return (self._bits & ~(self._bits << 1)).bit_count()
+
+    def __iter__(self):
+        return ([start, end - start] for start, end in _spans(self._bits))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        i = range(len(self))[i]  # IndexError past either end, as a list's
+        return next(itertools.islice(self, i, None))
+
+    def __eq__(self, other) -> bool:  # a view equals the list it reads as
+        return isinstance(other, Sequence) and list(self) == list(other)
 
 
 def compute_pset(terms: Iterable[int], bound: int) -> PSetBitmap:
@@ -177,24 +210,28 @@ class _WitnessLines(Sequence):
 
     Python converts an int to decimal in time quadratic in its digits,
     which would make printing the report cubic in m.  So every number but
-    n_i is built from its closed form 2^a + 2^b with exact decimal powers
-    2^0..2^(2m+2): inv_alpha = 2^(m+2) + 2^2, and on line i target = 2^i,
+    n_i is an exact Decimal built from its closed form 2^a + 2^b:
+    inv_alpha = 2^(m+2) + 2^2, and on line i target = 2^i,
     lower = 2^(m+i+2) + 2^(i+2), upper = lower + inv_alpha and
-    gap_rhs = 2^(i+2) + 2 (see `verify_squares_witness`).  Each power and
-    sum is linear in its digits, a Decimal step that would round raises,
-    and str() of an exact Decimal prints the digits of the int.  gap_ok is
-    always True, because a failed check raises instead.  A slice of the
-    view is the tuple of its lines' dicts.
+    gap_rhs = 2^(i+2) + 2 (see `verify_squares_witness`).  The view holds
+    no table of powers: reading it in order doubles 2^i and 2^(m+i+2) from
+    one line to the next, and reading line i by its index takes both from
+    the context's exact `power`.  The context traps Inexact and Rounded,
+    so a Decimal step that would round raises, and str() of an exact
+    Decimal prints the digits of the int in time linear in their count.
+    gap_ok is always True, because a failed check raises instead.  A slice
+    of the view is the tuple of its lines' dicts.
     """
 
     def __init__(self, n: tuple[int, ...]) -> None:
         import decimal
 
-        self._add = decimal.Context(prec=decimal.MAX_PREC, traps=[decimal.Inexact, decimal.Rounded]).add
-        self._n, self._pow2, m = n, [decimal.Decimal(1)], len(n) - 1
-        for _ in range(2 * m + 2):
-            self._pow2.append(self._add(self._pow2[-1], self._pow2[-1]))
-        self.inv_alpha = self._add(self._pow2[m + 2], self._pow2[2])
+        self._context = decimal.Context(prec=decimal.MAX_PREC, traps=[decimal.Inexact, decimal.Rounded])
+        self._n = n
+        self.inv_alpha = self._context.add(self._high(0), 4)
+
+    def _high(self, i: int):
+        return self._context.power(2, len(self._n) + 1 + i)  # 2^(m+i+2)
 
     def __len__(self) -> int:
         return len(self._n)
@@ -203,10 +240,19 @@ class _WitnessLines(Sequence):
         if isinstance(i, slice):
             return tuple(map(self.__getitem__, range(len(self._n))[i]))
         i = range(len(self._n))[i]  # IndexError past either end, as a list's
-        add, pow2, m = self._add, self._pow2, len(self._n) - 1
-        lower = add(pow2[m + i + 2], pow2[i + 2])
-        return {"i": i, "target": pow2[i], "n_i": self._n[i], "lower": lower,
-                "upper": add(lower, self.inv_alpha), "gap_rhs": add(pow2[i + 2], 2), "gap_ok": True}
+        return self._line(i, self._context.power(2, i), self._high(i))
+
+    def __iter__(self):
+        add, target, high = self._context.add, self._context.power(2, 0), self._high(0)
+        for i in range(len(self._n)):
+            yield self._line(i, target, high)
+            target, high = add(target, target), add(high, high)
+
+    def _line(self, i: int, target, high) -> dict:
+        add, quad = self._context.add, self._context.multiply(target, 4)  # 2^(i+2)
+        lower = add(high, quad)
+        return {"i": i, "target": target, "n_i": self._n[i], "lower": lower,
+                "upper": add(lower, self.inv_alpha), "gap_rhs": add(quad, 2), "gap_ok": True}
 
     def __eq__(self, other) -> bool:  # a view equals the list it reads as
         return isinstance(other, Sequence) and list(self) == list(other)
@@ -217,12 +263,21 @@ def verify_squares_witness(m: int) -> SquaresWitnessReport:
 
     With inv_alpha = 4*(2^m + 1) (an integer, so every comparison below is
     integer-exact): floor(alpha * n^2) = 2^i iff
-    inv_alpha * 2^i <= n^2 < inv_alpha * (2^i + 1), so n_i is the smallest
-    integer at least sqrt(inv_alpha * 2^i), found with math.isqrt.  The
-    window is guaranteed wider than 1 by the gap inequality
-    inv_alpha >= 2^(i+1) + 2 + isqrt(4 * 2^i * (2^i + 1)), also checked.
-    Its root has a closed form: with t = 2^i, 4t^2 <= 4t^2 + 4t < (2t + 1)^2,
-    so isqrt(4t(t + 1)) = 2t and the right-hand side is 2^(i+2) + 2.
+    lower = inv_alpha * 2^i <= n^2 < inv_alpha * (2^i + 1) = upper, so n_i
+    is the smallest integer at least sqrt(lower): isqrt(lower), plus 1
+    unless its square is lower.  The window is guaranteed wider than 1 by
+    the gap inequality inv_alpha >= 2^(i+1) + 2 + isqrt(4 * 2^i * (2^i + 1)),
+    also checked.  Its root has a closed form: with t = 2^i,
+    4t^2 <= 4t^2 + 4t < (2t + 1)^2, so isqrt(4t(t + 1)) = 2t and the
+    right-hand side is 2^(i+2) + 2.
+
+    Two square roots serve every line.  With u = 2^m + 1, lower = u * 2^(i+2)
+    = u * 2^(2s + (i & 1)) for s = (i+2) // 2.  Let h = (m+2) // 2, the
+    largest s, and R_0 = isqrt(u * 2^(2h)), R_1 = isqrt(u * 2^(2h+1)).  As
+    u * 2^(2h + (i & 1)) = lower * 4^(h-s), R_(i&1) = floor(2^(h-s) * sqrt(lower)),
+    and floor(floor(x) / 2^k) = floor(x / 2^k) gives
+    isqrt(lower) = R_(i&1) >> (h - s).  Each line then takes one
+    multiplication, its root's square.
 
     No target is ever missed, for any m.  Let L = inv_alpha and
     N = 2^i * L.  As 4 * 2^m = L - 4, 4N <= 4 * 2^m * L = L^2 - 4L < (L - 1)^2,
@@ -230,17 +285,22 @@ def verify_squares_witness(m: int) -> SquaresWitnessReport:
     n_i^2 < N + 2 * sqrt(N) + 1 < N + L.  So N <= n_i^2 < N + L, and
     alpha = 1/L puts every 2^i into the image.  The checks below only
     display this; they raise VerificationFailure if a target were missed,
-    and ValueError for m above WITNESS_M_CAP, before any line is built.
+    and ValueError for m above WITNESS_M_CAP, before any root is taken.
     """
     if not 0 <= m <= WITNESS_M_CAP:
         raise ValueError(f"m must lie in 0..WITNESS_M_CAP = {WITNESS_M_CAP}, got {m}")
-    inv_alpha = 4 * (2 ** m + 1)
+    u, h = 2 ** m + 1, (m + 2) // 2
+    inv_alpha = 4 * u
+    roots = (math.isqrt(u << 2 * h), math.isqrt(u << (2 * h + 1)))
     lines = []
     for i in range(m + 1):
         lower = inv_alpha << i
         upper = lower + inv_alpha
-        n_i = math.isqrt(lower - 1) + 1   # ceil(sqrt(lower)), as lower >= 1
-        if n_i * n_i >= upper:
+        n_i = roots[i & 1] >> (h - (i + 2) // 2)  # isqrt(lower)
+        square = n_i * n_i
+        if square != lower:  # (n_i + 1)^2 from n_i^2, with no second multiplication
+            n_i, square = n_i + 1, square + 2 * n_i + 1
+        if not lower <= square < upper:
             raise VerificationFailure(
                 f"no integer square in [{lower}, {upper}) for target 2^{i}"
             )

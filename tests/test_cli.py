@@ -551,14 +551,24 @@ SPARSE = [3, 5, 9, 14, 24, 49, 86, 177, 385, 649, 1427, 2458, 4732, 7914, 16782,
 
 
 def test_pset_compute_peak_stays_small(tmp_path):
-    # 0.25 MB of JSON; the bitmap, its runs and their JSON form peaked at 4.4-5.0 MiB
+    # 0.25 MB of JSON; holding the runs and their JSON form peaked at 4.4-5.0
+    # MiB, reading them from a view 0.9 MiB
     terms = tmp_path / "sparse.txt"
     terms.write_text("".join(f"{t}\n" for t in SPARSE))
     path = tmp_path / "pset.json"
     code, peak = main_traced(path, ["pset", "compute", "--terms", str(terms), "--bound", "130000"])
     assert code == 0
     assert path.stat().st_size > 240_000
-    assert peak < 8 * 2**20
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_witness_peak_stays_small(tmp_path, fmt):
+    # 13 (JSON) and 19 MB (table) out; a table of the decimal powers
+    # 2^0..2^(2m+2) peaked at 4.0-4.1 MiB, the n_i alone take ~1 MiB
+    code, peak = main_traced(tmp_path / "witness", ["pset", "witness", "--m", "2997", "--format", fmt])
+    assert code == 0
+    assert peak < 2 * 2**20
 
 
 class LineBuilt(Exception):
@@ -566,7 +576,7 @@ class LineBuilt(Exception):
 
 
 def test_witness_m_past_the_cap_exits_2_before_any_line(monkeypatch):
-    def isqrt(n):  # each line's n_i is the first isqrt a witness takes
+    def isqrt(n):  # a witness takes its two roots before it builds any line
         raise LineBuilt(n)
 
     monkeypatch.setattr(pset, "math", types.SimpleNamespace(isqrt=isqrt))

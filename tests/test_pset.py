@@ -1,10 +1,12 @@
 import csv
+import hashlib
 import io
 import json
 import math
 import random
 import re
 import tracemalloc
+import types
 from collections.abc import Sequence
 from decimal import Decimal
 from fractions import Fraction
@@ -12,7 +14,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from floorfull import pset
 from floorfull.cli import main, to_json, write_json
+from floorfull.errors import VerificationFailure
 from floorfull.pset import (
     BITMAP_CAP,
     WITNESS_M_CAP,
@@ -220,6 +224,46 @@ def test_squares_witness_lines_match_plain_products_through_m300():
         assert as_ints(report.to_json_dict()) == as_ints(expected)
 
 
+@pytest.mark.parametrize("m", [3, *range(2995, 3001), WITNESS_M_CAP])
+def test_witness_n_i_match_one_isqrt_per_line(m):
+    # the route the two roots replaced; at m = 3, 2^3 + 1 = 9 makes lower a square at even i
+    inv_alpha = 4 * (2 ** m + 1)
+    expected = tuple(math.isqrt((inv_alpha << i) - 1) + 1 for i in range(m + 1))
+    assert verify_squares_witness(m).lines == expected
+
+
+@pytest.mark.parametrize("fmt, md5", [("json", "09238340f10ad459a3eeb9672dc673da"),
+                                      ("table", "c45e503fc4787ff3ad0dd13d3a684353")])
+def test_witness_output_at_m2995_is_pinned(capsys, fmt, md5):
+    # the benchmark's size: the bytes printed when every n_i took its own isqrt
+    assert main(["pset", "witness", "--m", "2995", "--format", fmt]) == 0
+    assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == md5
+
+
+@pytest.mark.parametrize("m", [1, 12, 13, 300])
+@pytest.mark.parametrize("call", [0, 1])
+@pytest.mark.parametrize("wrong", [lambda root: root // 2, lambda root: 2 * root],
+                         ids=["half", "twice"])
+def test_witness_rejects_a_wrong_root_at_the_first_line_that_reads_it(monkeypatch, m, call, wrong):
+    # root `call` serves the lines i with i & 1 == call, first line `call`;
+    # half of it puts n_i^2 below lower, twice puts it past upper
+    taken = []
+
+    def isqrt(n):
+        taken.append(n)
+        root = math.isqrt(n)
+        return wrong(root) if len(taken) == call + 1 else root
+
+    monkeypatch.setattr(pset, "math", types.SimpleNamespace(isqrt=isqrt))
+    inv_alpha = 4 * (2 ** m + 1)
+    lower = inv_alpha << call
+    with pytest.raises(VerificationFailure) as failure:
+        verify_squares_witness(m)
+    assert str(failure.value) == (f"no integer square in [{lower}, {lower + inv_alpha}) "
+                                  f"for target 2^{call}")
+    assert len(taken) == 2  # the roots are taken before any line
+
+
 def test_witness_lines_view_slices_as_the_tuple_of_its_lines():
     view = verify_squares_witness(5).to_json_dict()["lines"]
     lines = tuple(view)
@@ -378,6 +422,50 @@ def test_runs_and_members_edge_cases(bound, bits):
     bitmap = PSetBitmap(bound=bound, bits=bits)
     assert bitmap.runs() == _bitwise_runs(bitmap)
     assert bitmap.members() == _bitwise_members(bitmap)
+
+
+@pytest.mark.parametrize(
+    "bound, bits",
+    [
+        (1, 0b01),                           # bound 1, one run
+        (1, 0b11),                           # bound 1, all ones
+        (40, (1 << 41) - 1),                 # one run, longer
+        (20, compute_pset([2, 3, 9], 20).bits),
+        (300, compute_pset([3, 5, 9, 14, 24, 49, 86], 300).bits),
+    ],
+)
+def test_runs_view_reads_as_the_list_of_runs(bound, bits):
+    bitmap = PSetBitmap(bound=bound, bits=bits)
+    view, runs = bitmap.to_json_dict()["runs"], [list(run) for run in bitmap.runs()]
+    assert isinstance(view, Sequence) and not isinstance(view, list)
+    assert view == runs and list(view) == runs and len(view) == len(runs)
+    assert all(type(run) is list for run in view)  # a table prints a tuple as (19, 1)
+    for i in range(-len(runs), len(runs)):
+        assert view[i] == runs[i]
+    for i in (len(runs), -len(runs) - 1):
+        with pytest.raises(IndexError):
+            view[i]
+    for cut in (slice(1, 3), slice(None, 4), slice(-2, None), slice(None, None, -1),
+                slice(0, 9, 2), slice(5, 1, -2), slice(len(runs), None)):
+        assert view[cut] == tuple(runs[cut]) and type(view[cut]) is tuple
+
+
+def test_runs_view_prints_as_the_runs_in_every_format(tmp_path, capsys):
+    terms = [3, 5, 9, 14, 24, 49, 86]
+    path = tmp_path / "terms.txt"
+    path.write_text("".join(f"{t}\n" for t in terms))
+    runs = [list(run) for run in compute_pset(terms, 300).runs()]
+    argv = ["pset", "compute", "--terms", str(path), "--bound", "300", "--format"]
+    assert main([*argv, "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == {"bound": 300, "runs": runs}
+    assert main([*argv, "table"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["bound: 300", "runs:",
+                                                        *(f"  {run}" for run in runs)]
+    assert main([*argv, "csv"]) == 0
+    assert list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:] == [
+        ["bound", "300"],
+        *([f"runs[{k}][{j}]", str(value)] for k, run in enumerate(runs) for j, value in enumerate(run)),
+    ]
 
 
 def test_runs_on_a_sparse_million_bit_set():
