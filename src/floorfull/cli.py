@@ -22,8 +22,9 @@ and `dispatch` imports that module and hands it to the handler.
 `fractions` loads only with code that builds a Fraction, and the table
 and CSV renderers of `render` only for those formats.  `write_json`
 streams a JSON report, so no run holds its whole text, and hands its
-lists and lazy views, such as a `thm2 verify` report's rows, to json's C
-encoder a slice at a time, so no row or cell costs a Python call.
+lists and the lazy `view.View`s of pset and skipverify reports, such as a
+`thm2 verify` report's rows, to json's C encoder a slice at a time, so no
+row or cell costs a Python call.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ usable at most once; equal values in A count separately), with 0 always a
 member (the empty sum).  Membership up to a bound N is computed by a
 shifted-OR bitset DP: one arbitrary-precision integer serves as the
 bitmap, and each occurrence a contributes `bits |= bits << a`.  A bitmap's
-`to_json_dict` holds its runs as a view that scans the bitmap again on each
-read, so printing a report holds one run at a time.
+`to_json_dict` holds its runs as a `View` that scans the bitmap again on
+each read, so printing a report holds one run at a time.
 
 The squares witness shows that for the squares sequence the power targets
 2^0..2^m are all simultaneously reachable: with alpha = 1/(4*(2^m + 1)),
@@ -17,7 +17,7 @@ comparisons, keeping the check float-free, and every n_i comes from one of
 two integer square roots.  The report stores only the n_i; its
 `to_json_dict` holds every other number as an exact Decimal closed form,
 whose digits print in time linear in their count, unlike an int's, and its
-lines as a view that builds each line only when it is read.
+lines as a `View` that builds each line only when it is read.
 """
 
 from __future__ import annotations
@@ -25,11 +25,12 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from typing import NamedTuple
 
 from .defaults import BITMAP_CAP
 from .errors import VerificationFailure
+from .view import View
 
 # Largest m a squares witness accepts: line i holds numbers of about m + i
 # bits, so the report grows like m^2 (13 MB of JSON at m = 3,000); printing
@@ -69,7 +70,15 @@ class PSetBitmap(NamedTuple("PSetBitmap", [("bound", int), ("bits", int)])):
         return [(start, end - start) for start, end in _spans(self.bits)]
 
     def to_json_dict(self) -> dict:
-        return {"bound": self.bound, "runs": _Runs(self.bits)}
+        """The bound, and the runs as [start, length] lists in a `View` that
+        scans the bitmap again on each read, so a report holds one run at a time."""
+        def scan():
+            return ([start, end - start] for start, end in _spans(self.bits))
+
+        # a run starts at each member m with m - 1 not one
+        count = (self.bits & ~(self.bits << 1)).bit_count()
+        runs = View(range(count), lambda k: next(itertools.islice(scan(), k, None)), scan)
+        return {"bound": self.bound, "runs": runs}
 
     def to_bit_bytes(self) -> bytes:
         """Raw export: 8-byte little-endian bit count, then the bitmap bits."""
@@ -82,34 +91,6 @@ def _spans(bits: int):
     """(start, end) of each maximal run of set bits, ascending: one pass over
     bin(bits) reversed, whose index i holds bit i."""
     return (match.span() for match in re.finditer("1+", bin(bits)[:1:-1]))
-
-
-class _Runs(Sequence):
-    """A read-only view of a bitmap's runs as [start, length] lists, ascending.
-
-    Each read scans the bitmap again, so printing a report holds one run at
-    a time, not the list `runs()` builds.  It reads as the list of its runs;
-    a slice of it is the tuple of its runs, and indexing reads the runs up
-    to the index.
-    """
-
-    def __init__(self, bits: int) -> None:
-        self._bits = bits
-
-    def __len__(self) -> int:  # a run starts at each member m with m - 1 not one
-        return (self._bits & ~(self._bits << 1)).bit_count()
-
-    def __iter__(self):
-        return ([start, end - start] for start, end in _spans(self._bits))
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self)[i]
-        i = range(len(self))[i]  # IndexError past either end, as a list's
-        return next(itertools.islice(self, i, None))
-
-    def __eq__(self, other) -> bool:  # a view equals the list it reads as
-        return isinstance(other, Sequence) and list(self) == list(other)
 
 
 def compute_pset(terms: Iterable[int], bound: int) -> PSetBitmap:
@@ -193,20 +174,20 @@ def squares_witness_alpha(m: int) -> Fraction:
 
 
 class SquaresWitnessReport(NamedTuple):
-    """The n_i found for the targets 2^0..2^m; `_WitnessLines` builds every other number."""
+    """The n_i found for the targets 2^0..2^m; `_witness_lines` builds every other number."""
 
     m: int
     lines: tuple[int, ...]  # n_i for i = 0..m
 
     def to_json_dict(self) -> dict:
         """The report's JSON form; its numbers but m, i and n_i are exact Decimals."""
-        lines = _WitnessLines(self.lines)
-        return {"m": self.m, "alpha": f"1/{lines.inv_alpha}", "inv_alpha": lines.inv_alpha,
+        inv_alpha, lines = _witness_lines(self.lines)
+        return {"m": self.m, "alpha": f"1/{inv_alpha}", "inv_alpha": inv_alpha,
                 "lines": lines, "all_passed": True}
 
 
-class _WitnessLines(Sequence):
-    """A lazy view of a witness report's lines: line i's dict is built when it is read.
+def _witness_lines(n: tuple[int, ...]):
+    """inv_alpha, and a `View` of the lines whose n_i are `n`: line i's dict is built when read.
 
     Python converts an int to decimal in time quadratic in its digits,
     which would make printing the report cubic in m.  So every number but
@@ -219,43 +200,27 @@ class _WitnessLines(Sequence):
     the context's exact `power`.  The context traps Inexact and Rounded,
     so a Decimal step that would round raises, and str() of an exact
     Decimal prints the digits of the int in time linear in their count.
-    gap_ok is always True, because a failed check raises instead.  A slice
-    of the view is the tuple of its lines' dicts.
+    gap_ok is always True, because a failed check raises instead.
     """
+    import decimal
 
-    def __init__(self, n: tuple[int, ...]) -> None:
-        import decimal
+    context = decimal.Context(prec=decimal.MAX_PREC, traps=[decimal.Inexact, decimal.Rounded])
+    add, power, m = context.add, context.power, len(n) - 1
+    inv_alpha = add(power(2, m + 2), 4)
 
-        self._context = decimal.Context(prec=decimal.MAX_PREC, traps=[decimal.Inexact, decimal.Rounded])
-        self._n = n
-        self.inv_alpha = self._context.add(self._high(0), 4)
+    def line(i: int, target, high) -> dict:  # high = 2^(m+i+2)
+        quad = context.multiply(target, 4)  # 2^(i+2)
+        lower = add(high, quad)
+        return {"i": i, "target": target, "n_i": n[i], "lower": lower,
+                "upper": add(lower, inv_alpha), "gap_rhs": add(quad, 2), "gap_ok": True}
 
-    def _high(self, i: int):
-        return self._context.power(2, len(self._n) + 1 + i)  # 2^(m+i+2)
-
-    def __len__(self) -> int:
-        return len(self._n)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(len(self._n))[i]))
-        i = range(len(self._n))[i]  # IndexError past either end, as a list's
-        return self._line(i, self._context.power(2, i), self._high(i))
-
-    def __iter__(self):
-        add, target, high = self._context.add, self._context.power(2, 0), self._high(0)
-        for i in range(len(self._n)):
-            yield self._line(i, target, high)
+    def in_order():
+        target, high = power(2, 0), power(2, m + 2)
+        for i in range(m + 1):
+            yield line(i, target, high)
             target, high = add(target, target), add(high, high)
 
-    def _line(self, i: int, target, high) -> dict:
-        add, quad = self._context.add, self._context.multiply(target, 4)  # 2^(i+2)
-        lower = add(high, quad)
-        return {"i": i, "target": target, "n_i": self._n[i], "lower": lower,
-                "upper": add(lower, self.inv_alpha), "gap_rhs": add(quad, 2), "gap_ok": True}
-
-    def __eq__(self, other) -> bool:  # a view equals the list it reads as
-        return isinstance(other, Sequence) and list(self) == list(other)
+    return inv_alpha, View(range(m + 1), lambda i: line(i, power(2, i), power(2, m + i + 2)), in_order)
 
 
 def verify_squares_witness(m: int) -> SquaresWitnessReport:

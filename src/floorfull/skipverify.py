@@ -16,7 +16,8 @@ no single alpha in (0, 1) puts both 2^j and 2^(j+1) into the image
   between two achieved values it can never equal, because the image is
   nondecreasing in n.
   This covers every real alpha whose witness index is <= the scanned
-  bound - no sampling, no tolerance.
+  bound - no sampling, no tolerance.  A report holds no row: its rows
+  are a `View` over k that runs `_row` when row k is read.
 
 * A k-free symbolic condition (symbolic_condition_check).  Bounding
   floor(gamma^n) between gamma^n - 1 and gamma^n and using alpha < 1
@@ -36,8 +37,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Sequence
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 from .defaults import DEFAULT_K_MAX
@@ -50,6 +51,7 @@ from .floorseq import (
     preimage_interval,
 )
 from .rationals import RatInterval, rat_str, unlimited_int_digits
+from .view import View
 
 GAMMA_LOW = Fraction(3, 2)
 GAMMA_HIGH = Fraction(2)
@@ -129,66 +131,30 @@ def _window_json(t: int, s: int) -> dict:
     return {"lo": f"{t // g}/{lo_den}", "hi": f"{(t + 1) // h}/{hi_den}", "closed_open": True}
 
 
-class _SkipRows(Sequence):
-    """A read-only view of a report's rows k = k0..K: row k is built when it is read.
-
-    The view holds the terms s_1..s_(K+2) and no row; reading row k runs
-    `_check_row` again.  It reads as the tuple of its rows: it compares,
-    hashes and prints as that tuple, and a slice of it is one.  `as_json`
-    gives the same view over the rows' JSON forms, whose windows
-    `_window_json` builds from integers.
-    """
-
-    def __init__(self, terms: list[int], t: int, k0: int, as_json: bool = False) -> None:
-        self._terms, self._t, self._k0, self._as_json = terms, t, k0, as_json
-
-    def as_json(self) -> _SkipRows:
-        return _SkipRows(self._terms, self._t, self._k0, as_json=True)
-
-    def _ks(self) -> range:
-        return range(self._k0, len(self._terms) - 1)  # rows k0..K, from K + 2 terms
-
-    def __len__(self) -> int:
-        return len(self._ks())
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self._row, self._ks()[i]))
-        return self._row(self._ks()[i])  # IndexError past either end, as a tuple's
-
-    def __iter__(self):
-        return map(self._row, self._ks())
-
-    def _row(self, k: int):
-        t, s = self._t, self._terms[k - 1]
-        max_next, min_next2, passed = _check_row(self._terms, t, k)
-        if not self._as_json:
-            return SkipRow(k, preimage_interval(t, s), max_next, min_next2, passed)
-        return {"k": k, "interval": _window_json(t, s), "max_floor_next": max_next,
-                "min_floor_next2": min_next2, "passed": passed}
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Sequence) and tuple(self) == tuple(other)
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
+def _row(terms: list[int], t: int, k: int, as_json: bool = False):
+    """Row k of a report, with t = 2^j < s_k: a SkipRow, or `as_json` its JSON
+    form, whose window `_window_json` builds from integers."""
+    s = terms[k - 1]
+    max_next, min_next2, passed = _check_row(terms, t, k)
+    if not as_json:
+        return SkipRow(k, preimage_interval(t, s), max_next, min_next2, passed)
+    return {"k": k, "interval": _window_json(t, s), "max_floor_next": max_next,
+            "min_floor_next2": min_next2, "passed": passed}
 
 
 class SkipReport(NamedTuple):
     gamma: Fraction
     j: int
     k_max: int
-    rows: Sequence[SkipRow]    # a view: each row is built when it is read
+    rows: View                 # of SkipRow: each row is built when it is read
     skipped: tuple[int, ...]   # k with s_k <= 2^j: no alpha in (0, 1) hits 2^j there
     overall: bool
 
     def to_json_dict(self) -> dict:
-        """The report's JSON form; its rows are a view, built when read as the rows are."""
+        """The report's JSON form; its rows are a view over the same k, built when read."""
+        rows = View(self.rows.indices, partial(self.rows.item, as_json=True))
         return {"gamma": rat_str(self.gamma), "j": self.j, "k_max": self.k_max,
-                "rows": self.rows.as_json(), "skipped": self.skipped, "overall": self.overall}
+                "rows": rows, "skipped": self.skipped, "overall": self.overall}
 
 
 def verify_skip_all_alpha(gamma: Fraction, j: int, k_max: int = DEFAULT_K_MAX) -> SkipReport:
@@ -199,10 +165,11 @@ def verify_skip_all_alpha(gamma: Fraction, j: int, k_max: int = DEFAULT_K_MAX) -
     1..k0 - 1.  Every other I_k ends at or below 1 and is the row's window
     as it stands; the row passes when the exact floor extrema satisfy
     max at k+1 <= 2^(j+1) - 1 and min at k+2 >= 2^(j+1) + 1.  Each row is
-    checked in integers by `_check_row`, and the report's rows are a view
-    that builds a row only when it is read.  Raises VerificationFailure
-    (carrying the full report) at the first row that fails; gamma < 2
-    keeps every number in it below 2^SEQ_CAP, which str() allows.
+    checked in integers by `_check_row`, and the report's rows are a
+    `View` over the same k that builds a row only when it is read.  Raises
+    VerificationFailure (carrying the full report) at the first row that
+    fails; gamma < 2 keeps every number in it below 2^SEQ_CAP, which str()
+    allows.
     """
     _require_gamma(gamma)
     _require_j(j)
@@ -211,8 +178,10 @@ def verify_skip_all_alpha(gamma: Fraction, j: int, k_max: int = DEFAULT_K_MAX) -
     terms = generate_terms(FloorPower(gamma), k_max + 2)
     target = 2 ** j
     k0 = bisect_right(terms, target, 0, k_max) + 1
-    report = SkipReport(gamma, j, k_max, _SkipRows(terms, target, k0), tuple(range(1, k0)), True)
-    for k in range(k0, k_max + 1):
+    ks = range(k0, k_max + 1)
+    rows = View(ks, partial(_row, terms, target))
+    report = SkipReport(gamma, j, k_max, rows, tuple(range(1, k0)), True)
+    for k in ks:
         max_next, min_next2, passed = _check_row(terms, target, k)
         if not passed:
             raise VerificationFailure(

@@ -362,7 +362,8 @@ def test_later_witness_dividing_k_twice_or_not_at_all_fails(monkeypatch, ell, wr
 
 
 def test_cross_check_failure_names_first_exponent(monkeypatch):
-    monkeypatch.setattr(certificates, "is_r_full", lambda n, r: True)
+    # says r-full only when asked with r = 2, the r every r >= 2 reduces to
+    monkeypatch.setattr(certificates, "is_r_full", lambda n, r: r == 2)
     with pytest.raises(VerificationFailure, match="factorization says 12 is r-full") as exc:
         check_non_rfull(construct_certificate(2, 2), 10)
     assert str(exc.value) == "factorization says 12 is r-full, contradicting witness"  # 2^1 + 10

@@ -15,7 +15,6 @@ import subprocess
 import sys
 import tracemalloc
 import types
-from collections.abc import Sequence
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from typing import NamedTuple
@@ -820,29 +819,20 @@ def test_a_long_term_file_line_is_rejected_before_it_is_held(tmp_path, capsys, a
     assert peak < 4 * 2**20
 
 
-class CountedRows(Sequence):
-    """A view of `n` dict rows that counts how often each row is built."""
-
-    def __init__(self, n):
-        self.n, self.built = n, 0
-
-    def __len__(self):
-        return self.n
-
-    def __getitem__(self, i):
-        i = range(self.n)[i]
-        self.built += 1
-        return {"i": i, "square": i * i}
-
-
 def test_render_table_reads_a_view_twice():
     # once to size the columns and once to write them, and the first row once more
     from floorfull import render
+    from floorfull.view import View
 
-    rows = CountedRows(300)
+    built = []
+
+    def row(i):  # counts how often a row is built
+        built.append(i)
+        return {"i": i, "square": i * i}
+
     out = io.StringIO()
-    render.render_table({"rows": rows}, out)
-    assert rows.built == 2 * 300 + 1
+    render.render_table({"rows": View(range(300), row)}, out)
+    assert len(built) == 2 * 300 + 1
     lines = out.getvalue().splitlines()
     assert lines[:3] == ["rows:", "  i    square", "  0    0     "]
     assert lines[-1] == "  299  89401 "

@@ -27,6 +27,7 @@ INPUTS = pathlib.Path(__file__).resolve().parent / "golden" / "inputs"
 CERT = str(INPUTS / "cert_ell12.json")
 LIBRARY = {"classify", "certificates", "floorseq", "pset", "skipverify"}
 NUMERIC = {"fractions", "decimal", "numbers"}
+VIEW = {"floorfull.view"}  # only the reports of pset and skipverify build views
 
 # The public names `import floorfull` bound eagerly before it turned lazy,
 # by home module.
@@ -86,13 +87,13 @@ def modules_loaded_by(argv: list[str]) -> set[str]:
 @pytest.mark.parametrize(
     "argv, absent",
     [
-        (["classify", "--n", "30"], {"certificates", "floorseq", "skipverify", "pset", *NUMERIC}),
-        (["sieve", "--limit", "100"], {"certificates", "floorseq", "skipverify", "pset", *NUMERIC}),
+        (["classify", "--n", "30"], {"certificates", "floorseq", "skipverify", "pset", *NUMERIC, *VIEW}),
+        (["sieve", "--limit", "100"], {"certificates", "floorseq", "skipverify", "pset", *NUMERIC, *VIEW}),
         (["thm2", "symbolic", "--gamma", "3/2", "--j", "3"], {"classify", "certificates", "pset"}),
         (["pset", "witness", "--m", "3"], {"classify", "certificates", "skipverify"}),
         (["pset", "compute", "--terms", str(INPUTS / "terms.txt"), "--bound", "50"],
          {"classify", "certificates", "floorseq", "skipverify", *NUMERIC}),
-        (["theorem1", "verify", "--cert", CERT], {"floorseq", "skipverify", "pset", *NUMERIC}),
+        (["theorem1", "verify", "--cert", CERT], {"floorseq", "skipverify", "pset", *NUMERIC, *VIEW}),
     ],
     ids=["classify", "sieve", "thm2_symbolic", "pset_witness", "pset_compute", "theorem1_verify"],
 )

@@ -32,6 +32,7 @@ from floorfull.floorseq import Explicit, FloorPower, Squares, ratio_condition_ch
 from floorfull.pset import PSetBitmap, compute_pset, verify_squares_witness
 from floorfull.rationals import RatInterval, interval
 from floorfull.skipverify import symbolic_condition_check, verify_skip_all_alpha
+from floorfull.view import View
 
 CERT = construct_certificate(2, 3)
 SAMPLES = {
@@ -158,17 +159,9 @@ def long_lists(items):
     return st.builds(cycle, st.lists(items, min_size=1, max_size=5), st.sampled_from(LENGTHS))
 
 
-class View(Sequence):
-    """A minimal lazy view: a Sequence over its items that is not a list."""
-
-    def __init__(self, items):
-        self._items = items
-
-    def __len__(self):
-        return len(self._items)
-
-    def __getitem__(self, i):
-        return self._items[i]
+def view(items):
+    """A lazy view over `items`, as a report's lists are: a Sequence that is not a list."""
+    return View(range(len(items)), items.__getitem__)
 
 
 class Lazy(NamedTuple):
@@ -185,11 +178,11 @@ JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_si
 DECIMALS = st.integers().map(Decimal)
 JSON_ITEMS = st.one_of(
     JSON_SCALARS, DECIMALS, st.dictionaries(st.text(max_size=3), st.one_of(JSON_SCALARS, DECIMALS)),
-    st.lists(JSON_SCALARS, max_size=3).map(View),
+    st.lists(JSON_SCALARS, max_size=3).map(view),
 )
 # plain items first, and half the time items that may hold a Decimal or a
 # view from an index on either side of a slice's end
-VIEWS = st.builds(lambda head, tail: View(head + tail),
+VIEWS = st.builds(lambda head, tail: view(head + tail),
                   long_lists(st.one_of(JSON_SCALARS, st.dictionaries(st.text(max_size=3), JSON_SCALARS))),
                   st.one_of(st.just([]), long_lists(JSON_ITEMS)))
 LAZY = st.builds(Lazy, st.dictionaries(st.text(max_size=3), st.one_of(JSON_ITEMS, VIEWS), max_size=4))
@@ -234,7 +227,7 @@ def test_write_json_writes_a_thm2_verify_report_in_a_few_calls(monkeypatch, k_ma
     monkeypatch.setattr(cli, "write_json", counted)
     with redirect_stdout(io.StringIO()):
         assert cli.main(["thm2", "verify", "--gamma", "3/2", "--j", "3", "--K", str(k_max)]) == 0
-    assert calls == ["dict", "dict", "SkipReport", "_SkipRows", "tuple"]  # config, result, rows, skipped
+    assert calls == ["dict", "dict", "SkipReport", "View", "tuple"]  # config, result, rows, skipped
 
 
 def test_to_json_renders_every_nested_fraction_as_num_den():
