@@ -6,8 +6,8 @@ usable at most once; equal values in A count separately), with 0 always a
 member (the empty sum).  Membership up to a bound N is computed by a
 shifted-OR bitset DP: one arbitrary-precision integer serves as the
 bitmap, and each occurrence a contributes `bits |= bits << a`.  A bitmap's
-`to_json_dict` holds its runs as a `View` that scans the bitmap again on
-each read, so printing a report holds one run at a time.
+runs are a streamed `View` that scans the bitmap again on each pass, so
+printing a report holds one run at a time.
 
 The squares witness shows that for the squares sequence the power targets
 2^0..2^m are all simultaneously reachable: with alpha = 1/(4*(2^m + 1)),
@@ -17,12 +17,11 @@ comparisons, keeping the check float-free, and every n_i comes from one of
 two integer square roots.  The report stores only the n_i; its
 `to_json_dict` holds every other number as an exact Decimal closed form,
 whose digits print in time linear in their count, unlike an int's, and its
-lines as a `View` that builds each line only when it is read.
+lines as a streamed `View` that builds each line only when it is read.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from collections.abc import Iterable
@@ -65,20 +64,16 @@ class PSetBitmap(NamedTuple("PSetBitmap", [("bound", int), ("bits", int)])):
     def count(self) -> int:
         return self.bits.bit_count()
 
-    def runs(self) -> list[tuple[int, int]]:
-        """Maximal runs of consecutive members as (start, length) pairs, ascending."""
-        return [(start, end - start) for start, end in _spans(self.bits)]
-
-    def to_json_dict(self) -> dict:
-        """The bound, and the runs as [start, length] lists in a `View` that
-        scans the bitmap again on each read, so a report holds one run at a time."""
-        def scan():
-            return ([start, end - start] for start, end in _spans(self.bits))
-
+    def runs(self) -> View:
+        """Maximal runs of consecutive members as [start, length] lists,
+        ascending, in a streamed `View` that scans the bitmap on each pass."""
         # a run starts at each member m with m - 1 not one
         count = (self.bits & ~(self.bits << 1)).bit_count()
-        runs = View(range(count), lambda k: next(itertools.islice(scan(), k, None)), scan)
-        return {"bound": self.bound, "runs": runs}
+        return View(range(count), in_order=lambda: _spans(self.bits))
+
+    def to_json_dict(self) -> dict:
+        """The bound, and the runs as the `View` that `runs()` returns."""
+        return {"bound": self.bound, "runs": self.runs()}
 
     def to_bit_bytes(self) -> bytes:
         """Raw export: 8-byte little-endian bit count, then the bitmap bits."""
@@ -88,9 +83,9 @@ class PSetBitmap(NamedTuple("PSetBitmap", [("bound", int), ("bits", int)])):
 
 
 def _spans(bits: int):
-    """(start, end) of each maximal run of set bits, ascending: one pass over
-    bin(bits) reversed, whose index i holds bit i."""
-    return (match.span() for match in re.finditer("1+", bin(bits)[:1:-1]))
+    """[start, length] of each maximal run of set bits, ascending: one pass
+    over bin(bits) reversed, whose index i holds bit i."""
+    return ([run.start(), run.end() - run.start()] for run in re.finditer("1+", bin(bits)[:1:-1]))
 
 
 def compute_pset(terms: Iterable[int], bound: int) -> PSetBitmap:
@@ -194,13 +189,12 @@ def _witness_lines(n: tuple[int, ...]):
     n_i is an exact Decimal built from its closed form 2^a + 2^b:
     inv_alpha = 2^(m+2) + 2^2, and on line i target = 2^i,
     lower = 2^(m+i+2) + 2^(i+2), upper = lower + inv_alpha and
-    gap_rhs = 2^(i+2) + 2 (see `verify_squares_witness`).  The view holds
-    no table of powers: reading it in order doubles 2^i and 2^(m+i+2) from
-    one line to the next, and reading line i by its index takes both from
-    the context's exact `power`.  The context traps Inexact and Rounded,
-    so a Decimal step that would round raises, and str() of an exact
-    Decimal prints the digits of the int in time linear in their count.
-    gap_ok is always True, because a failed check raises instead.
+    gap_rhs = 2^(i+2) + 2 (see `verify_squares_witness`).  The view is
+    streamed and holds no table of powers: its one reader doubles 2^i and
+    2^(m+i+2) from one line to the next.  The context traps Inexact and
+    Rounded, so a Decimal step that would round raises, and str() of an
+    exact Decimal prints the digits of the int in time linear in their
+    count.  gap_ok is always True: the gap inequality holds for every i <= m.
     """
     import decimal
 
@@ -208,19 +202,16 @@ def _witness_lines(n: tuple[int, ...]):
     add, power, m = context.add, context.power, len(n) - 1
     inv_alpha = add(power(2, m + 2), 4)
 
-    def line(i: int, target, high) -> dict:  # high = 2^(m+i+2)
-        quad = context.multiply(target, 4)  # 2^(i+2)
-        lower = add(high, quad)
-        return {"i": i, "target": target, "n_i": n[i], "lower": lower,
-                "upper": add(lower, inv_alpha), "gap_rhs": add(quad, 2), "gap_ok": True}
-
     def in_order():
-        target, high = power(2, 0), power(2, m + 2)
+        target, high = power(2, 0), power(2, m + 2)  # 2^i and 2^(m+i+2)
         for i in range(m + 1):
-            yield line(i, target, high)
+            quad = context.multiply(target, 4)  # 2^(i+2)
+            lower = add(high, quad)
+            yield {"i": i, "target": target, "n_i": n[i], "lower": lower,
+                   "upper": add(lower, inv_alpha), "gap_rhs": add(quad, 2), "gap_ok": True}
             target, high = add(target, target), add(high, high)
 
-    return inv_alpha, View(range(m + 1), lambda i: line(i, power(2, i), power(2, m + i + 2)), in_order)
+    return inv_alpha, View(range(m + 1), in_order=in_order)
 
 
 def verify_squares_witness(m: int) -> SquaresWitnessReport:
@@ -231,10 +222,11 @@ def verify_squares_witness(m: int) -> SquaresWitnessReport:
     lower = inv_alpha * 2^i <= n^2 < inv_alpha * (2^i + 1) = upper, so n_i
     is the smallest integer at least sqrt(lower): isqrt(lower), plus 1
     unless its square is lower.  The window is guaranteed wider than 1 by
-    the gap inequality inv_alpha >= 2^(i+1) + 2 + isqrt(4 * 2^i * (2^i + 1)),
-    also checked.  Its root has a closed form: with t = 2^i,
+    the gap inequality inv_alpha >= 2^(i+1) + 2 + isqrt(4 * 2^i * (2^i + 1)).
+    Its root has a closed form: with t = 2^i,
     4t^2 <= 4t^2 + 4t < (2t + 1)^2, so isqrt(4t(t + 1)) = 2t and the
-    right-hand side is 2^(i+2) + 2.
+    right-hand side is 2^(i+2) + 2, so it holds for every i <= m:
+    2^(i+2) + 2 <= 2^(m+2) + 2 < 2^(m+2) + 4 = inv_alpha.
 
     Two square roots serve every line.  With u = 2^m + 1, lower = u * 2^(i+2)
     = u * 2^(2s + (i & 1)) for s = (i+2) // 2.  Let h = (m+2) // 2, the
@@ -268,11 +260,6 @@ def verify_squares_witness(m: int) -> SquaresWitnessReport:
         if not lower <= square < upper:
             raise VerificationFailure(
                 f"no integer square in [{lower}, {upper}) for target 2^{i}"
-            )
-        gap_rhs = (1 << (i + 2)) + 2
-        if inv_alpha < gap_rhs:
-            raise VerificationFailure(
-                f"gap inequality fails at i={i}: {inv_alpha} < {gap_rhs}"
             )
         lines.append(n_i)
     return SquaresWitnessReport(m=m, lines=tuple(lines))

@@ -354,7 +354,7 @@ def test_bitmap_rle_round_trip():
     assert payload["bound"] == 20
     assert from_rle_json_dict(payload) == bitmap
     # runs really are maximal: {0, 2, 3, 5} -> [0,1], [2,2], [5,1], ...
-    assert compute_pset([2, 3], 10).runs() == [(0, 1), (2, 2), (5, 1)]
+    assert compute_pset([2, 3], 10).runs() == [[0, 1], [2, 2], [5, 1]]
 
 
 def test_bitmap_bit_file_round_trip():
@@ -377,7 +377,7 @@ def _bitwise_runs(bitmap):
             start = i
             while i <= bitmap.bound and (bitmap.bits >> i) & 1:
                 i += 1
-            out.append((start, i - start))
+            out.append([start, i - start])
         else:
             i += 1
     return out
@@ -425,7 +425,8 @@ def test_runs_and_members_edge_cases(bound, bits):
 def test_runs_view_reads_as_the_list_of_runs(bound, bits):
     bitmap = PSetBitmap(bound=bound, bits=bits)
     # the view's protocol is tests/test_view.py's; here, what it reads
-    view, runs = bitmap.to_json_dict()["runs"], [list(run) for run in bitmap.runs()]
+    view, runs = bitmap.to_json_dict()["runs"], _bitwise_runs(bitmap)
+    assert bitmap.runs() == view
     assert list(view) == runs and len(view) == len(runs)
     assert [view[i] for i in range(len(runs))] == runs
     assert all(type(run) is list for run in view)  # a table prints a tuple as (19, 1)
@@ -435,7 +436,7 @@ def test_runs_view_prints_as_the_runs_in_every_format(tmp_path, capsys):
     terms = [3, 5, 9, 14, 24, 49, 86]
     path = tmp_path / "terms.txt"
     path.write_text("".join(f"{t}\n" for t in terms))
-    runs = [list(run) for run in compute_pset(terms, 300).runs()]
+    runs = _bitwise_runs(compute_pset(terms, 300))
     argv = ["pset", "compute", "--terms", str(path), "--bound", "300", "--format"]
     assert main([*argv, "json"]) == 0
     assert json.loads(capsys.readouterr().out)["result"] == {"bound": 300, "runs": runs}
@@ -455,7 +456,7 @@ def test_runs_on_a_sparse_million_bit_set():
     bitmap = compute_pset(terms, bound)
     runs = bitmap.runs()
     assert sum(length for _, length in runs) == bitmap.count()
-    assert runs[0] == (0, 1) and runs[-1][0] + runs[-1][1] - 1 <= bound
+    assert runs[0] == [0, 1] and runs[-1][0] + runs[-1][1] - 1 <= bound
     for start, length in random.Random(5).sample(runs, 8):
         assert start in bitmap and start + length - 1 in bitmap
         assert start - 1 not in bitmap and start + length not in bitmap

@@ -9,11 +9,18 @@ running the tracer.
 
 import importlib
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-TRACEWRAP = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracewrap.py"
+from floorfull.pset import compute_pset
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TRACEWRAP = ROOT / "perfbench" / "tracewrap.py"
 
 
 def _load_tracewrap():
@@ -49,3 +56,16 @@ def test_factorize_cache_info_exists():
     # the tracer reads the factorize cache's hit count when a command ends
     classify = importlib.import_module("floorfull.classify")
     assert classify.factorize.cache_info().hits >= 0
+
+
+def test_traced_pset_compute_counts_its_runs(tmp_path):
+    cubes = [k ** 3 for k in range(1, 41)]
+    terms, span_file = tmp_path / "cubes.txt", tmp_path / "spans.json"
+    terms.write_text("".join(f"{c}\n" for c in cubes))
+    argv = [sys.executable, str(TRACEWRAP), str(span_file), "1",
+            "pset", "compute", "--terms", str(terms), "--bound", "200000"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(argv, capture_output=True, env=env, timeout=120, text=True)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(span_file.read_text())["counts"]
+    assert counts["pset.runs.count"] == len(compute_pset(cubes, 200000).runs()) == 832

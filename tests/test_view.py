@@ -1,9 +1,11 @@
 """Every list a report builds on read is a `View` that reads as the tuple of its items."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from floorfull import pset
 from floorfull.pset import PSetBitmap, compute_pset, verify_squares_witness
 from floorfull.skipverify import verify_skip_all_alpha
 from floorfull.view import View
@@ -22,6 +24,9 @@ def witness_lines(m):
     return verify_squares_witness(m).to_json_dict()["lines"]
 
 
+CUBES = [k ** 3 for k in range(1, 41)]  # `pset compute` of these at bound 200,000 prints 832 runs
+
+
 # name: (the view, whether its items can be hashed)
 VIEWS = {
     "skip_rows": (lambda: skip_rows(3, 40), True),  # k = 6..40
@@ -32,6 +37,7 @@ VIEWS = {
     "runs_one_run": (lambda: runs(40, (1 << 41) - 1), False),
     "runs_bound_1": (lambda: runs(1, 0b01), False),
     "runs_bound_1_full": (lambda: runs(1, 0b11), False),
+    "bitmap_runs": (lambda: compute_pset(CUBES, 200_000).runs(), False),
     "witness_lines_m0": (lambda: witness_lines(0), False),
     "witness_lines_m5": (lambda: witness_lines(5), False),
 }
@@ -62,3 +68,25 @@ def test_view_reads_as_the_tuple_of_its_items(name):
     else:
         with pytest.raises(TypeError):
             hash(view)
+
+
+def test_a_view_takes_item_or_in_order():
+    with pytest.raises(TypeError):
+        View(range(2))
+    with pytest.raises(TypeError):
+        View(range(2), str, in_order=lambda: iter("01"))
+
+
+def test_a_streamed_view_reads_by_position_from_one_pass(monkeypatch):
+    passes = []
+    spans = pset._spans
+    monkeypatch.setattr(pset, "_spans", lambda bits: passes.append(bits) or spans(bits))
+    view = compute_pset(CUBES, 200_000).runs()
+    assert len(view) == 832 and not passes
+    runs = list(view)  # iterating reads the bitmap once and holds nothing
+    assert len(runs) == 832 and len(passes) == 1
+    reads = (view[:], view[-1], view[100:0:-7], list(reversed(view)), view.index(view[-1]),
+             random.Random(5).sample(view, 8))
+    assert len(passes) == 2  # the first read by position holds one pass for all of them
+    assert reads == (tuple(runs), runs[-1], tuple(runs[100:0:-7]), runs[::-1], 831,
+                     random.Random(5).sample(runs, 8))
