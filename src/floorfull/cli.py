@@ -16,9 +16,10 @@ failed validation); 2 usage or configuration error (bad flags, resource
 cap exceeded, bounded search exhausted, a report stdout cannot take).
 
 A cold run builds, imports and compiles only what its subcommand runs.
-`main` builds the COMMANDS parser tree pruned to the leaves of the group
-its argv names.  Each group names the library module its handlers use,
-and `dispatch` imports that module and hands it to the handler.
+`parse_args` reads a well-formed argv from the COMMANDS rows; argparse,
+gettext and locale load only for help, usage errors and the spellings
+only argparse accepts.  Each group names the library module its handlers
+use, and `dispatch` imports that module and hands it to the handler.
 `fractions` loads only with code that builds a Fraction, and the table
 and CSV renderers of `render` only for those formats.  `write_json`
 streams a JSON report, so no run holds its whole text, and hands its
@@ -29,13 +30,13 @@ row or cell costs a Python call.
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import io
 import itertools
 import json
 import os
 import sys
+import types
 
 from .defaults import (
     BITMAP_CAP,
@@ -62,7 +63,7 @@ _CONSTANTS = {  # the settings a header names that no flag sets
 }
 
 
-def _header(args: argparse.Namespace) -> dict:
+def _header(args) -> dict:
     """The subcommand, the format and the settings its COMMANDS row lists."""
     header = {"subcommand": args.subcommand_path, "format": args.format}
     for name in args.settings:
@@ -183,7 +184,7 @@ def write_json(value, write, converted: bool = False) -> None:
         write(_ENCODE(to_json(value)))
 
 
-def _emit(args: argparse.Namespace, result, out) -> None:
+def _emit(args, result, out) -> None:
     """Render `result` in the format of `args`, with no digit limit."""
     with unlimited_int_digits():
         if args.format == "json":
@@ -208,7 +209,7 @@ def _unread_flag(kind: str, flag: str, value) -> None:
         raise ValueError(f"{flag} is not read with --kind {kind}")
 
 
-def _spec_from_args(args: argparse.Namespace):
+def _spec_from_args(args):
     from fractions import Fraction  # floorseq loads it anyway
     from . import floorseq
 
@@ -263,7 +264,7 @@ def _read_int_file(path: str, most: int, cap: str = "") -> list[int]:
     return values
 
 
-def _series_terms(classify, args: argparse.Namespace):
+def _series_terms(classify, args):
     kind = args.kind
     r = 2 if args.r is None else args.r
     if kind not in ("rfree", "rfull"):
@@ -504,13 +505,43 @@ COMMANDS = (
 )
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The COMMANDS parser; given argv, only its group gets leaf parsers and flags.
+def parse_args(argv: list[str]) -> types.SimpleNamespace | None:
+    """The namespace of `build_parser().parse_args(argv)`, read from the
+    COMMANDS row that argv's path words name, for exact `--flag value` pairs
+    in any order (a repeated flag's last value wins) whose values convert or
+    are among the choices and that give every required flag.  Else None,
+    for argparse: help, usage errors, `--flag=value`, abbreviated flags, a
+    value that begins with "-", "--"."""
+    row = next((row for row in COMMANDS if argv[:row[0].count(" ") + 1] == row[0].split()), None)
+    if row is None or (len(argv) - row[0].count(" ") - 1) % 2:
+        return None
+    path, settings, handler, flags = row
+    words = argv[path.count(" ") + 1:]
+    kinds, given = {name: kind for name, kind, *_ in (*flags, *_COMMON)}, {}
+    for name, value in zip(words[::2], words[1::2]):
+        kind = kinds.get(name, ())  # an unknown flag takes no value
+        if value.startswith("-") or isinstance(kind, tuple) and value not in kind:
+            return None
+        try:
+            given[name] = kind(value) if callable(kind) else value
+        except (TypeError, ValueError):
+            return None
+    group, _, action = path.partition(" ")
+    args = types.SimpleNamespace(command=group, **({"action": action} if action else {}),
+                                 handler=handler, module=_GROUPS[group][0],
+                                 subcommand_path=path, settings=settings)
+    for name, _, default, *_ in (*flags, *_COMMON):
+        if default is ... and name not in given:
+            return None
+        setattr(args, name[2:].replace("-", "_"), given.get(name, default))
+    return args
 
-    Every group parser is built, so top-level help and errors stay the same:
-    argparse descends only into the group named by argv's first word not
-    starting with "-".
-    """
+
+def build_parser():
+    """The COMMANDS parser tree, for help, usage errors and the argv
+    spellings that `parse_args` leaves to argparse."""
+    import argparse  # a well-formed run never loads it, nor gettext and locale
+
     parser = argparse.ArgumentParser(
         prog="floorfull",
         description="Exact verification toolkit: shifted-power certificates, "
@@ -518,12 +549,9 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     )
     top = parser.add_subparsers(dest="command", required=True)
     groups = {group: top.add_parser(group, help=text) for group, (_, text) in _GROUPS.items()}
-    wanted = _GROUPS if argv is None else {next((w for w in argv if not w.startswith("-")), None)}
     actions = {}
     for path, settings, handler, flags in COMMANDS:
         group, _, action = path.partition(" ")
-        if group not in wanted:
-            continue
         module = _GROUPS[group][0]
         sub = groups[group]
         if action:
@@ -541,7 +569,7 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def dispatch(args: argparse.Namespace, out) -> int:
+def dispatch(args, out) -> int:
     module = importlib.import_module(f"{__package__}.{args.module}")
     try:
         result = args.handler(module, args)
@@ -562,7 +590,7 @@ def dispatch(args: argparse.Namespace, out) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    args = parse_args(argv) or build_parser().parse_args(argv)
     try:
         code = dispatch(args, sys.stdout)
         sys.stdout.flush()  # a failed write surfaces here, not at interpreter exit

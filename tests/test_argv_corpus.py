@@ -6,12 +6,19 @@ choice flag.  Every other value comes from one fixed alphabet of
 malformed numbers, paths and files.  Whatever the argv asks for, the run
 exits 0, 1 or 2 and never raises.  An exit 2 that `main` returns, not
 argparse, writes exactly one stderr line, and exits 0 and 1 write none.
+
+argparse is the oracle of `cli.parse_args`: wherever the table parse
+accepts an argv, with its flag pairs in any order and some given twice,
+its namespace is argparse's.  And every argv the benchmark's workloads
+run is one the table parse accepts.
 """
 
+import importlib.util
 import io
 import json
 import os
 import pathlib
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -19,7 +26,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from floorfull import cli
 
-GOLDEN_INPUTS = pathlib.Path(__file__).resolve().parent / "golden" / "inputs"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN_INPUTS = ROOT / "tests" / "golden" / "inputs"
 GOLDEN_CERTS = {path.name: path.read_bytes() for path in sorted(GOLDEN_INPUTS.glob("cert_*.json"))}
 
 # Files the alphabet names by relative path.  Each example writes them
@@ -57,12 +65,16 @@ def _flag_values(name, kind, default, *_):
 
 
 @st.composite
-def argvs(draw):
+def argvs(draw, shuffled=False):
+    """A row's path words and its flag pairs; `shuffled`, in any order and
+    with up to two more pairs, which may repeat a flag."""
     path, _, _, flags = draw(st.sampled_from(cli.COMMANDS))
-    argv = path.split()
-    for flag in (*flags, *cli._COMMON):
-        argv += draw(_flag_values(*flag))
-    return argv
+    flags = (*flags, *cli._COMMON)
+    pairs = [draw(_flag_values(*flag)) for flag in flags]
+    if shuffled:
+        more = st.sampled_from(flags).flatmap(lambda flag: _flag_values(*flag))
+        pairs = draw(st.permutations(pairs + draw(st.lists(more, max_size=2))))
+    return path.split() + [word for pair in pairs for word in pair]
 
 
 def run_main(argv):
@@ -106,6 +118,8 @@ def golden_certs_now():
 # larger terms, the second carried ever larger powers q^n of a 4,300-digit q
 @example(argv=["seq", "gen", "--gamma", "1000000", "--n", "2000"])
 @example(argv=["thm2", "verify", "--gamma", f"{15 * 10**4298 + 1}/{10**4299}", "--j", "3"])
+# argparse reads a value that begins with "-", and main rejects it in one line
+@example(argv=["classify", "--n", "-5"])
 # each read only as far as it uses: the first n lines, at most TERMS_CAP + 1 terms
 @example(argv=["seq", "gen", "--kind", "file", "--file", LONG_FILE, "--n", "3"])
 @example(argv=["pset", "brown", "--terms", LONG_FILE])
@@ -124,3 +138,64 @@ def test_every_argv_exits_0_1_or_2_with_at_most_one_error_line(argv):
     if code in (0, 1):
         assert stderr == "", (argv, stderr)
     assert golden_certs_now() == GOLDEN_CERTS, argv
+
+
+# argvs that argparse reads: help, usage errors and the spellings only it
+# accepts, and a few well-formed ones
+PARSER_CORPUS = [
+    [],
+    ["--help"],
+    ["-h", "thm2"],
+    *([group, "--help"] for group in cli._GROUPS),
+    *([*path.split(), "--help"] for path, *_ in cli.COMMANDS if " " in path),
+    ["bogus"],
+    ["thm2", "bogus"],
+    ["classify", "--r", "3"],
+    ["thm2", "verify", "--gamma", "3/2"],
+    ["classify", "--n", "4", "--bogus", "1"],
+    ["--", "thm2", "symbolic", "--gamma", "3/2", "--j", "3"],
+    ["--format", "json", "classify", "--n", "4"],
+    ["classify", "--n", "12", "--format", "table"],
+    ["seq", "gen", "--n", "5"],
+    ["classify", "--n=72"],
+    ["sieve", "--lim", "1000"],  # an abbreviated flag
+    ["classify", "--n", "-5"],
+    ["classify", "--n", "8", "--r", "2", "--r", "3"],  # the last value wins
+    ["classify", "--n", "4", "-h"],
+]
+
+
+def with_corpus(test):
+    for argv in PARSER_CORPUS:
+        test = example(argv=argv)(test)
+    return test
+
+
+@with_corpus
+@given(argv=argvs(shuffled=True))
+@settings(max_examples=1000, deadline=None)
+def test_table_parse_matches_argparse(argv):
+    args = cli.parse_args(argv)
+    if args is not None:
+        assert vars(args) == vars(cli.build_parser().parse_args(argv)), argv
+
+
+def test_every_benchmark_argv_takes_the_table_parse(tmp_path, monkeypatch):
+    # perfbench/workloads.py, loaded read-only from its file: it imports its
+    # sibling `oracles` through sys.path, and its dataclasses look their
+    # module up in sys.modules; the monkeypatch undoes both
+    spec = importlib.util.spec_from_file_location("workloads_under_test", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    digits = sys.get_int_max_str_digits()  # `build` lifts the limit
+    try:
+        spec.loader.exec_module(workloads)
+        for name in workloads.BUILDERS:
+            (tmp_path / name).mkdir()
+            workload = workloads.build(name, 1, tmp_path / name)
+            for invocation in [*workload.invocations, workload.probe]:
+                assert cli.parse_args(invocation.argv) is not None, (name, invocation.argv)
+    finally:
+        sys.set_int_max_str_digits(digits)
+        sys.modules.pop("oracles", None)

@@ -27,6 +27,8 @@ from floorfull.cli import build_parser, dispatch, main
 from floorfull.defaults import BITMAP_CAP, SEQ_CAP, SIEVE_CAP
 from floorfull.rationals import unlimited_int_digits
 
+from test_argv_corpus import PARSER_CORPUS  # pytest puts tests/ on sys.path
+
 CLI = [sys.executable, "-m", "floorfull"]
 INPUTS = pathlib.Path(__file__).resolve().parent / "golden" / "inputs"
 TERMS = str(INPUTS / "terms.txt")
@@ -849,40 +851,25 @@ def run_parser(parser, argv):
     return Run(code, out.getvalue().encode(), err.getvalue().encode())
 
 
-PARSER_CORPUS = [
-    [],
-    ["--help"],
-    ["-h", "thm2"],
-    *([group, "--help"] for group in cli._GROUPS),
-    *([*path.split(), "--help"] for path, *_ in cli.COMMANDS if " " in path),
-    ["bogus"],
-    ["thm2", "bogus"],
-    ["classify", "--r", "3"],
-    ["thm2", "verify", "--gamma", "3/2"],
-    ["classify", "--n", "4", "--bogus", "1"],
-    ["--", "thm2", "symbolic", "--gamma", "3/2", "--j", "3"],
-    ["--format", "json", "classify", "--n", "4"],
-    ["classify", "--n", "12", "--format", "table"],
-    ["seq", "gen", "--n", "5"],
-]
-
-
+# main reads a well-formed argv from the COMMANDS table and leaves the rest,
+# help among it, to argparse; either way it acts as the full argparse tree
 @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
 def test_pruned_parser_matches_the_full_tree(argv):
-    pruned = run_parser(build_parser(argv), argv)
-    assert pruned == run_parser(build_parser(), argv)
-    assert pruned.returncode in (0, 2)
+    run = run_cli(*argv)
+    assert run == run_parser(build_parser(), argv)
+    assert run.returncode in (0, 2)
+    if "--help" in argv:
+        assert run.returncode == 0 and run.stdout.startswith(b"usage: floorfull"), argv
 
 
 def _subparsers(parser) -> dict:
     return next((a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)), {})
 
 
-def test_pruned_parser_builds_only_the_named_group_leaves():
-    groups = _subparsers(build_parser(["classify", "--n", "4"]))
+def test_build_parser_builds_every_leaf():
+    groups = _subparsers(build_parser())
     assert list(groups) == list(cli._GROUPS)
-    assert _subparsers(groups["thm2"]) == {}
-    assert "--n" in groups["classify"]._option_string_actions
-    assert "--gamma" not in groups["seq"]._option_string_actions
-    full = _subparsers(build_parser())
-    assert list(_subparsers(full["thm2"])) == ["verify", "symbolic", "gamma-search", "scan"]
+    for path, _, _, flags in cli.COMMANDS:
+        group, _, action = path.partition(" ")
+        leaf = _subparsers(groups[group])[action] if action else groups[group]
+        assert {name for name, *_ in (*flags, *cli._COMMON)} <= leaf._option_string_actions.keys()

@@ -119,6 +119,15 @@ class ReadLog(argparse.Namespace):
 
     recording = False
 
+    @classmethod
+    def recording_from(cls, argv):
+        """The namespace a real run reads for argv, the table parse's, recording."""
+        parsed = cli.parse_args(argv)
+        assert parsed is not None, argv
+        args = cls(**vars(parsed))
+        args.reads, args.recording = set(), True
+        return args
+
     def __getattribute__(self, name):
         get = super().__getattribute__
         if get("recording"):
@@ -140,8 +149,7 @@ def test_every_flag_is_read_beyond_the_header(monkeypatch):
     monkeypatch.setattr(cli, "_header", unrecorded_header)
     reads = defaultdict(set)
     for argv in [*CASES.values(), *OTHER_KINDS]:
-        args = ReadLog(**vars(build_parser().parse_args(argv)))
-        args.reads, args.recording = set(), True
+        args = ReadLog.recording_from(argv)
         dispatch(args, io.StringIO())
         args.recording = False
         reads[args.subcommand_path] |= args.reads
@@ -191,8 +199,7 @@ def test_every_header_setting_is_read_by_the_run(monkeypatch):
         for module, name in readers:
             monkeypatch.setattr(module, name, recording(constant, getattr(module, name)))
     for argv in [*CASES.values(), *OTHER_KINDS]:
-        args = ReadLog(**vars(build_parser().parse_args(argv)))
-        args.reads, args.recording = set(), True
+        args = ReadLog.recording_from(argv)
         classify.factorize.cache_clear()  # a cached factorization skips _prime_powers
         reaching.clear()
         dispatch(args, io.StringIO())

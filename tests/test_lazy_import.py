@@ -6,6 +6,8 @@ may load, and neither `dataclasses` nor `inspect` may: importing them costs
 a cold run ~10 ms.  A JSON run loads neither `csv` nor `floorfull.render`,
 which only `--format table` and `csv` need.  A run that builds no Fraction
 loads no `fractions`, nor the `decimal` and `numbers` it imports: ~4 ms.
+A well-formed run loads no `argparse`, nor the `gettext` and `locale` its
+first parser loads: ~6 ms; help and usage errors do.
 The package namespace tests check that the lazy
 `floorfull/__init__` still exposes every name the package used to import
 eagerly, each bound to its home module's object.
@@ -28,6 +30,7 @@ CERT = str(INPUTS / "cert_ell12.json")
 LIBRARY = {"classify", "certificates", "floorseq", "pset", "skipverify"}
 NUMERIC = {"fractions", "decimal", "numbers"}
 VIEW = {"floorfull.view"}  # only the reports of pset and skipverify build views
+PARSING = {"argparse", "gettext", "locale"}
 
 # The public names `import floorfull` bound eagerly before it turned lazy,
 # by home module.
@@ -72,13 +75,16 @@ def fresh_python(code: str) -> str:
     return proc.stdout.splitlines()[-1]
 
 
-def modules_loaded_by(argv: list[str]) -> set[str]:
+def modules_loaded_by(argv: list[str], exit_code: int = 0) -> set[str]:
     code = (
         "import contextlib, io, json, sys\n"
         "from floorfull.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = main({argv!r})\n"
-        "assert code == 0, code\n"
+        "try:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"        code = main({argv!r})\n"
+        "except SystemExit as exc:  # argparse exits on help and usage errors\n"
+        "    code = exc.code\n"
+        f"assert code == {exit_code}, code\n"
         "print(json.dumps(sorted(sys.modules)))\n"
     )
     return set(json.loads(fresh_python(code)))
@@ -102,7 +108,12 @@ def test_subcommand_loads_only_its_modules(argv, absent):
     loaded = {name.split(".", 1)[1] for name in modules if name.startswith("floorfull.")} & LIBRARY
     assert loaded, "the handler's own module must load"
     assert not loaded & absent
-    assert not modules & (absent | {"dataclasses", "inspect", "csv", "floorfull.render"})
+    assert not modules & (absent | {"dataclasses", "inspect", "csv", "floorfull.render"} | PARSING)
+
+
+@pytest.mark.parametrize("argv, exit_code", [(["classify", "--help"], 0), (["classify", "--n=x"], 2)])
+def test_help_and_usage_errors_load_argparse(argv, exit_code):
+    assert "argparse" in modules_loaded_by(argv, exit_code)
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv"])
