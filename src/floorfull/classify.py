@@ -23,18 +23,21 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_right
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .defaults import DEFAULT_RHO_SEED, SIEVE_CAP
 from .errors import NotFoundWithinBound
 
-# The first 13 primes are a deterministic Miller-Rabin witness set for
-# n < 3.317e24 (> 2^64; OEIS A014233(13)); 2..37 alone are not, since
-# 318665857834031151167461 is a strong pseudoprime to all twelve.  For
-# larger n the same fixed bases give a probable-prime verdict with error
-# probability < 4^-13, and identical answers on every run.
+# Miller-Rabin on the first k of these primes is a proof for n below A014233(k), the least
+# odd strong pseudoprime to all k (OEIS; Jaeschke, Math. Comp. 61, 1993, for k <= 11; Sorenson
+# & Webster, Math. Comp. 86, 2017, for k = 12, 13).  Above A014233(13) ~ 3.317e24 > 2^64 the
+# 13 bases give a probable-prime verdict, error probability < 4^-13, the same on every run.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_THRESHOLDS = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                  341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+                  3825123056546413051, 318665857834031151167461)  # A014233(1..12)
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -55,7 +58,9 @@ _TRIAL_PRIME_SET = frozenset(_TRIAL_PRIMES)  # sieved: membership proves primali
 
 
 def is_prime(n: int) -> bool:
-    """Primality test, deterministic for every n below 3.317e24.
+    """Primality test, deterministic for every n below A014233(13) ~ 3.317e24.
+
+    Miller-Rabin runs the first k bases, k the fewest with n < A014233(k), else all 13.
 
     >>> is_prime(2)
     True
@@ -72,7 +77,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[: bisect_right(_MR_THRESHOLDS, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

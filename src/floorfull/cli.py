@@ -344,19 +344,14 @@ def _run_theorem1_grid(cert, args):
     n_cells = (args.r_max - args.r_min + 1) * (args.ell_max - args.ell_min + 1)
     if n_cells > GRID_CELL_CAP:
         raise ValueError(f"the grid has {n_cells} cells, above GRID_CELL_CAP = {GRID_CELL_CAP}")
-    rows = []
-    for r in range(args.r_min, args.r_max + 1):
-        for ell in range(args.ell_min, args.ell_max + 1):
-            certificate = cert.construct_certificate(r, ell)
-            cert.check_non_rfull(certificate, args.max_m)  # raises unless valid and verified
-            rows.append({
-                "r": r,
-                "ell": ell,
-                "case": certificate.case,
-                "k": certificate.k,
-                "valid": True,
-                "verified_to": args.max_m,
-            })
+    # A certificate proves "not 2-full" (a prime of exponent 1), so "not r-full" for every r >= 2;
+    # check_non_rfull never reads r and validate_certificate asks r >= 2: r_min proves every row.
+    proved = []
+    for ell in range(args.ell_min, args.ell_max + 1):
+        proved.append(cert.construct_certificate(args.r_min, ell))
+        cert.check_non_rfull(proved[-1], args.max_m)  # raises unless valid and verified
+    rows = [{"r": r, "ell": c.ell, "case": c.case, "k": c.k, "valid": True, "verified_to": args.max_m}
+            for r in range(args.r_min, args.r_max + 1) for c in proved]
     return {"rows": rows, "all_passed": True}
 
 

@@ -294,6 +294,29 @@ def test_grid_rows_match_per_cell_reports(capsys):
     assert result == {"rows": expected, "all_passed": True}
 
 
+def test_grid_constructs_and_checks_each_ell_once(monkeypatch, capsys):
+    # one certificate proves an ell's row for every r, so 39 ells cost 39
+    # constructions and checks, not one per cell (117)
+    constructed, checked = [], []
+
+    def construct(r, ell):
+        constructed.append((r, ell))
+        return construct_certificate(r, ell)
+
+    def check(cert, max_m):
+        checked.append(cert.ell)
+        return check_non_rfull(cert, max_m)
+
+    monkeypatch.setattr(certificates, "construct_certificate", construct)
+    monkeypatch.setattr(certificates, "check_non_rfull", check)
+    argv = ["theorem1", "grid", "--r-min", "2", "--r-max", "4", "--ell-min", "2",
+            "--ell-max", "40"]
+    assert main(argv) == 0
+    assert len(json.loads(capsys.readouterr().out)["result"]["rows"]) == 117
+    assert constructed == [(2, ell) for ell in range(2, 41)]
+    assert checked == list(range(2, 41))
+
+
 @pytest.fixture
 def built_lines(monkeypatch):
     built = []

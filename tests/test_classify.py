@@ -69,6 +69,88 @@ def test_is_prime_rejects_a014233_12():
     assert factorize(n).factors == ((399165290221, 1), (798330580441, 1))
 
 
+# OEIS A014233(1..13): the least odd number that is a strong pseudoprime to
+# each of the first k prime bases
+A014233 = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+           3825123056546413051, 318665857834031151167461, 3317044064679887385961981)
+MR_BASES_13 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def strong_probable_prime(n: int, bases) -> bool:
+    """Odd n > max(bases) passes Miller-Rabin to every base in bases."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
+    d = (n - 1) >> s
+    for a in bases:
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 2 ** i, n) != n - 1 for i in range(s)):
+            return False
+    return True
+
+
+def reference_is_prime(n: int) -> bool:
+    """Fixed 13-base Miller-Rabin at every n, however small."""
+    if n < 2 or n in MR_BASES_13:
+        return n in MR_BASES_13
+    return all(n % p for p in MR_BASES_13) and strong_probable_prime(n, MR_BASES_13)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_is_prime_rejects_a014233_k(k):
+    # A014233(k) passes the first k bases, so only the bases run beyond k expose
+    # it: a threshold compared with <= instead of < would call it prime.
+    # A014233(13) passes all 13, which is where the deterministic range ends.
+    n = A014233[k - 1]
+    assert strong_probable_prime(n, MR_BASES_13[:k])
+    assert not reference_is_prime(n)
+    assert not is_prime(n)
+
+
+def test_is_prime_matches_13_bases_around_each_threshold():
+    for threshold in sorted(set(A014233)):
+        for n in range(threshold - 64, threshold + 65, 2):  # thresholds are odd
+            assert is_prime(n) == reference_is_prime(n), n
+
+
+@given(n=st.integers(1, 82).flatmap(lambda bits: st.integers(2 ** (bits - 1), 2 ** bits)))
+@settings(max_examples=500)
+def test_is_prime_matches_13_bases_below_a014233_13(n):
+    n = min(n, A014233[12] - 1)
+    assert is_prime(n) == reference_is_prime(n), n
+    assert is_prime(n | 1) == reference_is_prime(n | 1), n | 1
+
+
+@pytest.fixture
+def bases_run(monkeypatch):
+    """The Miller-Rabin bases is_prime runs, read from the pow calls it makes."""
+    bases = []
+
+    def counting_pow(base, exp, mod):
+        bases.append(base)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(classify, "pow", counting_pow, raising=False)
+    return bases
+
+
+def test_is_prime_runs_all_13_bases_above_a014233_13(bases_run):
+    assert is_prime(2 ** 89 - 1)  # a Mersenne prime above A014233(13)
+    assert bases_run == list(MR_BASES_13)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_is_prime_runs_the_fewest_bases_around_a014233_k(bases_run, k):
+    # the largest prime below A014233(k) and the smallest above it each run the
+    # first j bases, j the fewest with n < A014233(j): one base below 2047
+    below = next(n for n in range(A014233[k - 1] - 2, 0, -2) if reference_is_prime(n))
+    above = next(n for n in range(A014233[k - 1] + 2, 2 * A014233[k - 1], 2)
+                 if reference_is_prime(n))
+    for n in (below, above):
+        bases_run.clear()
+        assert is_prime(n)
+        assert bases_run == list(MR_BASES_13[:next(j for j in range(1, 14) if n < A014233[j - 1])])
+
+
 def test_primes_up_to():
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert primes_up_to(1) == []

@@ -355,6 +355,27 @@ def test_grid_past_the_cell_cap_exits_2_before_any_cell(monkeypatch):
         run_cli("theorem1", "grid", "--r-max", "2", "--ell-max", str(cap + 1))
 
 
+@pytest.mark.parametrize(
+    "bounds, cell",
+    [(("--r-min", "1", "--r-max", "3", "--ell-max", "5"), "r=1, ell=2"),
+     (("--r-min", "2", "--r-max", "3", "--ell-min", "1", "--ell-max", "5"), "r=2, ell=1")],
+)
+def test_grid_names_its_first_bad_cell(bounds, cell):
+    proc = run_cli("theorem1", "grid", *bounds)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == f"error: r and ell must both be >= 2, got {cell}\n".encode()
+
+
+def test_grid_exhausted_case_iii_search_names_the_first_ell(monkeypatch):
+    # with s <= 2, ell = 5 is the first Case III ell with no prime 5*s - 1
+    monkeypatch.setattr(certificates, "S_MAX", 2)
+    proc = run_cli("theorem1", "grid", "--r-max", "3", "--ell-max", "30")
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == b"bounded search exhausted: no s <= S_MAX = 2 with 5*s - 1 prime\n"
+
+
 def test_seq_gen_csv_one_integer_per_row():
     proc = run_cli("seq", "gen", "--kind", "pow32", "--n", "10", "--format", "csv")
     assert proc.returncode == 0
