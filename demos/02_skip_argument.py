@@ -32,9 +32,10 @@ print(f"skip verification for target 8 -> forbidden 16, k up to {report.k_max}:"
 print(f"  indices with an empty alpha-window (s_k <= 8): {report.skipped}")
 print("  first rows (max at k+1 must stay <= 15, min at k+2 must reach >= 17):")
 for row in report.rows[:6]:
+    window = f"[{row['interval']['lo']}, {row['interval']['hi']})"
     print(
-        f"    k={row.k:3d}  alpha in {str(row.interval):18s}"
-        f"  max_next={row.max_floor_next:3d}  min_next2={row.min_floor_next2:3d}"
+        f"    k={row['k']:3d}  alpha in {window:18s}"
+        f"  max_next={row['max_floor_next']:3d}  min_next2={row['min_floor_next2']:3d}"
     )
 print(f"  every row passed: {report.overall}")
 print()

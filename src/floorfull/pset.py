@@ -69,7 +69,7 @@ class PSetBitmap(NamedTuple("PSetBitmap", [("bound", int), ("bits", int)])):
         ascending, in a streamed `View` that scans the bitmap on each pass."""
         # a run starts at each member m with m - 1 not one
         count = (self.bits & ~(self.bits << 1)).bit_count()
-        return View(range(count), in_order=lambda: _spans(self.bits))
+        return View(count, lambda: _spans(self.bits))
 
     def to_json_dict(self) -> dict:
         """The bound, and the runs as the `View` that `runs()` returns."""
@@ -211,7 +211,7 @@ def _witness_lines(n: tuple[int, ...]):
                    "upper": add(lower, inv_alpha), "gap_rhs": add(quad, 2), "gap_ok": True}
             target, high = add(target, target), add(high, high)
 
-    return inv_alpha, View(range(m + 1), in_order=in_order)
+    return inv_alpha, View(m + 1, in_order)
 
 
 def verify_squares_witness(m: int) -> SquaresWitnessReport:

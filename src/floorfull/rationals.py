@@ -77,9 +77,3 @@ class RatInterval(NamedTuple("RatInterval", [("lo", "Fraction"), ("hi", "Fractio
 
     def to_json_dict(self) -> dict:
         return {"lo": rat_str(self.lo), "hi": rat_str(self.hi), "closed_open": True}
-
-
-def interval(lo, hi) -> RatInterval:
-    """RatInterval from anything Fraction accepts (ints, "a/b" strings)."""
-    from fractions import Fraction
-    return RatInterval(Fraction(lo), Fraction(hi))

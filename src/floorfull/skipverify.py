@@ -17,7 +17,8 @@ no single alpha in (0, 1) puts both 2^j and 2^(j+1) into the image
   nondecreasing in n.
   This covers every real alpha whose witness index is <= the scanned
   bound - no sampling, no tolerance.  A report holds no row: its rows
-  are a `View` over k that runs `_row` when row k is read.
+  are a `View` that builds each row's dict, the form every output
+  format prints, only when it is read.
 
 * A k-free symbolic condition (symbolic_condition_check).  Bounding
   floor(gamma^n) between gamma^n - 1 and gamma^n and using alpha < 1
@@ -48,7 +49,6 @@ from .floorseq import (
     SeqSpec,
     generate_terms,
     member_alpha_set,
-    preimage_interval,
 )
 from .rationals import RatInterval, rat_str, unlimited_int_digits
 from .view import View
@@ -91,16 +91,6 @@ def interval_extrema_of_floor(window: RatInterval, s: int) -> tuple[int, int]:
     return lo.numerator * s // lo.denominator, -(-hi.numerator * s // hi.denominator) - 1
 
 
-class SkipRow(NamedTuple):
-    """One witness index k and the floor extrema over its alpha-interval."""
-
-    k: int
-    interval: RatInterval
-    max_floor_next: int    # max of floor(alpha * s_{k+1}) over the interval
-    min_floor_next2: int   # min of floor(alpha * s_{k+2}) over the interval
-    passed: bool
-
-
 def _check_row(terms: list[int], t: int, k: int) -> tuple[int, int, bool]:
     """Row k's (max_floor_next, min_floor_next2, passed), with t = 2^j < s = s_k.
 
@@ -131,14 +121,13 @@ def _window_json(t: int, s: int) -> dict:
     return {"lo": f"{t // g}/{lo_den}", "hi": f"{(t + 1) // h}/{hi_den}", "closed_open": True}
 
 
-def _row(terms: list[int], t: int, k: int, as_json: bool = False):
-    """Row k of a report, with t = 2^j < s_k: a SkipRow, or `as_json` its JSON
-    form, whose window `_window_json` builds from integers."""
-    s = terms[k - 1]
+def _row(terms: list[int], t: int, k: int) -> dict:
+    """Row k of a report, with t = 2^j < s_k, as every format prints it: the
+    window [t/s_k, (t+1)/s_k) that `_window_json` builds from integers, the
+    max of floor(alpha * s_{k+1}) and the min of floor(alpha * s_{k+2}) over
+    it, and whether the row passed."""
     max_next, min_next2, passed = _check_row(terms, t, k)
-    if not as_json:
-        return SkipRow(k, preimage_interval(t, s), max_next, min_next2, passed)
-    return {"k": k, "interval": _window_json(t, s), "max_floor_next": max_next,
+    return {"k": k, "interval": _window_json(t, terms[k - 1]), "max_floor_next": max_next,
             "min_floor_next2": min_next2, "passed": passed}
 
 
@@ -146,15 +135,14 @@ class SkipReport(NamedTuple):
     gamma: Fraction
     j: int
     k_max: int
-    rows: View                 # of SkipRow: each row is built when it is read
+    rows: View                 # of `_row` dicts: each row is built when it is read
     skipped: tuple[int, ...]   # k with s_k <= 2^j: no alpha in (0, 1) hits 2^j there
     overall: bool
 
     def to_json_dict(self) -> dict:
-        """The report's JSON form; its rows are a view over the same k, built when read."""
-        rows = View(self.rows.indices, partial(self.rows.item, as_json=True))
+        """The report's JSON form; its rows are the view `rows`, already in that form."""
         return {"gamma": rat_str(self.gamma), "j": self.j, "k_max": self.k_max,
-                "rows": rows, "skipped": self.skipped, "overall": self.overall}
+                "rows": self.rows, "skipped": self.skipped, "overall": self.overall}
 
 
 def verify_skip_all_alpha(gamma: Fraction, j: int, k_max: int = DEFAULT_K_MAX) -> SkipReport:
@@ -179,7 +167,7 @@ def verify_skip_all_alpha(gamma: Fraction, j: int, k_max: int = DEFAULT_K_MAX) -
     target = 2 ** j
     k0 = bisect_right(terms, target, 0, k_max) + 1
     ks = range(k0, k_max + 1)
-    rows = View(ks, partial(_row, terms, target))
+    rows = View(len(ks), lambda: map(partial(_row, terms, target), ks))
     report = SkipReport(gamma, j, k_max, rows, tuple(range(1, k0)), True)
     for k in ks:
         max_next, min_next2, passed = _check_row(terms, target, k)

@@ -60,9 +60,9 @@ def test_criterion_2_skip_verification():
     with criterion(2, "8 in image forces 16 out, every alpha in (0,1)", 5.0):
         report = verify_skip_all_alpha(Fraction(3, 2), 3, 300)
         assert report.overall
-        row7 = {row.k: row for row in report.rows}[7]
-        assert row7.max_floor_next <= 14
-        assert row7.min_floor_next2 >= 17
+        row7 = {row["k"]: row for row in report.rows}[7]
+        assert row7["max_floor_next"] <= 14
+        assert row7["min_floor_next2"] >= 17
 
         hits = counterexample_scan(FloorPower(Fraction(3, 2)), 8, 16, 300)
         assert hits == []

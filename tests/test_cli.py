@@ -854,7 +854,7 @@ def test_render_table_reads_a_view_twice():
         return {"i": i, "square": i * i}
 
     out = io.StringIO()
-    render.render_table({"rows": View(range(300), row)}, out)
+    render.render_table({"rows": View(300, lambda: map(row, range(300)))}, out)
     assert len(built) == 2 * 300 + 1
     lines = out.getvalue().splitlines()
     assert lines[:3] == ["rows:", "  i    square", "  0    0     "]

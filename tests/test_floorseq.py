@@ -18,7 +18,7 @@ from floorfull.floorseq import (
     ratio_condition_check,
     s_alpha,
 )
-from floorfull.rationals import interval
+from floorfull.rationals import RatInterval
 
 POW32 = FloorPower(Fraction(3, 2))
 
@@ -148,9 +148,9 @@ def test_s_alpha_rejects_nonpositive_alpha():
 
 
 def test_preimage_interval_examples():
-    assert preimage_interval(8, 17) == interval("8/17", "9/17")
-    assert preimage_interval(0, 5) == interval(0, "1/5")
-    assert preimage_interval(16, 25) == interval("16/25", "17/25")
+    assert preimage_interval(8, 17) == RatInterval(Fraction(8, 17), Fraction(9, 17))
+    assert preimage_interval(0, 5) == RatInterval(Fraction(0), Fraction(1, 5))
+    assert preimage_interval(16, 25) == RatInterval(Fraction(16, 25), Fraction(17, 25))
     with pytest.raises(ValueError):
         preimage_interval(1, 0)
     with pytest.raises(ValueError):
@@ -180,20 +180,20 @@ def test_member_alpha_set_floor_power():
     got = member_alpha_set(POW32, 8, 12)
     terms = generate_terms(POW32, 12)
     expected = [
-        interval(Fraction(8, s), Fraction(9, s)) for s in terms if s > 8
+        RatInterval(Fraction(8, s), Fraction(9, s)) for s in terms if s > 8
     ]
     assert got == expected
-    assert got[0] == interval("8/11", "9/11")
-    assert got[1] == interval("8/17", "9/17")
+    assert got[0] == RatInterval(Fraction(8, 11), Fraction(9, 11))
+    assert got[1] == RatInterval(Fraction(8, 17), Fraction(9, 17))
 
 
 def test_member_alpha_set_squares():
     got = member_alpha_set(Squares(), 1, 5)
     assert got == [
-        interval("1/4", "1/2"),
-        interval("1/9", "2/9"),
-        interval("1/16", "1/8"),
-        interval("1/25", "2/25"),
+        RatInterval(Fraction(1, 4), Fraction(1, 2)),
+        RatInterval(Fraction(1, 9), Fraction(2, 9)),
+        RatInterval(Fraction(1, 16), Fraction(1, 8)),
+        RatInterval(Fraction(1, 25), Fraction(2, 25)),
     ]
 
 
@@ -201,7 +201,7 @@ def test_member_alpha_set_validates():
     with pytest.raises(ValueError):
         member_alpha_set(POW32, 0, 5)
     with pytest.raises(TypeError):  # the alpha range is always [0, 1): no window argument
-        member_alpha_set(POW32, 3, 5, interval(0, 1))
+        member_alpha_set(POW32, 3, 5, RatInterval(Fraction(0), Fraction(1)))
 
 
 def _clipped_preimages(spec, t, n_max):

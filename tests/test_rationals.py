@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from floorfull.cli import to_json
-from floorfull.rationals import RatInterval, interval, parse_rational, rat_str
+from floorfull.rationals import RatInterval, parse_rational, rat_str
 
 
 def test_parse_rational():
@@ -33,54 +33,61 @@ def test_rat_str_always_carries_denominator():
 
 
 def test_interval_construction_and_emptiness():
-    assert interval(0, 1) == RatInterval(Fraction(0), Fraction(1))
+    assert RatInterval(Fraction(0), Fraction(1)) == (Fraction(0), Fraction(1))
     # lo < hi is enforced: no empty interval can be built
     with pytest.raises(ValueError):
-        interval("1/2", "1/2")
+        RatInterval(Fraction(1, 2), Fraction(1, 2))
     with pytest.raises(ValueError):
-        interval(1, 0)
+        RatInterval(Fraction(1), Fraction(0))
 
 
 def test_interval_equality_and_hash_by_endpoints():
-    assert interval("2/4", 1) == interval("1/2", 1)
-    assert hash(interval("2/4", 1)) == hash(interval("1/2", 1))
-    assert interval(0, 1) != interval(0, 2)
-    assert len({interval(0, 1), interval("0/3", "3/3"), interval(0, 2)}) == 2
+    half = RatInterval(Fraction(2, 4), Fraction(1))
+    assert half == RatInterval(Fraction(1, 2), Fraction(1))
+    assert hash(half) == hash(RatInterval(Fraction(1, 2), Fraction(1)))
+    unit, wide = RatInterval(Fraction(0), Fraction(1)), RatInterval(Fraction(0), Fraction(2))
+    assert unit != wide
+    assert len({unit, RatInterval(Fraction(0, 3), Fraction(3, 3)), wide}) == 2
 
 
 def test_interval_contains_half_open():
-    window = interval("1/3", "2/3")
+    window = RatInterval(Fraction(1, 3), Fraction(2, 3))
     assert Fraction(1, 3) in window
     assert Fraction(1, 2) in window
     assert Fraction(2, 3) not in window
 
 
 def test_intersect_idempotent():
-    unit = interval(0, 1)
+    unit = RatInterval(Fraction(0), Fraction(1))
     assert unit.intersect(unit) == unit
 
 
 def test_intersect_matches_hand_computation():
     # [1/3, 2/3) and [1/2, 1): max of the lows 1/2, min of the highs 2/3
-    assert interval("1/3", "2/3").intersect(interval("1/2", 1)) == interval("1/2", "2/3")
+    third = RatInterval(Fraction(1, 3), Fraction(2, 3))
+    both = third.intersect(RatInterval(Fraction(1, 2), Fraction(1)))
+    assert both == RatInterval(Fraction(1, 2), Fraction(2, 3))
     # 8/17 < 1/2 < 9/17 < 3/5 by cross-multiplication
     assert 8 * 2 < 1 * 17 and 1 * 17 < 9 * 2 and 9 * 5 < 3 * 17
-    both = interval("8/17", "9/17").intersect(interval("1/2", "3/5"))
-    assert both == interval("1/2", "9/17")
-    inner = interval("1/20", "1/10")
-    assert interval(0, 1).intersect(inner) == inner == inner.intersect(interval(0, 1))
+    window = RatInterval(Fraction(8, 17), Fraction(9, 17))
+    both = window.intersect(RatInterval(Fraction(1, 2), Fraction(3, 5)))
+    assert both == RatInterval(Fraction(1, 2), Fraction(9, 17))
+    inner = RatInterval(Fraction(1, 20), Fraction(1, 10))
+    unit = RatInterval(Fraction(0), Fraction(1))
+    assert unit.intersect(inner) == inner == inner.intersect(unit)
 
 
 def test_intersect_disjoint_raises():
     # 9/17 < 16/25 by cross-multiplication: 9*25 = 225 < 272 = 16*17
     assert 9 * 25 < 16 * 17
     with pytest.raises(ValueError):
-        interval("8/17", "9/17").intersect(interval("16/25", "17/25"))
+        RatInterval(Fraction(8, 17), Fraction(9, 17)).intersect(
+            RatInterval(Fraction(16, 25), Fraction(17, 25)))
     # touching half-open intervals share no point either
     with pytest.raises(ValueError):
-        interval(0, "1/2").intersect(interval("1/2", 1))
+        RatInterval(Fraction(0), Fraction(1, 2)).intersect(RatInterval(Fraction(1, 2), Fraction(1)))
     with pytest.raises(ValueError):
-        interval("1/2", 1).intersect(interval(0, "1/2"))
+        RatInterval(Fraction(1, 2), Fraction(1)).intersect(RatInterval(Fraction(0), Fraction(1, 2)))
 
 
 def _random_interval(draw_lo, draw_width):
@@ -151,7 +158,7 @@ def test_intersect_nonempty_exactly_when_endpoints_overlap(a, b, q):
 
 @given(a=interval_strategy)
 def test_intersect_with_superset_is_identity(a):
-    everything = interval(0, 100)
+    everything = RatInterval(Fraction(0), Fraction(100))
     assert a.intersect(everything) == a
 
 
@@ -162,7 +169,7 @@ def test_intersect_membership_semantics(pair, q):
 
 
 def test_midpoint_and_width():
-    window = interval("1/2", "3/4")
+    window = RatInterval(Fraction(1, 2), Fraction(3, 4))
     assert window.hi - window.lo == Fraction(1, 4)
     midpoint = (window.lo + window.hi) / 2
     assert midpoint == Fraction(5, 8)
@@ -170,5 +177,5 @@ def test_midpoint_and_width():
 
 
 def test_interval_json_shape():
-    payload = to_json(interval("8/17", "9/17"))
+    payload = to_json(RatInterval(Fraction(8, 17), Fraction(9, 17)))
     assert payload == {"lo": "8/17", "hi": "9/17", "closed_open": True}

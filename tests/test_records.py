@@ -1,6 +1,7 @@
 """The record contract: every exported result type is an immutable NamedTuple.
 
-Records compare and hash by field values, keep the `X(a=..., b=...)` repr,
+Records compare and hash by field values (a record whose fields hold dicts,
+as a skip report's rows are, does not hash), keep the `X(a=..., b=...)` repr,
 serialize through `cli.to_json` in `_fields` order (or through their own
 `to_json_dict`), and the five validating records check their fields
 whether they are given positionally or by keyword.  No record writes its
@@ -30,7 +31,7 @@ from floorfull import cli
 from floorfull.cli import to_json, write_json
 from floorfull.floorseq import Explicit, FloorPower, Squares, ratio_condition_check
 from floorfull.pset import PSetBitmap, compute_pset, verify_squares_witness
-from floorfull.rationals import RatInterval, interval
+from floorfull.rationals import RatInterval
 from floorfull.skipverify import symbolic_condition_check, verify_skip_all_alpha
 from floorfull.view import View
 
@@ -42,13 +43,15 @@ SAMPLES = {
     "FloorPower": FloorPower(Fraction(3, 2)),
     "NonRFullReport": verify_non_rfull(CERT, max_m=4),
     "PSetBitmap": compute_pset([2, 3], 10),
-    "RatInterval": interval("1/3", "1/2"),
+    "RatInterval": RatInterval(Fraction(1, 3), Fraction(1, 2)),
     "RatioReport": ratio_condition_check(Squares(), 10),
     "SkipReport": verify_skip_all_alpha(Fraction(3, 2), 3, 12),
     "Squares": Squares(),
     "SquaresWitnessReport": verify_squares_witness(3),
     "SymbolicCheck": symbolic_condition_check(Fraction(3, 2), 3),
 }
+
+UNHASHABLE = {"SkipReport"}  # its rows view reads as a tuple of dicts
 
 
 def exported_record_classes() -> dict:
@@ -82,7 +85,11 @@ def test_equal_fields_give_equal_records_and_hashes(name):
     cls = type(record)
     for copy in (cls(*record), cls(**record._asdict())):
         assert copy == record and copy is not record
-        assert hash(copy) == hash(record)
+        if name in UNHASHABLE:
+            with pytest.raises(TypeError):
+                hash(copy)
+        else:
+            assert hash(copy) == hash(record)
         assert repr(copy) == repr(record)
     assert repr(record).startswith(f"{name}(")
     assert all(f"{field}=" in repr(record) for field in record._fields)
@@ -161,7 +168,7 @@ def long_lists(items):
 
 def view(items):
     """A lazy view over `items`, as a report's lists are: a Sequence that is not a list."""
-    return View(range(len(items)), items.__getitem__)
+    return View(len(items), lambda: iter(items))
 
 
 class Lazy(NamedTuple):

@@ -8,11 +8,17 @@ from hypothesis import assume, example, given, settings, strategies as st
 from floorfull import skipverify
 from floorfull.cli import to_json
 from floorfull.errors import VerificationFailure
-from floorfull.floorseq import Explicit, FloorPower, Squares, generate_terms, s_alpha
-from floorfull.rationals import RatInterval, interval
+from floorfull.floorseq import (
+    Explicit,
+    FloorPower,
+    Squares,
+    generate_terms,
+    preimage_interval,
+    s_alpha,
+)
+from floorfull.rationals import RatInterval
 from floorfull.skipverify import (
     SkipReport,
-    SkipRow,
     counterexample_scan,
     gamma_exception_search,
     interval_extrema_of_floor,
@@ -27,18 +33,18 @@ POW32 = FloorPower(Fraction(3, 2))
 
 def test_extrema_examples():
     # 200/17 ~ 11.76 and 225/17 ~ 13.23
-    assert interval_extrema_of_floor(interval("8/17", "9/17"), 25) == (11, 13)
+    assert interval_extrema_of_floor(RatInterval(Fraction(8, 17), Fraction(9, 17)), 25) == (11, 13)
     # 304/17 ~ 17.88 and 342/17 ~ 20.12
-    assert interval_extrema_of_floor(interval("8/17", "9/17"), 38) == (17, 20)
+    assert interval_extrema_of_floor(RatInterval(Fraction(8, 17), Fraction(9, 17)), 38) == (17, 20)
     # hi * s = 5 lands on an integer, which the half-open window excludes
-    assert interval_extrema_of_floor(interval(0, 1), 5) == (0, 4)
+    assert interval_extrema_of_floor(RatInterval(Fraction(0), Fraction(1)), 5) == (0, 4)
 
 
 def test_extrema_rejects_empty_window_and_bad_s():
     with pytest.raises(ValueError):  # the interval type itself rejects an empty window
-        interval(1, 1)
+        RatInterval(Fraction(1), Fraction(1))
     with pytest.raises(ValueError):
-        interval_extrema_of_floor(interval(0, 1), 0)
+        interval_extrema_of_floor(RatInterval(Fraction(0), Fraction(1)), 0)
 
 
 @given(
@@ -94,22 +100,22 @@ def test_skip_verify_baseline_passes():
     report = verify_skip_all_alpha(Fraction(3, 2), 3, 300)
     assert report.overall
     assert len(report.rows) + len(report.skipped) == 300
-    assert all(row.passed for row in report.rows)
+    assert all(row["passed"] for row in report.rows)
 
 
 def test_skip_verify_row_seven_matches_known_bounds():
     report = verify_skip_all_alpha(Fraction(3, 2), 3, 300)
-    row = {r.k: r for r in report.rows}[7]
-    assert row.interval == interval("8/17", "9/17")
-    assert row.max_floor_next == 13 <= 14
-    assert row.min_floor_next2 == 17 >= 17
+    row = {r["k"]: r for r in report.rows}[7]
+    assert row["interval"] == to_json(RatInterval(Fraction(8, 17), Fraction(9, 17)))
+    assert row["max_floor_next"] == 13 <= 14
+    assert row["min_floor_next2"] == 17 >= 17
 
 
 def test_skip_verify_row_six():
     report = verify_skip_all_alpha(Fraction(3, 2), 3, 300)
-    row = {r.k: r for r in report.rows}[6]
-    assert row.interval == interval("8/11", "9/11")
-    assert (row.max_floor_next, row.min_floor_next2) == (13, 18)
+    row = {r["k"]: r for r in report.rows}[6]
+    assert row["interval"] == to_json(RatInterval(Fraction(8, 11), Fraction(9, 11)))
+    assert (row["max_floor_next"], row["min_floor_next2"]) == (13, 18)
 
 
 def test_skip_verify_skips_small_indices():
@@ -143,7 +149,8 @@ def _clipped_skip_loop(gamma, j, k_max):
         max_next = math.ceil(hi * terms[k]) - 1
         min_next2 = math.floor(lo * terms[k + 1])
         passed = max_next <= ceiling and min_next2 >= floor_min
-        rows.append(SkipRow(k, RatInterval(lo, hi), max_next, min_next2, passed))
+        rows.append({"k": k, "interval": to_json(RatInterval(lo, hi)), "max_floor_next": max_next,
+                     "min_floor_next2": min_next2, "passed": passed})
         if not passed and first_failure is None:
             first_failure = (
                 f"skip argument fails at k={k}: max_next={max_next} (allowed <= {ceiling}), "
@@ -229,7 +236,7 @@ def test_skip_report_json_rows():
 def test_integer_row_check_equals_the_windows_extrema(j, s_extra, x, x2):
     t = 2 ** j
     s = t + s_extra
-    window = skipverify.preimage_interval(t, s)
+    window = preimage_interval(t, s)
     max_next, min_next2, passed = skipverify._check_row([s, x, x2], t, 1)
     assert max_next == interval_extrema_of_floor(window, x)[1]
     assert min_next2 == interval_extrema_of_floor(window, x2)[0]
@@ -239,15 +246,18 @@ def test_integer_row_check_equals_the_windows_extrema(j, s_extra, x, x2):
 
 def test_rows_are_checked_without_building_a_window(monkeypatch):
     def no_window(*args):
-        raise AssertionError("a row built a rational window while the rows were checked")
+        raise AssertionError("a row built a rational window while the rows were checked or read")
 
-    monkeypatch.setattr(skipverify, "preimage_interval", no_window)
+    monkeypatch.setattr(RatInterval, "__new__", no_window)
     monkeypatch.setattr(skipverify, "interval_extrema_of_floor", no_window)
     report = verify_skip_all_alpha(Fraction(3, 2), 3, 300)
     assert len(report.rows) == 295
-    assert to_json(report)["rows"][0]["interval"] == {"lo": "8/11", "hi": "9/11", "closed_open": True}
-    with pytest.raises(AssertionError):
-        report.rows[0]  # a SkipRow holds its window as a RatInterval
+    first = {"k": 6, "interval": {"lo": "8/11", "hi": "9/11", "closed_open": True},
+             "max_floor_next": 13, "min_floor_next2": 18, "passed": True}
+    rows = list(report.rows)  # iterating, then reading by position and by slice
+    assert rows[0] == report.rows[0] == report.rows[:1][0] == first
+    assert report.rows[::-1] == tuple(reversed(rows)) and len(rows) == 295
+    assert to_json(report)["rows"] is report.rows
 
 
 def test_rows_view_reads_as_the_tuple_of_its_rows():
@@ -256,7 +266,9 @@ def test_rows_view_reads_as_the_tuple_of_its_rows():
     expected, _ = _clipped_skip_loop(Fraction(3, 2), 3, 40)
     assert len(report.rows) == len(expected.rows) == 35  # k = 6..40
     assert list(report.rows) == list(expected.rows)
-    assert report == expected and hash(report) == hash(expected) and repr(report) == repr(expected)
+    assert report == expected and repr(report) == repr(expected)
+    with pytest.raises(TypeError):  # its rows are dicts, which do not hash
+        hash(report)
 
 
 def test_rows_view_is_empty_when_every_index_is_skipped():
