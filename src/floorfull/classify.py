@@ -7,9 +7,9 @@ definitions hold vacuously, and fixing the convention keeps enumeration
 counts unambiguous.
 
 Factorization strategy: trial division by the primes below 1000; a larger
-cofactor goes to a Miller-Rabin primality test that is deterministic for
-all inputs below 3,317,044,064,679,887,385,961,981 (comfortably above 2^64)
-and, if composite, to Brent rho on a fixed-seed RNG, so runs are
+cofactor goes to Miller-Rabin, a proof below 3,317,044,064,679,887,385,961,981
+(comfortably above 2^64), or to Baillie-PSW from there up, and, if
+composite, to Brent rho on a fixed-seed RNG, so runs are
 reproducible, within a budget of RHO_BUDGET work units per split.  One lazy
 generator, _prime_powers, does this for factorize and for the r-free /
 r-full predicates, which stop at the first prime that decides them.
@@ -32,12 +32,13 @@ from .errors import NotFoundWithinBound
 
 # Miller-Rabin on the first k of these primes is a proof for n below A014233(k), the least
 # odd strong pseudoprime to all k (OEIS; Jaeschke, Math. Comp. 61, 1993, for k <= 11; Sorenson
-# & Webster, Math. Comp. 86, 2017, for k = 12, 13).  Above A014233(13) ~ 3.317e24 > 2^64 the
-# 13 bases give a probable-prime verdict, error probability < 4^-13, the same on every run.
+# & Webster, Math. Comp. 86, 2017, for k = 12, 13).  From A014233(13) ~ 3.317e24 > 2^64 up,
+# Baillie-PSW gives a probable-prime verdict, which no known composite passes.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_THRESHOLDS = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
                   341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
-                  3825123056546413051, 318665857834031151167461)  # A014233(1..12)
+                  3825123056546413051, 318665857834031151167461,
+                  3317044064679887385961981)  # A014233(1..13)
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -60,7 +61,8 @@ _TRIAL_PRIME_SET = frozenset(_TRIAL_PRIMES)  # sieved: membership proves primali
 def is_prime(n: int) -> bool:
     """Primality test, deterministic for every n below A014233(13) ~ 3.317e24.
 
-    Miller-Rabin runs the first k bases, k the fewest with n < A014233(k), else all 13.
+    Miller-Rabin runs the first k bases, k the fewest with n < A014233(k);
+    from A014233(13) up, Baillie-PSW runs base 2 alone, then `_strong_lucas`.
 
     >>> is_prime(2)
     True
@@ -77,7 +79,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES[: bisect_right(_MR_THRESHOLDS, n) + 1]:
+    for a in (2,) if n >= _MR_THRESHOLDS[-1] else _MR_BASES[: bisect_right(_MR_THRESHOLDS, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -87,7 +89,66 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_THRESHOLDS[-1] or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) of an integer a and an odd n > 0.
+
+    >>> [_jacobi(a, 7) for a in range(-1, 7)]
+    [-1, 0, 1, 1, -1, 1, -1, -1]
+    """
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):  # (2/n) = -1
+                sign = -sign
+        a, n = n, a  # quadratic reciprocity
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 1, with Selfridge's method A.
+
+    A square is composite.  Otherwise D is the first of 5, -7, 9, -11, ...
+    with Jacobi (D/n) = -1, and a D sharing a proper factor with n proves
+    n composite on the way.  With P = 1, Q = (1 - D)/4 and
+    n + 1 = d * 2^s, d odd, n passes when the Lucas sequences have
+    U_d = 0 or V_(d*2^r) = 0 (mod n) for some 0 <= r < s, as every prime
+    does.  U and V are read off d's bits by U_2k = U_k*V_k,
+    V_2k = V_k^2 - 2Q^k, U_(k+1) = (P*U_k + V_k)/2 and
+    V_(k+1) = (D*U_k + P*V_k)/2, a halving mod n, which is odd.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while _jacobi(D, n) != -1:
+        if 1 < math.gcd(D, n) < n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    P, Q = 1, (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
+    U, V, Qk = 1, P, Q % n  # k = 1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = P * U + V, D * U + P * V
+            U = (U + n if U % 2 else U) // 2 % n
+            V = (V + n if V % 2 else V) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 class Factorization(
@@ -262,6 +323,8 @@ def r_full_up_to(limit: int, r: int) -> list[int]:
     >>> r_full_up_to(100, 3)
     [1, 8, 16, 27, 32, 64, 81]
     """
+    if limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
     if limit > SIEVE_CAP:
         raise ValueError(f"limit {limit} exceeds the sieve cap SIEVE_CAP = {SIEVE_CAP}")
     return _r_full_search(limit, r)

@@ -21,11 +21,11 @@ gettext and locale load only for help, usage errors and the spellings
 only argparse accepts.  Each group names the library module its handlers
 use, and `dispatch` imports that module and hands it to the handler.
 `fractions` loads only with code that builds a Fraction, and the table
-and CSV renderers of `render` only for those formats.  `write_json`
-streams a JSON report, so no run holds its whole text, and hands its
-lists and the lazy `view.View`s of pset and skipverify reports, such as a
-`thm2 verify` report's rows, to json's C encoder a slice at a time, so no
-row or cell costs a Python call.
+and CSV renderers of `render` only for those formats.  `to_json` alone
+decides a result's JSON form, and `write_json` streams it, so no run
+holds its whole text: it hands lists and the lazy `view.View`s of pset
+and skipverify reports, such as a `thm2 verify` report's rows, to json's
+C encoder a slice at a time, so no row or cell costs a Python call.
 """
 
 from __future__ import annotations
@@ -84,14 +84,14 @@ def to_json(value):
     Scalars pass through, lists and plain tuples become lists and dicts
     stay dicts, converted item by item, and a Fraction becomes "num/den".
     A record is a NamedTuple, a tuple subclass, so it skips the tuple
-    branch: its `to_json_dict` method wins, and otherwise it becomes a
-    dict of its `_fields` in declaration order (the table and CSV formats
-    print keys in that order).  Anything else is a TypeError.  Scalar list
-    items skip the recursive call, because bitmap runs and sieve values
-    can number in the hundreds of thousands.  A `to_json_dict` may hold
-    exact Decimals, whose str() is the digits of the int they equal, and
-    lazy sequence views: the squares witness report's holds both, and
-    `write_json` writes them without building this form whole.
+    branch and becomes the form of its `_members`, in their order (the
+    table and CSV formats print keys in that order).  A lazy `view.View`,
+    whose items are in JSON form, and an exact Decimal, whose str() is the
+    digits of the int it equals, pass through; `write_json` writes the
+    squares witness report, which holds both, without building this form
+    whole.  Anything else is a TypeError.  Scalar list items skip the
+    recursive call, because bitmap runs and sieve values can number in the
+    hundreds of thousands.
     """
     if isinstance(value, _JSON_SCALARS):
         return value
@@ -103,17 +103,21 @@ def to_json(value):
     if fractions is not None and isinstance(value, fractions.Fraction):
         return rat_str(value)
     if hasattr(value, "_fields"):
-        members, converted = _record_dict(value)
-        return members if converted else to_json(members)
+        return to_json(_members(value))
+    if _in_json_form(value):
+        return value
     raise TypeError(f"no JSON form for {type(value).__name__}")
 
 
-def _record_dict(record) -> tuple[dict, bool]:
-    """A record's members by name, and whether they are in JSON form already:
-    its `to_json_dict` if it has one, else its `_fields` and values."""
-    if hasattr(record, "to_json_dict"):
-        return record.to_json_dict(), True
-    return dict(zip(record._fields, record)), False
+def _members(record) -> dict:
+    """A record's members by name: its `to_json_dict()` if it has one, else its `_asdict()`."""
+    return record.to_json_dict() if hasattr(record, "to_json_dict") else record._asdict()
+
+
+def _in_json_form(value) -> bool:
+    """Whether `value` is a lazy view or an exact Decimal; neither exists until its module loads."""
+    view, decimal = sys.modules.get(f"{__package__}.view"), sys.modules.get("decimal")
+    return bool(view and isinstance(value, view.View) or decimal and type(value) is decimal.Decimal)
 
 
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -125,63 +129,62 @@ _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _SLICE = 32
 
 
-def _scalar_text(value) -> str | None:
-    """The JSON text of a scalar or an exact Decimal, else None; an int, a bool
-    and None skip the encoder, whose set-up costs more than their text."""
+def _text(value) -> str | None:
+    """The JSON text of what `write_json` does not walk, else None; an int, a bool, None
+    and an exact Decimal, which the encoder refuses, skip it, as its set-up costs more."""
     decimal = sys.modules.get("decimal")  # no Decimal exists until it loads
     if type(value) is int or decimal and type(value) is decimal.Decimal:
         return str(value)
     if value is None or type(value) is bool:
         return "null" if value is None else "true" if value else "false"
-    return _ENCODE(value) if isinstance(value, str) else None
+    if isinstance(value, (dict, list, tuple)) or _in_json_form(value):  # a record or a view
+        return None
+    return _ENCODE(to_json(value))
 
 
-def write_json(value, write, converted: bool = False) -> None:
+def write_json(value, write) -> None:
     """Write json.dumps(to_json(value), sort_keys=True, separators=(",", ":")) through `write`.
 
     The one JSON writer; it walks `value`, never holding the whole form or
-    text.  A dict or record goes in sorted key order, in one write up to
-    each member that is not a scalar, so a dict of scalars is one write.  A
-    list, tuple or lazy view, such as a `thm2 verify` report's rows, is
-    read `_SLICE` items at a time, and json's C encoder writes each slice,
-    converted by `to_json` unless a `to_json_dict` made it and it is
-    `converted`.  An exact Decimal is its str(), which the encoder refuses:
-    from the first slice it refuses, such as the squares witness's first,
-    the items are walked one by one.
+    text, and `to_json` decides that form.  A dict, or a record's
+    `_members`, goes in sorted key order, in one write up to each member it
+    walks, so a dict of scalars is one write.  A list, tuple or lazy view,
+    such as a `thm2 verify` report's rows, is read `_SLICE` items at a
+    time, and json's C encoder writes each slice, a view's as it is read and
+    a list's or tuple's through `to_json`.  The encoder refuses an exact
+    Decimal and a nested view: from the first slice it refuses, such as the
+    squares witness's first, the items are walked one by one.
     """
-    text = _scalar_text(value)
+    text = _text(value)
     if text is not None:
         write(text)
     elif isinstance(value, dict) or hasattr(value, "_fields"):
-        if not isinstance(value, dict):
-            value, converted = _record_dict(value)
+        members = value if isinstance(value, dict) else _members(value)
         held = "{"
-        for i, key in enumerate(sorted(value)):
-            text = _scalar_text(value[key])
+        for i, key in enumerate(sorted(members)):
+            text = _text(members[key])
             held += ("," if i else "") + _ENCODE(key) + ":" + (text or "")
             if text is None:  # write what is held, then walk the member
                 write(held)
-                write_json(value[key], write, converted)
+                write_json(members[key], write)
                 held = ""
         write(held + "}")
-    elif hasattr(value, "__iter__"):
+    else:
         items, comma = iter(value), ""
         write("[")
         while chunk := list(itertools.islice(items, _SLICE)):
             try:
-                text = _ENCODE(chunk if converted else to_json(chunk))[1:-1]
+                text = _ENCODE(to_json(chunk) if isinstance(value, (list, tuple)) else chunk)[1:-1]
             except TypeError:  # an exact Decimal or a nested view
                 for item in itertools.chain(chunk, items):
                     write(comma)
-                    write_json(item, write, converted)
+                    write_json(item, write)
                     comma = ","
                 break
             write(comma)
             write(text)  # comma + text would copy the slice's text once more
             comma = ","
         write("]")
-    else:
-        write(_ENCODE(to_json(value)))
 
 
 def _emit(args, result, out) -> None:

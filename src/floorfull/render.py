@@ -27,8 +27,6 @@ def render_table(value, out, indent: str = "") -> None:
         else:
             for item in value:
                 out.write(f"{indent}{item}\n")
-    else:
-        out.write(f"{indent}{value}\n")
 
 
 def _cell(value) -> str:

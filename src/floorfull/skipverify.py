@@ -139,11 +139,6 @@ class SkipReport(NamedTuple):
     skipped: tuple[int, ...]   # k with s_k <= 2^j: no alpha in (0, 1) hits 2^j there
     overall: bool
 
-    def to_json_dict(self) -> dict:
-        """The report's JSON form; its rows are the view `rows`, already in that form."""
-        return {"gamma": rat_str(self.gamma), "j": self.j, "k_max": self.k_max,
-                "rows": self.rows, "skipped": self.skipped, "overall": self.overall}
-
 
 def verify_skip_all_alpha(gamma: Fraction, j: int, k_max: int = DEFAULT_K_MAX) -> SkipReport:
     """Certify 2^(j+1) misses the image whenever 2^j is hit at index <= k_max.

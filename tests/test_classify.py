@@ -107,15 +107,16 @@ def test_is_prime_rejects_a014233_k(k):
 
 
 def test_is_prime_matches_13_bases_around_each_threshold():
+    # from A014233(13) up is_prime is Baillie-PSW, which the 13 bases are not
     for threshold in sorted(set(A014233)):
-        for n in range(threshold - 64, threshold + 65, 2):  # thresholds are odd
+        for n in range(threshold - 64, min(threshold + 65, A014233[12]), 2):  # thresholds are odd
             assert is_prime(n) == reference_is_prime(n), n
 
 
 @given(n=st.integers(1, 82).flatmap(lambda bits: st.integers(2 ** (bits - 1), 2 ** bits)))
 @settings(max_examples=500)
 def test_is_prime_matches_13_bases_below_a014233_13(n):
-    n = min(n, A014233[12] - 1)
+    n = min(n, A014233[12] - 2)  # n | 1 stays below A014233(13), which is odd
     assert is_prime(n) == reference_is_prime(n), n
     assert is_prime(n | 1) == reference_is_prime(n | 1), n | 1
 
@@ -133,9 +134,98 @@ def bases_run(monkeypatch):
     return bases
 
 
-def test_is_prime_runs_all_13_bases_above_a014233_13(bases_run):
-    assert is_prime(2 ** 89 - 1)  # a Mersenne prime above A014233(13)
-    assert bases_run == list(MR_BASES_13)
+def test_is_prime_runs_base_2_then_lucas_above_a014233_13(bases_run, monkeypatch):
+    lucas_run = []
+    strong_lucas = classify._strong_lucas
+    monkeypatch.setattr(classify, "_strong_lucas", lambda n: lucas_run.append(n) or strong_lucas(n))
+    for n in (A014233[12], 2 ** 89 - 1):  # A014233(13) and a Mersenne prime above it
+        bases_run.clear(), lucas_run.clear()
+        assert is_prime(n) == (n != A014233[12])
+        assert bases_run == [2] and lucas_run == [n]
+
+
+def test_a014233_13_is_composite_and_classify_prints_both_factors(capsys):
+    # it passes all 13 Miller-Rabin bases; only the Lucas half of Baillie-PSW exposes it
+    n = A014233[12]
+    assert 1287836182261 * 2575672364521 == n
+    assert reference_is_prime(n) and not is_prime(n)
+    assert main(["classify", "--n", str(n)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["result"]["factorization"] == [[1287836182261, 1], [2575672364521, 1]]
+
+
+def test_baillie_psw_rejects_a014233_and_matches_trial_division_below_10_5():
+    below = [n for n in range(3, 10 ** 5, 2) if strong_probable_prime(n, (2,)) and not oracle_is_prime(n)]
+    # OEIS A001262: the strong pseudoprimes to base 2 below 10^5
+    assert below == [2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141, 52633, 65281,
+                     74665, 80581, 85489, 88357, 90751]
+    for n in (*A014233, *below):
+        assert not classify._strong_lucas(n), n
+    for n in range(3, 10 ** 5, 2):
+        bpsw = strong_probable_prime(n, (2,)) and classify._strong_lucas(n)
+        assert bpsw == oracle_is_prime(n), n
+
+
+def legendre_jacobi(a: int, n: int) -> int:
+    """(a/n) as the product of the Legendre symbols a^((p-1)/2) mod p over n's prime factors."""
+    symbol, m, p = 1, n, 3
+    while m > 1:
+        if p * p > m:
+            p = m  # what is left is prime
+        if m % p:
+            p += 2
+            continue
+        m //= p
+        legendre = pow(a, (p - 1) // 2, p)
+        symbol *= -1 if legendre == p - 1 else legendre
+    return symbol
+
+
+def strong_lucas_by_recurrence(n: int) -> bool:
+    """The strong Lucas test of odd n, not a square, from its definition: Selfridge's
+    D, P = 1, Q = (1 - D)/4, and U, V read off U_(k+1) = P*U_k - Q*U_(k-1), likewise V."""
+    D = 5
+    while legendre_jacobi(D, n) != -1:
+        if 1 < math.gcd(D, n) < n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    P, Q = 1, (1 - D) // 4
+    U, V = [0, 1], [2, P]
+    for _ in range(n):
+        U.append((P * U[-1] - Q * U[-2]) % n)
+        V.append((P * V[-1] - Q * V[-2]) % n)
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
+    return U[d] == 0 or any(V[d << r] == 0 for r in range(s))
+
+
+def test_lucas_matches_its_recurrence_on_small_n():
+    strong_lucas = classify._strong_lucas
+    for n in range(3, 2500, 2):
+        if math.isqrt(n) ** 2 == n:
+            assert not strong_lucas(n), n
+        else:
+            assert strong_lucas(n) == strong_lucas_by_recurrence(n), n
+
+
+def test_jacobi_matches_the_legendre_products():
+    for n in range(1, 300, 2):
+        for a in range(-2 * n, 2 * n):
+            assert classify._jacobi(a, n) == (legendre_jacobi(a, n) if math.gcd(a, n) == 1 else 0)
+
+
+def next_prime(n: int) -> int:
+    while not is_prime(n):  # below A014233(13): the deterministic Miller-Rabin
+        n += 1
+    return n
+
+
+@given(st.integers(2 ** 42, 2 ** 56), st.integers(2 ** 42, 2 ** 56))
+@settings(max_examples=200)
+def test_is_prime_rejects_products_of_two_primes_above_2_42(a, b):
+    p, q = next_prime(a), next_prime(b)
+    assert p * q >= A014233[12]  # so Baillie-PSW decides
+    assert not is_prime(p * q)
 
 
 @pytest.mark.parametrize("k", range(1, 13))

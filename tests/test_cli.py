@@ -408,6 +408,14 @@ def test_classify_subcommand():
     assert payload["result"]["is_r_free"] is False
 
 
+@pytest.mark.parametrize("method", ["spf", "a2b3"])
+def test_sieve_names_the_limit_it_rejects(method):
+    proc = run_cli("sieve", "--limit", "0", "--method", method)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == b"error: limit must be >= 1, got 0\n"
+
+
 def test_sieve_methods_agree():
     spf = run_json("sieve", "--limit", "500", "--r", "2")
     a2b3 = run_json("sieve", "--limit", "500", "--r", "2", "--method", "a2b3")
@@ -559,6 +567,17 @@ def test_thm2_verify_holds_none_of_its_rows(tmp_path, fmt):
     assert code == 0
     assert path.stat().st_size > 18_000_000
     assert peak < 8 * 2**20
+
+
+def test_theorem1_verify_converts_its_lines_a_slice_at_a_time(tmp_path):
+    # 1.9 MB of JSON; a slice at a time peaked at 2.6 MiB, converting the
+    # whole result before writing it at 6.2 MiB
+    path = tmp_path / "verify.json"
+    code, peak = main_traced(path, ["theorem1", "verify", "--cert", str(INPUTS / "cert_ell15.json"),
+                                    "--max-m", "20000"])
+    assert code == 0
+    assert path.stat().st_size > 1_800_000
+    assert peak < 4 * 2**20
 
 
 def test_sieve_peak_stays_small(tmp_path):

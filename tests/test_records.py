@@ -227,9 +227,9 @@ def test_write_json_writes_a_thm2_verify_report_in_a_few_calls(monkeypatch, k_ma
     calls = []
     write_json_once = cli.write_json
 
-    def counted(value, write, converted=False):
+    def counted(value, write):
         calls.append(type(value).__name__)
-        write_json_once(value, write, converted)
+        write_json_once(value, write)
 
     monkeypatch.setattr(cli, "write_json", counted)
     with redirect_stdout(io.StringIO()):
