@@ -9,10 +9,13 @@ counts unambiguous.
 Factorization strategy: trial division by the primes below 1000; a larger
 cofactor goes to Miller-Rabin, a proof below 3,317,044,064,679,887,385,961,981
 (comfortably above 2^64), or to Baillie-PSW from there up, and, if
-composite, to Brent rho on a fixed-seed RNG, so runs are
-reproducible, within a budget of RHO_BUDGET work units per split.  One lazy
-generator, _prime_powers, does this for factorize and for the r-free /
-r-full predicates, which stop at the first prime that decides them.
+composite, to a few hundred rounds of Hart's one-line method, which splits
+strong pseudoprimes such as A014233(12) at once, then to Brent rho on a
+fixed-seed RNG, so runs are reproducible, within a budget of RHO_BUDGET
+work units per split.  One lazy generator, _prime_powers, does this for
+factorize and for the r-free / r-full predicates, which stop at the first
+prime that decides them; the primes it yields are proved, and factorize
+does not test them again.
 
 Enumeration factorizes nothing: r_full_up_to searches products of prime
 powers, in time proportional to its output, on which r_full_integers runs.
@@ -159,6 +162,14 @@ class Factorization(
     __slots__ = ()
 
     def __new__(cls, n: int, factors: tuple[tuple[int, int], ...]):
+        for p, _ in factors:
+            if not (p in _TRIAL_PRIME_SET if p < 1000 else is_prime(p)):
+                raise ValueError(f"{p} is not prime")
+        return cls._of_proved_primes(n, factors)
+
+    @classmethod
+    def _of_proved_primes(cls, n: int, factors: tuple[tuple[int, int], ...]):
+        """All checks but primality, for primes the caller has already proved."""
         product = 1
         last_prime = 1
         for p, e in factors:
@@ -166,13 +177,33 @@ class Factorization(
                 raise ValueError(f"primes not strictly increasing in {factors}")
             if e < 1:
                 raise ValueError(f"exponent {e} < 1 for prime {p}")
-            if not (p in _TRIAL_PRIME_SET if p < 1000 else is_prime(p)):
-                raise ValueError(f"{p} is not prime")
             last_prime = p
             product *= p ** e
         if product != n:
             raise ValueError(f"factors {factors} do not multiply to {n}")
         return super().__new__(cls, n, factors)
+
+
+_HART_ROUNDS = 256  # a miss costs ~0.3 ms; A014233(12) and (13) split in round 8
+
+
+def _hart(n: int) -> int | None:
+    """A proper divisor of n > 10^6 by Hart's one-line method, or None after _HART_ROUNDS rounds.
+
+    Round i takes s = ceil(sqrt(i*n)), so s^2 mod n = s^2 - i*n (Hart,
+    J. Aust. Math. Soc. 92, 2012).  When that is a square t^2,
+    i*n = (s - t)(s + t) with 0 < s - t <= s + t < n, so gcd(s - t, n) is a
+    proper divisor.  It splits p*q with q/p close to a/b in round a*b, so at
+    once for strong pseudoprimes p*(k*(p - 1) + 1), and rarely when a*b
+    must be large.
+    """
+    for i in range(1, _HART_ROUNDS + 1):
+        s = math.isqrt(n * i - 1) + 1
+        m = s * s % n
+        t = math.isqrt(m)
+        if t * t == m:
+            return math.gcd(s - t, n)
+    return None
 
 
 RHO_BUDGET = 2 ** 22  # work units per _brent_rho call, sized in its docstring
@@ -186,9 +217,10 @@ def _brent_rho(n: int, rng: random.Random) -> int:
     charges ceil(n.bit_length() / 96)^2 units a squaring (1 up to 96 bits),
     spends at most RHO_BUDGET = 2^22 units, counted across retries, and
     raises NotFoundWithinBound before a round that could pass it.
-    A014233(12) = 399165290221 * 798330580441 takes 409,854 squarings at
-    the default seed (524,286 in whole rounds): 8-10x headroom.  A product
-    of two primes near 10^15 gives up in seconds.
+    1000000000039 * 1618033988819, whose ratio is near the golden mean, so
+    that Hart misses it, takes 399,998 squarings at the default seed
+    (524,286 in whole rounds): 8-10x headroom.  A product of two such
+    primes near 10^15 gives up in seconds.
     """
     unit = ((n.bit_length() + 95) // 96) ** 2  # the charge for one squaring
     spent = 0
@@ -253,8 +285,8 @@ def _prime_powers(n: int) -> Iterator[tuple[int, int]]:
 def _split_cofactor(m: int) -> tuple[tuple[int, int], ...]:
     """Sorted (p, e) of m > 1 with no prime factor below 1000.
 
-    Miller-Rabin and Brent rho, cached so that factorize and the two
-    predicates on the same n run rho once between them.
+    Miller-Rabin, then Hart and Brent rho, cached so that factorize and the
+    two predicates on the same n split it once between them.
     """
     rng = random.Random(DEFAULT_RHO_SEED)
     counts: dict[int, int] = {}
@@ -264,7 +296,7 @@ def _split_cofactor(m: int) -> tuple[tuple[int, int], ...]:
         if is_prime(c):
             counts[c] = counts.get(c, 0) + 1
             continue
-        d = _brent_rho(c, rng)
+        d = _hart(c) or _brent_rho(c, rng)
         stack.append(d)
         stack.append(c // d)
     return tuple(sorted(counts.items()))
@@ -281,7 +313,7 @@ def factorize(n: int) -> Factorization:
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
-    return Factorization(n, tuple(_prime_powers(n)))
+    return Factorization._of_proved_primes(n, tuple(_prime_powers(n)))
 
 
 def is_r_free(n: int, r: int) -> bool:

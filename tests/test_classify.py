@@ -275,9 +275,11 @@ def test_factorize_reconstructs_and_is_sorted(n):
 
 
 def test_factorize_large_semiprime_uses_rho_path():
-    # both factors lie above the trial primes (below 1000), forcing the splitter
+    # both factors lie above the trial primes (below 1000), forcing the
+    # splitter, and q/p is near the golden ratio, so Hart misses and rho splits
     p = next(n for n in range(10**6 + 1, 10**6 + 100) if oracle_is_prime(n))
-    q = next(n for n in range(p + 1, p + 100) if oracle_is_prime(n))
+    q = next(n for n in range(p * 1618 // 1000, p * 1619 // 1000) if oracle_is_prime(n))
+    assert classify._hart(p * q) is None
     assert factorize(p * q).factors == ((p, 1), (q, 1))
 
 
@@ -329,9 +331,34 @@ def test_factorize_at_the_trial_division_boundary(factors):
     assert factorize(math.prod(p**e for p, e in factors)).factors == factors
 
 
+# Pairs p, q with q the first prime above p times the golden ratio, which
+# no a/b with a small a*b approximates: Hart's stage misses their products,
+# so only Brent rho can split them.
+GOLDEN_9 = (1_000_000_007, 1_618_034_009)
+GOLDEN_15 = (1_000_000_000_000_037, 1_618_033_988_749_957)
+GOLDEN_60 = (4 * 10**59 + 151, 647213595499957939281834733746255247088123671922305144854443)
+
+
+def clear_classify_caches():
+    for value in vars(classify).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+@pytest.mark.parametrize("pair", [GOLDEN_9, GOLDEN_15, GOLDEN_60])
+def test_golden_pairs_are_primes_that_hart_misses(pair):
+    p, q = pair
+    assert is_prime(p) and is_prime(q)
+    scale = 10**80
+    golden = p * (scale + math.isqrt(5 * scale**2)) // (2 * scale)
+    assert not any(is_prime(m) for m in range(golden, q))
+    assert classify._hart(p * q) is None
+
+
 def test_brent_rho_budget_raises_not_found(monkeypatch):
-    p, q = 1_000_000_007, 1_000_000_009
+    p, q = GOLDEN_9
     assert oracle_is_prime(p) and oracle_is_prime(q)
+    assert classify._hart(p * q) is None
     monkeypatch.setattr(classify, "RHO_BUDGET", 1000)
     with pytest.raises(NotFoundWithinBound, match=f"{p * q} within 1000 "):
         factorize(p * q)
@@ -340,31 +367,62 @@ def test_brent_rho_budget_raises_not_found(monkeypatch):
 
 
 def test_classify_exits_2_when_rho_budget_runs_out(monkeypatch, capsys):
-    # a product of primes near 10^15 and 10^16: rho needs ~10^7.5 squarings
+    # a product of primes near 10^15 and 1.6 * 10^15: rho needs ~10^7.5 squarings
+    n = math.prod(GOLDEN_15)
+    assert classify._hart(n) is None
     monkeypatch.setattr(classify, "RHO_BUDGET", 1000)
-    assert main(["classify", "--n", "10000000000000431000000000002257"]) == 2
+    assert main(["classify", "--n", str(n)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
-    assert "10000000000000431000000000002257 within 1000 " in captured.err
+    assert f"{n} within 1000 " in captured.err
 
 
-def test_validate_exits_2_on_a_case_iii_ell_with_two_60_digit_primes(tmp_path, capsys):
-    # the square-free check factors ell: each squaring mod a 399-bit ell is
-    # charged ceil(399 / 96)^2 = 25 units, so rho gives up 25 times sooner
-    p, q = 4 * 10**59 + 151, 6 * 10**59 + 367
+def test_classify_splits_factors_near_ratio_10_without_rho(monkeypatch, capsys):
+    # primes near 10^15 and 10^16: Hart splits their product in round 40,
+    # where rho would need ~10^7.5 squarings
+    p, q = 1000000000000037, 10000000000000061
     assert is_prime(p) and is_prime(q)
+    monkeypatch.setattr(classify, "RHO_BUDGET", 1000)
+    assert main(["classify", "--n", str(p * q)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["result"]["factorization"] == [[p, 1], [q, 1]]
+
+
+def _case_iii_cert_file(tmp_path, p, q):
     ell, s = p * q, 2
     cert = {"r": 2, "ell": ell, "case": "III", "k": ell * (ell * s - 2),
             "witness": {"q": p, "s": s, "q_star": ell * s - 1}}
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(cert))
-    assert main(["theorem1", "validate", "--cert", str(path)]) == 2
+    return str(path)
+
+
+def test_validate_exits_2_on_a_case_iii_ell_with_two_60_digit_primes(tmp_path, capsys):
+    # the square-free check factors ell: each squaring mod a 397-bit ell is
+    # charged ceil(397 / 96)^2 = 25 units, so rho gives up 25 times sooner
+    p, q = GOLDEN_60
+    ell = p * q
+    assert ell.bit_length() == 397
+    assert classify._hart(ell) is None
+    assert main(["theorem1", "validate", "--cert", _case_iii_cert_file(tmp_path, p, q)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert f"no factor of {ell} within {classify.RHO_BUDGET} units" in captured.err
     assert "(one squaring costs 25)" in captured.err
+
+
+def test_validate_exits_1_on_a_case_iii_ell_with_60_digit_primes_in_ratio_2_to_3(tmp_path, capsys):
+    # Hart splits ell = p * q with q/p near 3/2 in round 24, so the square-free
+    # check passes and validation reaches q* = 2 * ell - 1, which is composite
+    p, q = 4 * 10**59 + 151, 6 * 10**59 + 367
+    assert is_prime(p) and is_prime(q)
+    assert factorize(p * q).factors == ((p, 1), (q, 1))
+    assert not is_prime(2 * p * q - 1)
+    assert main(["theorem1", "validate", "--cert", _case_iii_cert_file(tmp_path, p, q)]) == 1
+    captured = capsys.readouterr()
+    assert "q_star_not_prime" in captured.out + captured.err
 
 
 def test_factorization_type_validates():
@@ -396,8 +454,10 @@ def test_r_full_examples():
 
 # 1, primes above 1000 on both sides of 997^2 (the first is proved prime by
 # trial division, the second goes to Miller-Rabin), prime powers and a
-# product past trial division, and A014233(12), which only rho splits
-_COFACTORS = (1, 1009, 1_000_003, 1009**2, 1009**3, 1009 * 1013, 399165290221 * 798330580441)
+# product past trial division, A014233(12), which Hart splits, and a
+# product that only rho splits
+_COFACTORS = (1, 1009, 1_000_003, 1009**2, 1009**3, 1009 * 1013, 399165290221 * 798330580441,
+              math.prod(GOLDEN_9))
 
 
 @pytest.mark.parametrize("c", _COFACTORS)
@@ -423,30 +483,165 @@ def test_predicates_match_the_factorization_on_the_cofactor_branch(r, c):
 
 def test_classify_runs_rho_no_more_than_factorize_alone(monkeypatch, capsys):
     # classify calls factorize, is_r_free and is_r_full on the same n; the
-    # predicates must not split A014233(12) again
-    n = 318665857834031151167461
+    # predicates must not split it again, by Hart or by rho
+    n = math.prod(GOLDEN_9)
+    assert classify._hart(n) is None
+    real_split = classify._split_cofactor.__wrapped__
     real_rho = classify._brent_rho
-    calls = []
+    splits, rho_calls = [], []
+
+    def counting_split(m):
+        splits.append(m)
+        return real_split(m)
 
     def counting_rho(m, rng):
-        calls.append(m)
+        rho_calls.append(m)
         return real_rho(m, rng)
 
-    def clear_caches():
-        for value in vars(classify).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
-
+    monkeypatch.setattr(classify, "_split_cofactor", functools.lru_cache(maxsize=1024)(counting_split))
     monkeypatch.setattr(classify, "_brent_rho", counting_rho)
-    clear_caches()
+    clear_classify_caches()
     factorize(n)
-    alone = len(calls)
-    calls.clear()
-    clear_caches()
+    alone = (len(splits), len(rho_calls))
+    splits.clear(), rho_calls.clear()
+    clear_classify_caches()
     assert main(["classify", "--n", str(n)]) == 0
     capsys.readouterr()
-    assert alone >= 1
-    assert len(calls) == alone
+    assert alone == (1, 1)
+    assert (len(splits), len(rho_calls)) == alone
+
+
+def test_hart_splits_a014233_12_and_13_with_no_rho_call(monkeypatch):
+    def no_rho(m, rng):
+        raise AssertionError(f"rho called on {m}")
+
+    monkeypatch.setattr(classify, "_brent_rho", no_rho)
+    clear_classify_caches()
+    assert factorize(A014233[11]).factors == ((399165290221, 1), (798330580441, 1))
+    assert factorize(A014233[12]).factors == ((1287836182261, 1), (2575672364521, 1))
+    clear_classify_caches()
+
+
+@pytest.mark.parametrize("n", sorted(set(A014233)))
+def test_factorize_a014233_remultiplies_to_n_with_prime_factors(n):
+    factors = factorize(n).factors
+    assert math.prod(p**e for p, e in factors) == n
+    assert all(oracle_is_prime(p) for p, _ in factors)
+
+
+def test_factorize_tests_each_split_factor_once(monkeypatch):
+    # _split_cofactor proves A014233(12) composite and each factor prime;
+    # Factorization does not test the factors again
+    real_is_prime = classify.is_prime
+    calls = []
+    monkeypatch.setattr(classify, "is_prime", lambda m: calls.append(m) or real_is_prime(m))
+    clear_classify_caches()
+    factorize(A014233[11])
+    assert sorted(calls) == [399165290221, 798330580441, A014233[11]]
+    clear_classify_caches()
+
+
+@pytest.mark.parametrize(
+    "split, message",
+    [
+        (((1009, 1), (1019, 1)), "do not multiply"),
+        (((1013, 1), (1009, 1)), "not strictly increasing"),
+        (((1009, 0), (1013, 1)), "exponent 0 < 1"),
+    ],
+)
+def test_factorize_checks_what_the_splitter_returns(monkeypatch, split, message):
+    monkeypatch.setattr(classify, "_split_cofactor", lambda m: split)
+    clear_classify_caches()
+    with pytest.raises(ValueError, match=message):
+        factorize(2 * 1009 * 1013)
+
+
+class CountingMath:
+    """The math module, counting isqrt calls: a Hart round makes two."""
+
+    def __init__(self):
+        self.isqrt_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def isqrt(self, n):
+        self.isqrt_calls += 1
+        return math.isqrt(n)
+
+
+@pytest.mark.parametrize("pair", [GOLDEN_9, (100000000003, 161803398917)])
+def test_hart_misses_a_balanced_semiprime_in_its_rounds_and_rho_runs_as_alone(monkeypatch, pair):
+    n = math.prod(pair)
+    counting = CountingMath()
+    monkeypatch.setattr(classify, "math", counting)
+    assert classify._hart(n) is None
+    assert counting.isqrt_calls == 2 * classify._HART_ROUNDS
+    monkeypatch.undo()
+    real_rho = classify._brent_rho
+    runs = []
+
+    def recording_rho(m, rng):
+        runs[-1].append((m, rng.getstate()))
+        return real_rho(m, rng)
+
+    monkeypatch.setattr(classify, "_brent_rho", recording_rho)
+    results = []
+    for hart in (classify._hart, lambda m: None):
+        monkeypatch.setattr(classify, "_hart", hart)
+        runs.append([])
+        results.append(classify._split_cofactor.__wrapped__(n))
+    assert results == [((pair[0], 1), (pair[1], 1))] * 2
+    assert runs[0] == runs[1] and len(runs[0]) == 1
+
+
+@given(n=st.one_of(
+    st.integers(10**6 + 1, 10**30),
+    st.integers(1009, 10**6).map(_prime_at_or_after).map(lambda p: p * p),
+    st.tuples(st.integers(1009, 10**9), st.integers(1, 40)).map(lambda t: t[0] * (t[1] * (t[0] - 1) + 1)),
+))
+@settings(max_examples=200, deadline=None)
+@example(n=10**6 + 1)
+@example(n=10**6 + 3)  # prime
+def test_hart_returns_a_proper_divisor_or_none(n):
+    # n > 10^6, as is every cofactor the splitter gets: those have no prime
+    # factor below 1000
+    g = classify._hart(n)
+    assert g is None or (1 < g < n and n % g == 0)
+    if is_prime(n):
+        assert g is None
+
+
+def oracle_factors(n: int) -> dict[int, int]:
+    """The factorization of n by trial division."""
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+@given(
+    p=st.integers(997, 10**6).map(_prime_at_or_after),
+    q=st.one_of(
+        st.integers(2, 10**9).map(lambda q: ("random", q)),
+        st.integers(1, 64).map(lambda k: ("k(p-1)+1", k)),
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_factorize_p_times_random_q_or_k_p_minus_1_plus_1(p, q):
+    # k(p - 1) + 1 is how strong pseudoprimes are built, so q/p is near k:
+    # the case Hart's stage is for
+    kind, value = q
+    q = value if kind == "random" else value * (p - 1) + 1
+    expected = oracle_factors(q)
+    expected[p] = expected.get(p, 0) + 1
+    assert factorize(p * q).factors == tuple(sorted(expected.items()))
 
 
 def test_classify_rejects_bad_args():
