@@ -19,9 +19,14 @@ A cold run builds, imports and compiles only what its subcommand runs.
 `parse_args` reads a well-formed argv from the COMMANDS rows; argparse,
 gettext and locale load only for help, usage errors and the spellings
 only argparse accepts.  Each group names the library module its handlers
-use, and `dispatch` imports that module and hands it to the handler.
-`fractions` loads only with code that builds a Fraction, and the table
-and CSV renderers of `render` only for those formats.  `to_json` alone
+use, and the handlers live apart, in one command module per library
+module, `_cmd_<module>`, where each COMMANDS row names its handler.
+`dispatch` imports the row's library module and command module and hands
+the first to the handler, so a run compiles no other group's handlers.
+`rationals` loads only with a run that parses or prints a rational, the
+sieve and series code of `enumeration` only with `sieve` and `series`,
+`fractions` only with code that builds a Fraction, and the table and CSV
+renderers of `render` only for those formats.  `to_json` alone
 decides a result's JSON form, and `write_json` streams it, so no run
 holds its whole text: it hands lists and the lazy `view.View`s of pset
 and skipverify reports, such as a `thm2 verify` report's rows, to json's
@@ -46,9 +51,9 @@ from .defaults import (
     S_MAX,
     SEQ_CAP,
     SIEVE_CAP,
+    unlimited_int_digits,
 )
 from .errors import NotFoundWithinBound, VerificationFailure
-from .rationals import parse_rational, rat_str, unlimited_int_digits
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -101,6 +106,7 @@ def to_json(value):
         return {key: to_json(inner) for key, inner in value.items()}
     fractions = sys.modules.get("fractions")  # no Fraction exists until it loads
     if fractions is not None and isinstance(value, fractions.Fraction):
+        from .rationals import rat_str
         return rat_str(value)
     if hasattr(value, "_fields"):
         return to_json(_members(value))
@@ -205,30 +211,11 @@ def _emit(args, result, out) -> None:
 
 
 # ---------------------------------------------------------------------------
-# helpers
+# helpers the handlers of more than one group share
 
 def _unread_flag(kind: str, flag: str, value) -> None:
     if value is not None:
         raise ValueError(f"{flag} is not read with --kind {kind}")
-
-
-def _spec_from_args(args):
-    from fractions import Fraction  # floorseq loads it anyway
-    from . import floorseq
-
-    kind = args.kind
-    if kind != "pow32":
-        _unread_flag(kind, "--gamma", args.gamma)
-    if kind != "file":
-        _unread_flag(kind, "--file", args.file)
-    if kind == "pow32":
-        return floorseq.FloorPower(Fraction(3, 2) if args.gamma is None else args.gamma)
-    if kind == "squares":
-        return floorseq.Squares()
-    if not args.file:
-        raise ValueError("--file is required with --kind file")
-    # each run that takes a spec uses its first --n terms, and an --n past SEQ_CAP raises
-    return floorseq.Explicit(tuple(_read_int_file(args.file, max(0, min(args.n, SEQ_CAP)))))
 
 
 # Most characters of a term-file line, its newline not counted.  A term
@@ -267,175 +254,23 @@ def _read_int_file(path: str, most: int, cap: str = "") -> list[int]:
     return values
 
 
-def _series_terms(classify, args):
-    kind = args.kind
-    r = 2 if args.r is None else args.r
-    if kind not in ("rfree", "rfull"):
-        _unread_flag(kind, "--r", args.r)
-    if kind in ("squarefree", "rfree"):
-        return classify.r_free_integers(r)
-    if kind in ("squarefull", "rfull"):
-        if args.terms > 1 and r >= classify.SERIES_BITS_CAP.bit_length():  # 2nd term is 2^r
-            raise ValueError(f"{args.ell} ** 2^{r} may exceed {classify.SERIES_BITS_CAP} bits")
-        return classify.r_full_integers(r)
-    return (n * n for n in range(1, args.terms + 1))
-
-
-# ---------------------------------------------------------------------------
-# handlers: each takes its table row's module, imported at dispatch, and
-# returns a result for `to_json` or raises
-
-def _run_classify(classify, args):
-    fact = classify.factorize(args.n)
-    return {
-        "n": args.n,
-        "r": args.r,
-        "factorization": fact.factors,
-        "is_r_free": classify.is_r_free(args.n, args.r),
-        "is_r_full": classify.is_r_full(args.n, args.r),
-    }
-
-
-def _run_sieve(classify, args):
-    if args.method == "a2b3":
-        if args.r != 2:
-            raise ValueError("--method a2b3 only enumerates 2-full integers")
-        values = classify.squarefull_via_a2b3(args.limit)
-    else:
-        values = classify.r_full_up_to(args.limit, args.r)
-    return {"limit": args.limit, "r": args.r, "method": args.method, "values": values}
-
-
-def _run_series(classify, args):
-    terms = _series_terms(classify, args)
-    digits, partial = classify.series_digits(terms, args.ell, args.terms, args.digits)
-    return {"base": args.ell, "digits": digits, "partial_sum": partial}
-
-
-def _run_theorem1_construct(cert, args):
-    return cert.construct_certificate(args.r, args.ell)
-
-
-def _load_certificate(cert, path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return cert.Certificate.from_json_dict(json.load(handle))
-        except RecursionError:  # json.load on a deeply nested array or object
-            raise ValueError("certificate JSON is nested too deeply") from None
-
-
-def _run_theorem1_validate(cert, args):
-    cert.validate_certificate(_load_certificate(cert, args.cert))  # raises unless valid
-    return {"ok": True, "reason": None}
-
-
-def _run_theorem1_verify(cert, args):
-    return cert.verify_non_rfull(_load_certificate(cert, args.cert), max_m=args.max_m)
-
-
-# Largest number of (r, ell) cells `theorem1 grid` runs; the cell list is
-# built before the first cell runs.
-GRID_CELL_CAP = 2 ** 16
-
-
-def _run_theorem1_grid(cert, args):
-    if args.jobs != 1:
-        raise ValueError(f"--jobs must be 1, the grid runs serially; got {args.jobs}")
-    if args.r_min > args.r_max or args.ell_min > args.ell_max:
-        raise ValueError(f"the grid is empty: r in [{args.r_min}, {args.r_max}], "
-                         f"ell in [{args.ell_min}, {args.ell_max}]")
-    n_cells = (args.r_max - args.r_min + 1) * (args.ell_max - args.ell_min + 1)
-    if n_cells > GRID_CELL_CAP:
-        raise ValueError(f"the grid has {n_cells} cells, above GRID_CELL_CAP = {GRID_CELL_CAP}")
-    # A certificate proves "not 2-full" (a prime of exponent 1), so "not r-full" for every r >= 2;
-    # check_non_rfull never reads r and validate_certificate asks r >= 2: r_min proves every row.
-    proved = []
-    for ell in range(args.ell_min, args.ell_max + 1):
-        proved.append(cert.construct_certificate(args.r_min, ell))
-        cert.check_non_rfull(proved[-1], args.max_m)  # raises unless valid and verified
-    rows = [{"r": r, "ell": c.ell, "case": c.case, "k": c.k, "valid": True, "verified_to": args.max_m}
-            for r in range(args.r_min, args.r_max + 1) for c in proved]
-    return {"rows": rows, "all_passed": True}
-
-
-def _run_seq_gen(seq, args):
-    values = seq.generate_terms(_spec_from_args(args), args.n)
-    return {"n": args.n, "values": values}
-
-
-def _run_seq_salpha(seq, args):
-    values = seq.s_alpha(_spec_from_args(args), args.alpha, args.n)
-    return {"alpha": args.alpha, "n": args.n, "values": values}
-
-
-def _run_seq_preimage(seq, args):
-    return seq.preimage_interval(args.t, args.s)
-
-
-def _run_seq_ratio(seq, args):
-    return seq.ratio_condition_check(_spec_from_args(args), args.n)
-
-
-def _run_thm2_verify(skip, args):
-    return skip.verify_skip_all_alpha(args.gamma, args.j, args.K)
-
-
-def _run_thm2_symbolic(skip, args):
-    return skip.symbolic_condition_check(args.gamma, args.j)
-
-
-def _run_thm2_gamma_search(skip, args):
-    j = skip.gamma_exception_search(args.gamma)
-    return {
-        "gamma": args.gamma,
-        "j": j,
-        "rule": "smallest j passing derived sufficient conditions",
-    }
-
-
-def _run_thm2_scan(skip, args):
-    spec = _spec_from_args(args)
-    hits = skip.counterexample_scan(spec, args.t1, args.t2, args.n)
-    return {
-        "t1": args.t1,
-        "t2": args.t2,
-        "n_max": args.n,
-        "intervals": hits,
-        "empty": not hits,
-    }
-
-
-def _run_pset_compute(pset, args):
-    terms = _read_int_file(args.terms, pset.TERMS_CAP, "TERMS_CAP")
-    bitmap = pset.compute_pset(terms, args.bound)
-    if args.bit_out:
-        with open(args.bit_out, "wb") as handle:
-            handle.write(bitmap.to_bit_bytes())
-    return bitmap
-
-
-def _run_pset_complete(pset, args):
-    terms = _read_int_file(args.terms, pset.TERMS_CAP, "TERMS_CAP")
-    threshold = pset.complete_up_to(terms, args.bound)
-    return {"bound": args.bound, "threshold": threshold, "covered": threshold is not None}
-
-
-def _run_pset_brown(pset, args):
-    terms = _read_int_file(args.terms, pset.TERMS_CAP, "TERMS_CAP")
-    return {"terms": len(terms), "brown": pset.brown_criterion(terms)}
-
-
-def _run_pset_witness(pset, args):
-    return pset.verify_squares_witness(args.m)
-
-
 # ---------------------------------------------------------------------------
 # parser: one row per subcommand, (path, settings, handler, flags).  The
 # settings are what the report header names: the bound flags the run reads,
-# the caps it checks, and "seed" where it can factor.  A flag is
-# (name, type or tuple of choices, default[, help]); type None keeps the
-# string, and a default of ... marks the flag required.  Every subcommand
-# also takes the _COMMON flags.
+# the caps it checks, and "seed" where it can factor.  The handler is the
+# name of a function in the group's command module, `_cmd_<module>`, which
+# takes the library module and the parsed flags and returns a result for
+# `to_json` or raises.  A flag is (name, type or tuple of choices,
+# default[, help]); type None keeps the string, and a default of ... marks
+# the flag required.  Every subcommand also takes the _COMMON flags.
+
+def parse_rational(text: str):
+    """`rationals.parse_rational`, imported on the first call, so that only a run
+    given a rational loads `rationals`; a usage error names this type."""
+    from . import rationals
+    return rationals.parse_rational(text)
+
+
 
 _COMMON = (("--format", ("table", "json", "csv"), "json"),)
 _SEQ_SPEC = (
@@ -453,53 +288,53 @@ _GROUPS = {  # first word of a path: (library module its handlers use, help)
     "pset": ("pset", "subset-sum representation sets"),
 }
 COMMANDS = (
-    ("classify", ("seed",), _run_classify, (("--n", int, ...), ("--r", int, 2))),
-    ("sieve", ("sieve_cap",), _run_sieve, (
+    ("classify", ("seed",), "_run_classify", (("--n", int, ...), ("--r", int, 2))),
+    ("sieve", ("sieve_cap",), "_run_sieve", (
         ("--limit", int, ...), ("--r", int, 2), ("--method", ("spf", "a2b3"), "spf"),
     )),
-    ("series", ("seed",), _run_series, (
+    ("series", ("seed",), "_run_series", (
         ("--kind", ("squarefree", "squarefull", "rfree", "rfull", "squares"), "squarefree"),
         ("--r", int, None), ("--ell", int, 2), ("--terms", int, 10), ("--digits", int, 40),
     )),
-    ("theorem1 construct", ("s_max", "seed"), _run_theorem1_construct, (
+    ("theorem1 construct", ("s_max", "seed"), "_run_theorem1_construct", (
         ("--r", int, ...), ("--ell", int, ...),
     )),
-    ("theorem1 validate", ("seed",), _run_theorem1_validate, (("--cert", None, ...),)),
-    ("theorem1 verify", ("max_m", "seed"), _run_theorem1_verify, (
+    ("theorem1 validate", ("seed",), "_run_theorem1_validate", (("--cert", None, ...),)),
+    ("theorem1 verify", ("max_m", "seed"), "_run_theorem1_verify", (
         ("--cert", None, ...), ("--max-m", int, DEFAULT_MAX_M),
     )),
-    ("theorem1 grid", ("max_m", "s_max", "seed"), _run_theorem1_grid, (
+    ("theorem1 grid", ("max_m", "s_max", "seed"), "_run_theorem1_grid", (
         ("--r-min", int, 2), ("--r-max", int, 5), ("--ell-min", int, 2), ("--ell-max", int, 50),
         ("--max-m", int, DEFAULT_MAX_M), ("--jobs", int, 1),
     )),
-    ("seq gen", ("seq_cap",), _run_seq_gen, (*_SEQ_SPEC, ("--n", int, ...))),
-    ("seq salpha", ("seq_cap",), _run_seq_salpha, (
+    ("seq gen", ("seq_cap",), "_run_seq_gen", (*_SEQ_SPEC, ("--n", int, ...))),
+    ("seq salpha", ("seq_cap",), "_run_seq_salpha", (
         *_SEQ_SPEC, ("--alpha", parse_rational, ...), ("--n", int, ...),
     )),
-    ("seq preimage", (), _run_seq_preimage, (("--t", int, ...), ("--s", int, ...))),
-    ("seq ratio", ("seq_cap",), _run_seq_ratio, (*_SEQ_SPEC, ("--n", int, ...))),
-    ("thm2 verify", ("K", "seq_cap"), _run_thm2_verify, (
+    ("seq preimage", (), "_run_seq_preimage", (("--t", int, ...), ("--s", int, ...))),
+    ("seq ratio", ("seq_cap",), "_run_seq_ratio", (*_SEQ_SPEC, ("--n", int, ...))),
+    ("thm2 verify", ("K", "seq_cap"), "_run_thm2_verify", (
         ("--gamma", parse_rational, ...), ("--j", int, ...), ("--K", int, DEFAULT_K_MAX),
     )),
-    ("thm2 symbolic", (), _run_thm2_symbolic, (
+    ("thm2 symbolic", (), "_run_thm2_symbolic", (
         ("--gamma", parse_rational, ...), ("--j", int, ...),
     )),
-    ("thm2 gamma-search", (), _run_thm2_gamma_search, (
+    ("thm2 gamma-search", (), "_run_thm2_gamma_search", (
         ("--gamma", parse_rational, ...),
     )),
-    ("thm2 scan", ("seq_cap",), _run_thm2_scan, (
+    ("thm2 scan", ("seq_cap",), "_run_thm2_scan", (
         *_SEQ_SPEC, ("--t1", int, ...), ("--t2", int, ...), ("--n", int, DEFAULT_K_MAX),
     )),
-    ("pset compute", ("bitmap_cap",), _run_pset_compute, (
+    ("pset compute", ("bitmap_cap",), "_run_pset_compute", (
         ("--terms", None, ..., "file with one integer per line"),
         ("--bound", int, ...),
         ("--bit-out", None, None, "also write the raw bitmap here"),
     )),
-    ("pset complete", ("bitmap_cap",), _run_pset_complete, (
+    ("pset complete", ("bitmap_cap",), "_run_pset_complete", (
         ("--terms", None, ...), ("--bound", int, ...),
     )),
-    ("pset brown", (), _run_pset_brown, (("--terms", None, ...),)),
-    ("pset witness", (), _run_pset_witness, (("--m", int, ...),)),
+    ("pset brown", (), "_run_pset_brown", (("--terms", None, ...),)),
+    ("pset witness", (), "_run_pset_witness", (("--m", int, ...),)),
 )
 
 
@@ -569,8 +404,9 @@ def build_parser():
 
 def dispatch(args, out) -> int:
     module = importlib.import_module(f"{__package__}.{args.module}")
+    handler = getattr(importlib.import_module(f"{__package__}._cmd_{args.module}"), args.handler)
     try:
-        result = args.handler(module, args)
+        result = handler(module, args)
     except VerificationFailure as exc:
         if exc.report is not None:
             _emit(args, exc.report, out)

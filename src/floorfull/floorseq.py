@@ -18,8 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .defaults import SEQ_CAP
-from .rationals import RatInterval, unlimited_int_digits
+from .defaults import SEQ_CAP, unlimited_int_digits
+from .rationals import RatInterval
 
 # Bit caps of floor(gamma^n), gamma = p/q: each term, whose int-to-str conversion
 # is quadratic in its size (gamma < 2 keeps it below 2^SEQ_CAP), and the q^n

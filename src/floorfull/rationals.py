@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 import sys
-from contextlib import contextmanager
 from typing import NamedTuple
 
 
@@ -43,19 +42,6 @@ def parse_rational(text: str) -> Fraction:
 def rat_str(q: Fraction) -> str:
     """Canonical "num/den" rendering, denominator always present."""
     return f"{q.numerator}/{q.denominator}"
-
-
-@contextmanager
-def unlimited_int_digits():
-    """Lift the int-to-str digit limit for the block.
-
-    Exact results may exceed 4300 digits; input parsing keeps the limit."""
-    digit_limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(digit_limit)
 
 
 class RatInterval(NamedTuple("RatInterval", [("lo", "Fraction"), ("hi", "Fraction")])):

@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import partial
 from typing import NamedTuple
 
-from .defaults import DEFAULT_K_MAX
+from .defaults import DEFAULT_K_MAX, unlimited_int_digits
 from .errors import VerificationFailure
 from .floorseq import (
     FloorPower,
@@ -50,7 +50,7 @@ from .floorseq import (
     generate_terms,
     member_alpha_set,
 )
-from .rationals import RatInterval, rat_str, unlimited_int_digits
+from .rationals import RatInterval, rat_str
 from .view import View
 
 GAMMA_LOW = Fraction(3, 2)

@@ -6,10 +6,12 @@ tests start a `python -m floorfull` process.
 
 import argparse
 import ast
+import importlib
 import io
 import json
 import math
 import pathlib
+import pkgutil
 import re
 import subprocess
 import sys
@@ -22,10 +24,9 @@ from typing import NamedTuple
 import pytest
 
 import floorfull
-from floorfull import certificates, classify, cli, pset
+from floorfull import _cmd_certificates, certificates, classify, cli, pset
 from floorfull.cli import build_parser, dispatch, main
-from floorfull.defaults import BITMAP_CAP, SEQ_CAP, SIEVE_CAP
-from floorfull.rationals import unlimited_int_digits
+from floorfull.defaults import BITMAP_CAP, SEQ_CAP, SIEVE_CAP, unlimited_int_digits
 
 from test_argv_corpus import PARSER_CORPUS  # pytest puts tests/ on sys.path
 
@@ -333,7 +334,7 @@ class CellRun(Exception):
 
 
 def test_grid_past_the_cell_cap_exits_2_before_any_cell(monkeypatch):
-    cap = cli.GRID_CELL_CAP
+    cap = _cmd_certificates.GRID_CELL_CAP
     assert cap >= 840  # the benchmark's certify workload runs grids of up to 840 cells
     proc, peak = run_traced("theorem1", "grid", "--r-max", "2", "--ell-max", str(cap + 2))
     assert proc.returncode == 2
@@ -913,3 +914,18 @@ def test_build_parser_builds_every_leaf():
         group, _, action = path.partition(" ")
         leaf = _subparsers(groups[group])[action] if action else groups[group]
         assert {name for name, *_ in (*flags, *cli._COMMON)} <= leaf._option_string_actions.keys()
+
+
+def test_every_row_names_a_handler_and_every_handler_a_row():
+    # a row names its handler by string, so a typo would otherwise surface only when it runs
+    named = set()
+    for path, _, handler, _ in cli.COMMANDS:
+        commands = importlib.import_module(f"floorfull._cmd_{cli._GROUPS[path.partition(' ')[0]][0]}")
+        assert callable(getattr(commands, handler, None)), f"{path}: no {commands.__name__}.{handler}"
+        named.add((commands.__name__, handler))
+    defined = set()
+    for info in pkgutil.iter_modules(floorfull.__path__, "floorfull."):
+        if info.name.startswith("floorfull._cmd_"):
+            module = importlib.import_module(info.name)
+            defined |= {(info.name, name) for name in vars(module) if name.startswith("_run_")}
+    assert defined == named

@@ -1,11 +1,16 @@
 """A cold run imports only the library modules its subcommand uses.
 
 Each subcommand case runs in a fresh interpreter, calls `main(argv)` and
-prints the names in `sys.modules`.  Only the handler's own library module
-may load, and neither `dataclasses` nor `inspect` may: importing them costs
-a cold run ~10 ms.  A JSON run loads neither `csv` nor `floorfull.render`,
-which only `--format table` and `csv` need.  A run that builds no Fraction
-loads no `fractions`, nor the `decimal` and `numbers` it imports: ~4 ms.
+prints the names in `sys.modules`.  Only the floorfull modules its
+subcommand runs may load, and neither `dataclasses` nor `inspect` may:
+importing them costs a cold run ~10 ms.  A JSON run loads neither `csv`
+nor `floorfull.render`, which only `--format table` and `csv` need.  A run
+that builds no Fraction loads no `fractions`, nor the `decimal` and
+`numbers` it imports: ~4 ms.
+Without cached bytecode a run compiles each floorfull module it loads, so
+a run loads `rationals` only to parse or print a rational, the sieve and
+series code of `enumeration` only for `sieve` and `series`, and only its
+own group's command module.
 A well-formed run loads no `argparse`, nor the `gettext` and `locale` its
 first parser loads: ~6 ms; help and usage errors do.
 The package namespace tests check that the lazy
@@ -29,7 +34,6 @@ INPUTS = pathlib.Path(__file__).resolve().parent / "golden" / "inputs"
 CERT = str(INPUTS / "cert_ell12.json")
 LIBRARY = {"classify", "certificates", "floorseq", "pset", "skipverify"}
 NUMERIC = {"fractions", "decimal", "numbers"}
-VIEW = {"floorfull.view"}  # only the reports of pset and skipverify build views
 PARSING = {"argparse", "gettext", "locale"}
 
 # The public names `import floorfull` bound eagerly before it turned lazy,
@@ -90,25 +94,32 @@ def modules_loaded_by(argv: list[str], exit_code: int = 0) -> set[str]:
     return set(json.loads(fresh_python(code)))
 
 
+# Every floorfull module a cold run loads besides these: its library module and
+# what that imports, its group's command module, and the modules of its result.
+CORE = {"floorfull", "floorfull.cli", "floorfull.defaults", "floorfull.errors"}
+
+
 @pytest.mark.parametrize(
-    "argv, absent",
+    "argv, loads, absent",
     [
-        (["classify", "--n", "30"], {"certificates", "floorseq", "skipverify", "pset", *NUMERIC, *VIEW}),
-        (["sieve", "--limit", "100"], {"certificates", "floorseq", "skipverify", "pset", *NUMERIC, *VIEW}),
-        (["thm2", "symbolic", "--gamma", "3/2", "--j", "3"], {"classify", "certificates", "pset"}),
-        (["pset", "witness", "--m", "3"], {"classify", "certificates", "skipverify"}),
+        (["classify", "--n", "30"], {"classify", "_cmd_classify"}, NUMERIC),
+        (["sieve", "--limit", "100"], {"classify", "enumeration", "_cmd_classify"}, NUMERIC),
+        (["series", "--kind", "squarefull", "--terms", "5", "--digits", "10"],
+         {"classify", "enumeration", "rationals", "_cmd_classify"}, set()),  # it prints a Fraction
+        (["thm2", "symbolic", "--gamma", "3/2", "--j", "3"],
+         {"skipverify", "floorseq", "rationals", "view", "_cmd_skipverify"}, set()),
+        (["pset", "witness", "--m", "3"], {"pset", "view", "_cmd_pset"}, set()),
         (["pset", "compute", "--terms", str(INPUTS / "terms.txt"), "--bound", "50"],
-         {"classify", "certificates", "floorseq", "skipverify", *NUMERIC}),
-        (["theorem1", "verify", "--cert", CERT], {"floorseq", "skipverify", "pset", *NUMERIC, *VIEW}),
+         {"pset", "view", "_cmd_pset"}, NUMERIC),
+        (["theorem1", "verify", "--cert", CERT], {"certificates", "classify", "_cmd_certificates"}, NUMERIC),
     ],
-    ids=["classify", "sieve", "thm2_symbolic", "pset_witness", "pset_compute", "theorem1_verify"],
+    ids=["classify", "sieve", "series", "thm2_symbolic", "pset_witness", "pset_compute", "theorem1_verify"],
 )
-def test_subcommand_loads_only_its_modules(argv, absent):
+def test_subcommand_loads_only_its_modules(argv, loads, absent):
     modules = modules_loaded_by(argv)
-    loaded = {name.split(".", 1)[1] for name in modules if name.startswith("floorfull.")} & LIBRARY
-    assert loaded, "the handler's own module must load"
-    assert not loaded & absent
-    assert not modules & (absent | {"dataclasses", "inspect", "csv", "floorfull.render"} | PARSING)
+    loaded = {name for name in modules if name.split(".")[0] == "floorfull"}
+    assert loaded == CORE | {f"floorfull.{name}" for name in loads}
+    assert not modules & (absent | {"dataclasses", "inspect", "csv"} | PARSING)
 
 
 @pytest.mark.parametrize("argv, exit_code", [(["classify", "--help"], 0), (["classify", "--n=x"], 2)])
@@ -128,6 +139,8 @@ def test_entry_point_classify_loads_no_other_library_module():
     loaded = {line.split("'")[1] for line in proc.stderr.splitlines() if line.startswith("import 'floorfull")}
     assert {"floorfull.cli", "floorfull.classify"} <= loaded
     assert not loaded & {f"floorfull.{name}" for name in LIBRARY - {"classify"}}
+    assert not loaded & {"floorfull.rationals", "floorfull.enumeration"}
+    assert {name for name in loaded if name.startswith("floorfull._cmd_")} == {"floorfull._cmd_classify"}
     assert "import 'fractions'" not in proc.stderr
 
 

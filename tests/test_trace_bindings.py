@@ -58,14 +58,31 @@ def test_factorize_cache_info_exists():
     assert classify.factorize.cache_info().hits >= 0
 
 
-def test_traced_pset_compute_counts_its_runs(tmp_path):
-    cubes = [k ** 3 for k in range(1, 41)]
-    terms, span_file = tmp_path / "cubes.txt", tmp_path / "spans.json"
-    terms.write_text("".join(f"{c}\n" for c in cubes))
-    argv = [sys.executable, str(TRACEWRAP), str(span_file), "1",
-            "pset", "compute", "--terms", str(terms), "--bound", "200000"]
+def traced(tmp_path, *command) -> dict:
+    """The span file of `tracewrap.py` running `floorfull command`, which must exit 0."""
+    span_file = tmp_path / "spans.json"
+    argv = [sys.executable, str(TRACEWRAP), str(span_file), "1", *command]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(argv, capture_output=True, env=env, timeout=120, text=True)
     assert proc.returncode == 0, proc.stderr
-    counts = json.loads(span_file.read_text())["counts"]
+    return json.loads(span_file.read_text())
+
+
+def test_traced_pset_compute_counts_its_runs(tmp_path):
+    cubes = [k ** 3 for k in range(1, 41)]
+    terms = tmp_path / "cubes.txt"
+    terms.write_text("".join(f"{c}\n" for c in cubes))
+    counts = traced(tmp_path, "pset", "compute", "--terms", str(terms), "--bound", "200000")["counts"]
     assert counts["pset.runs.count"] == len(compute_pset(cubes, 200000).runs()) == 832
+
+
+# The sieve and series code lives in `enumeration`; the tracer binds it on `classify`.
+@pytest.mark.parametrize("command, span, counts", [
+    (["sieve", "--limit", "1000"], "classify.r_full_up_to", {"classify.r_full_up_to.values": 54}),
+    (["series", "--kind", "squarefull", "--terms", "20", "--digits", "40"], "classify.series_digits", {}),
+    (["classify", "--n", "72"], "classify.factorize", {}),
+], ids=["sieve", "series", "classify"])
+def test_traced_run_records_its_library_span(tmp_path, command, span, counts):
+    payload = traced(tmp_path, *command)
+    assert span in payload["names"]
+    assert payload["counts"].items() >= counts.items()  # 54 square-full integers up to 1000
